@@ -5,9 +5,7 @@
     or more complete {!Wdm_persist.Wire} CRC32-framed records without
     ever blocking.  The same accumulator doubles as a raw byte buffer
     for the 8-byte hello handshake and for HTTP request heads
-    ({!take} / {!index}), and carries leftover bytes across the
-    detach-to-thread boundary for replica connections
-    ({!Protocol.recv_frame_buffered}). *)
+    ({!take} / {!index}). *)
 
 type t
 

@@ -3,7 +3,9 @@
     follower nodes.
 
     Concurrency model — event loop in front, single-writer admission
-    behind (DESIGN.md §12): one loop thread owns every socket.  It
+    behind (DESIGN.md §12): one loop thread owns every socket, in
+    either role — clients, scrapers, follower subscriptions on a
+    leader, and a follower's own link to its leader.  It
     accepts, reads readiness-notified connections into per-connection
     buffers ({!Framebuf}), decodes complete frames and enqueues
     requests on a bounded queue; one admission thread drains the queue
@@ -18,9 +20,8 @@
     backpressure to the clients.  Connection count is bounded by
     [max_conns] (accept-time gate), not by a thread per client: idle
     connections cost one buffer each, no stack, so thousands can sit
-    idle ({!Evloop} uses [epoll] on Linux, [select] elsewhere).
-    Replica subscriptions are the exception: each detaches from the
-    loop onto a dedicated blocking thread pair, as before.
+    idle ({!Evloop} uses [epoll] on Linux, [select] elsewhere).  A
+    server runs exactly these two threads, whatever its role.
 
     With [store], every state-changing request is also appended to the
     WAL after it executes (a refused connect is still recorded — WAL
@@ -36,14 +37,18 @@
     with a full state snapshot (or a resume point when the follower's
     position is still inside the in-memory ring) and then ships every
     committed op, interleaving state digests every [digest_every] ops;
-    the follower acknowledges each digest.  Each follower gets a
-    bounded outbox drained by its own sender thread — a slow follower
-    is {e evicted}, never allowed to stall admission.  A node started
-    with [follower] dials its leader, applies the stream through the
-    same admission queue (the single-writer invariant holds on both
-    roles), persists to its own WAL when [follower.wal] is set, serves
-    read-only requests, refuses mutations with [Not_leader], and
-    reconnects with capped exponential backoff when the link drops.
+    the follower acknowledges each digest.  A follower connection is
+    an ordinary loop connection: admission queues the stream's frames
+    on its output queue and the loop writes them with the same writev
+    path as responses, so the queue is the follower's outbox.  A
+    follower with more than [resume_window] frames queued unwritten is
+    {e evicted} (closed), never allowed to stall admission.  A node
+    started with [follower] has its loop dial the leader without
+    blocking, applies the stream through the same admission queue (the
+    single-writer invariant holds on both roles), persists to its own
+    WAL when [follower.wal] is set, serves read-only requests, refuses
+    mutations with [Not_leader], and redials with capped exponential
+    backoff (50 ms doubling to 2 s) when the link drops.
     {!promote} (or a wire [Promote] request) turns the follower into a
     leader from the newest consistent state it reached.
 
@@ -67,7 +72,7 @@
     network was created with.
 
     {b Observability} (DESIGN.md §11): with [telemetry], every served
-    request is also timed per stage — reader decode, admission-queue
+    request is also timed per stage — frame decode, admission-queue
     wait, execute, WAL append, replication ship, response write — into
     [server_stage_<stage>_seconds] histograms and a bounded in-memory
     span ring ([span_buffer] records, exported as Chrome trace events
@@ -109,8 +114,6 @@ val start :
   ?batch_limit:int ->
   ?digest_every:int ->
   ?resume_window:int ->
-  ?outbox_capacity:int ->
-  ?follower_sndbuf:int ->
   ?follower:follower_config ->
   ?http:address ->
   ?ready_lag:int ->
@@ -124,24 +127,23 @@ val start :
   t
 (** {!start_backend} specialized to the multistage fabric.
 
-    Binds, listens and spawns the event-loop + admission threads (and
-    the replication client thread when [follower] is given).
+    Binds, listens and spawns the event-loop and admission threads
+    (with [follower], the loop also dials the leader).
     [queue_capacity] (default 256) bounds the admission queue;
     [batch_limit] (default 64) caps how many requests one drain takes.
     [max_conns] caps concurrently open request-plane connections: past
     it, accepted fds are closed immediately (counted in
     [server_accept_errors_total]); the observability plane is exempt
     so health stays scrapable at the cap.  [conn_sndbuf] sets
-    [SO_SNDBUF] on accepted request connections (tests use a tiny
-    value to exercise the loop's partial-write path).
+    [SO_SNDBUF] on accepted connections, follower subscriptions
+    included (tests use a tiny value to exercise the loop's
+    partial-write path and to make a slow follower deterministic).
     [digest_every] (default 64) is the committed-op interval between
     replicated state digests; [resume_window] (default 1024) how many
-    recent ops the leader keeps for follower resume; [outbox_capacity]
-    (default 1024) the per-follower outbox bound past which a slow
-    follower is evicted; [follower_sndbuf] sets [SO_SNDBUF] on
-    follower connections, bounding how much the kernel can buffer on
-    top of the outbox (eviction tests use a tiny value to make "slow"
-    deterministic).  The caller keeps ownership of [store] (close it
+    recent ops the leader keeps for follower resume, and how many
+    frames a follower may have queued unwritten before it is evicted
+    — one that far behind needs a snapshot on reconnect anyway.  The
+    caller keeps ownership of [store] (close it
     after {!stop}); a [follower] node instead manages its own store
     for [follower.wal] — read it back with {!current_store}.
 
@@ -162,8 +164,6 @@ val start_backend :
   ?batch_limit:int ->
   ?digest_every:int ->
   ?resume_window:int ->
-  ?outbox_capacity:int ->
-  ?follower_sndbuf:int ->
   ?follower:follower_config ->
   ?http:address ->
   ?ready_lag:int ->
@@ -218,11 +218,12 @@ val promote : t -> (int, string) result
     return every subsequent request sees the new role. *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, shut client receive sides down
+(** Graceful shutdown: stop accepting and reading connections
     (requests already admitted are still answered — an answered
     request is one a retrying client will not replay against the next
-    leader), drain the queue, let follower outboxes flush (bounded
-    grace), and join all threads.  After [stop] returns no thread
+    leader), drain the queue, end each follower's stream with a
+    [Goodbye], flush every connection's output within a 5 s grace
+    period, and join both threads.  After [stop] returns no thread
     touches the network or the store, so the caller can checkpoint and
     close them safely.  Idempotent. *)
 

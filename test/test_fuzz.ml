@@ -1,0 +1,206 @@
+(* Decoder fuzz: every wire decoder the event loop runs on untrusted
+   bytes — the replication codec on both roles, responses, ops, and the
+   incremental frame reader — fed random strings, truncations and
+   single-byte mutations of valid encodings.  Each must answer with its
+   typed Ok/Error (Frame/Need/Bad), never an exception, because an
+   exception there would escape into the one thread that serves every
+   connection.  [Resp.decode_request] is the documented exception: it
+   may raise [Wire.Decode_error], which the loop catches, and nothing
+   else. *)
+
+open Wdm_core
+open Wdm_multistage
+module P = Wdm_persist
+module Srv = Wdm_server
+module Fault = Wdm_faults.Fault
+
+let ep port wl = Endpoint.make ~port ~wl
+let conn src dests = Connection.make_exn ~source:src ~destinations:dests
+
+let net () =
+  Network.create ~construction:Network.Msw_dominant ~output_model:Model.MSW
+    (Topology.make_exn ~n:3 ~m:4 ~r:3 ~k:2)
+
+let encoded encode v =
+  let b = Buffer.create 64 in
+  encode b v;
+  Buffer.contents b
+
+(* --- a corpus of valid encodings ------------------------------------------ *)
+
+let ops =
+  [
+    P.Op.Connect (conn (ep 1 1) [ ep 4 1; ep 7 2 ]);
+    P.Op.Disconnect 3;
+    P.Op.Inject_fault (Fault.Middle 2);
+    P.Op.Clear_fault (Fault.Stage1_laser { input = 1; middle = 2; wl = 1 });
+    P.Op.Inject_fault (Fault.Converter { middle = 1; output = 3 });
+    P.Op.Repair { connection = conn (ep 2 1) [ ep 5 1 ]; rehomed = true };
+  ]
+
+let op_corpus = List.map (encoded P.Op.encode) ops
+
+let to_leader_corpus =
+  List.map
+    (encoded P.Repl.encode_to_leader)
+    [
+      P.Repl.Subscribe { epoch = 0; last_seq = -1 };
+      P.Repl.Subscribe { epoch = 123456789; last_seq = 42 };
+      P.Repl.Ack { seq = 7; digest = 987654321 };
+    ]
+
+let to_follower_corpus =
+  let n = net () in
+  ignore (Network.connect n (conn (ep 1 1) [ ep 4 1 ]));
+  List.map
+    (encoded P.Repl.encode_to_follower)
+    ([
+       P.Repl.Init_snapshot
+         { epoch = 5; seq = 10; state = P.Backend.encode_state (P.Backend.Net n) };
+       P.Repl.Init_resume { epoch = 5; seq = 10 };
+       P.Repl.Rep_digest { seq = 64; digest = 123456 };
+       P.Repl.Goodbye { reason = "shutdown" };
+     ]
+    @ List.mapi (fun i op -> P.Repl.Rep_op { seq = i + 1; op }) ops)
+
+let resp_corpus =
+  let n = net () in
+  let route = Result.get_ok (Network.connect n (conn (ep 1 1) [ ep 4 1; ep 7 1 ])) in
+  let resps =
+    [
+      P.Resp.Admitted { route; moved = 3 };
+      P.Resp.Refused
+        (Network.Invalid
+           (Assignment.Model_violation
+              { model = Model.MSW; connection = conn (ep 1 1) [ ep 2 2 ] }));
+      P.Resp.Refused (Network.Unserviceable (Fault.Middle 1));
+      P.Resp.Refused
+        (Network.Blocked
+           { fanout_switches = [ 1; 3 ]; available_middles = [ 2 ]; uncovered = [ 3 ] });
+      P.Resp.Released route;
+      P.Resp.Release_failed (Network.Already_released 7);
+      P.Resp.Fault_applied { torn_down = 2 };
+      P.Resp.Digest_is 123456789;
+      P.Resp.Stats_json "{\"a\": 1}";
+      P.Resp.Not_leader { leader = "unix:/tmp/x.sock" };
+      P.Resp.Promoted { seq = 12 };
+    ]
+  in
+  List.map (encoded P.Resp.encode) (P.Resp.Batch_reply resps :: resps)
+
+let request_corpus =
+  let reqs =
+    P.Resp.[ Get_digest; Get_stats; Promote ] @ List.map (fun op -> P.Resp.Admit op) ops
+  in
+  List.map (encoded P.Resp.encode_request) (P.Resp.Batch reqs :: reqs)
+
+(* --- generators ------------------------------------------------------------- *)
+
+(* Random bytes; half of them start with a plausible small tag byte so
+   the decoders get past their first dispatch. *)
+let random_bytes =
+  QCheck.Gen.(
+    let* tagged = bool in
+    let* body = string_size ~gen:char (int_range 0 48) in
+    if tagged then map (fun t -> String.make 1 (Char.chr t) ^ body) (int_range 0 16)
+    else return body)
+
+let truncation corpus =
+  QCheck.Gen.(
+    let* s = oneofl corpus in
+    map (fun n -> String.sub s 0 n) (int_bound (String.length s)))
+
+let mutation corpus =
+  QCheck.Gen.(
+    let* s = oneofl corpus in
+    let* i = int_bound (String.length s - 1) in
+    let* byte = int_bound 255 in
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr byte);
+    return (Bytes.to_string b))
+
+let inputs corpus =
+  QCheck.make ~print:String.escaped
+    (QCheck.Gen.oneof [ random_bytes; truncation corpus; mutation corpus ])
+
+(* --- properties --------------------------------------------------------------- *)
+
+let never_raises name corpus decode =
+  QCheck.Test.make ~name ~count:3000 (inputs corpus) (fun s ->
+      match decode s with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let decode_request_raises_only_decode_error =
+  QCheck.Test.make ~name:"Resp.decode_request raises only Decode_error"
+    ~count:3000 (inputs request_corpus) (fun s ->
+      match
+        let r = P.Wire.reader s in
+        ignore (P.Resp.decode_request r);
+        P.Wire.expect_end r
+      with
+      | () | (exception P.Wire.Decode_error _) -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* A stream of valid frames, damaged or not, split into random chunks:
+   draining the buffer after every chunk must only ever see typed
+   results.  An undamaged stream must come back frame for frame. *)
+let frame_stream =
+  let payloads = to_leader_corpus @ to_follower_corpus @ request_corpus in
+  QCheck.make
+    ~print:(fun (s, _, _) -> String.escaped s)
+    QCheck.Gen.(
+      let* frames = list_size (int_range 1 6) (oneofl payloads) in
+      let stream = String.concat "" (List.map P.Wire.frame frames) in
+      let* damage = oneof [ return None; map Option.some (mutation [ stream ]) ] in
+      let* cuts = list_size (int_range 0 8) (int_bound (String.length stream)) in
+      return (Option.value damage ~default:stream, frames, List.sort compare cuts))
+
+let framebuf_never_raises =
+  QCheck.Test.make ~name:"Framebuf.next_frame never raises" ~count:2000
+    frame_stream (fun (stream, frames, cuts) ->
+      let fb = Srv.Framebuf.create ~capacity:16 () in
+      let got = ref [] and bad = ref false in
+      let drain () =
+        let continue = ref (not !bad) in
+        while !continue do
+          match Srv.Framebuf.next_frame fb with
+          | Srv.Framebuf.Frame p -> got := p :: !got
+          | Srv.Framebuf.Need _ -> continue := false
+          | Srv.Framebuf.Bad _ ->
+            bad := true;
+            continue := false
+          | exception e ->
+            QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+        done
+      in
+      let last =
+        List.fold_left
+          (fun off cut ->
+            Srv.Framebuf.add_string fb (String.sub stream off (cut - off));
+            drain ();
+            cut)
+          0 cuts
+      in
+      Srv.Framebuf.add_string fb
+        (String.sub stream last (String.length stream - last));
+      drain ();
+      let intact = String.concat "" (List.map P.Wire.frame frames) = stream in
+      (not intact) || ((not !bad) && List.rev !got = frames))
+
+let () =
+  Alcotest.run "wdm_fuzz"
+    [
+      ( "decoders",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            never_raises "Repl.to_leader_of_string" to_leader_corpus
+              P.Repl.to_leader_of_string;
+            never_raises "Repl.to_follower_of_string" to_follower_corpus
+              P.Repl.to_follower_of_string;
+            never_raises "Resp.decode_string" resp_corpus P.Resp.decode_string;
+            never_raises "Op.decode_string" op_corpus P.Op.decode_string;
+            decode_request_raises_only_decode_error;
+            framebuf_never_raises;
+          ] );
+    ]
