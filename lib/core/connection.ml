@@ -44,6 +44,13 @@ let compare a b =
   let c = Endpoint.compare a.source b.source in
   if c <> 0 then c else List.compare Endpoint.compare a.destinations b.destinations
 
+let hash_into h c =
+  let mix = Strategy.mix in
+  let endpoint h (e : Endpoint.t) = mix (mix h e.port) e.wl in
+  List.fold_left endpoint
+    (mix (endpoint h c.source) (List.length c.destinations))
+    c.destinations
+
 let pp ppf c =
   Format.fprintf ppf "%a -> {%a}" Endpoint.pp c.source
     (Format.pp_print_list

@@ -38,6 +38,12 @@ val dest_ports : t -> int list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash_into : int -> t -> int
+(** [hash_into h c] folds {!Strategy.mix} into [h] over every field the
+    wire codec writes for [c]: source port and wavelength, destination
+    count, then each destination's port and wavelength.  The engines'
+    per-route state-digest terms are built on it. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as ["(1,l2) -> {(2,l2); (3,l1)}"]. *)
 

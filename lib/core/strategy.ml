@@ -41,6 +41,9 @@ let finalize z =
 let mix a b = finalize ((a * 0x1e3779b97f4a7c15) + b)
 let mix3 a b c = mix (mix a b) c
 
+let mix_string h s =
+  String.fold_left (fun h c -> mix h (Char.code c)) (mix h (String.length s)) s
+
 module Det_rng = struct
   type t = { mutable state : int }
 

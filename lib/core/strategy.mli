@@ -90,6 +90,9 @@ val mix : int -> int -> int
 val mix3 : int -> int -> int -> int
 (** [mix3 a b c = mix (mix a b) c]. *)
 
+val mix_string : int -> string -> int
+(** Folds {!mix} over the string's length, then over each byte. *)
+
 (** A tiny deterministic generator for annealing/genetic strategies:
     a 62-bit xorshift stepped purely by its own state, seeded from
     {!mix}.  Not [Random.State] — that would tempt ambient seeding and

@@ -61,6 +61,7 @@ type t = {
       (* resolved once at build time when cfg.strategy is [Named _];
          plug-ins are pure so sharing the resolution is safe *)
   active : (int, route) Hashtbl.t;
+  mutable route_sum : int;  (* sum of [route_hash] over [active], mod 2^63 *)
   mutable next_id : int;
   mutable attempts : int;
   tel : tel option;
@@ -141,6 +142,7 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
           assign = Assign.create ~k:cfg.k ~m:(Graph.m graph);
           plugin;
           active = Hashtbl.create 64;
+          route_sum = 0;
           next_id = 1;
           attempts = 0;
           tel = make_tel telemetry;
@@ -173,6 +175,56 @@ let gauges t =
   | Some tel ->
     Metrics.set tel.active_g (float_of_int (Hashtbl.length t.active));
     Metrics.set tel.slots_g (float_of_int (Assign.occupied_slots t.assign))
+
+(* ----- live routes and the state digest --------------------------------- *)
+
+let mix = Wdm_core.Strategy.mix
+
+(* A live route's term in the state digest: [mix] folded over every
+   field the route codec writes (id, connection, wavelength, arc count,
+   each arc's endpoints).  Edge ids and cost are derived from those, so
+   they add nothing. *)
+let route_hash (r : route) =
+  List.fold_left
+    (fun h (a, b, _) -> mix (mix h a) b)
+    (mix (mix (Connection.hash_into (mix 0 r.id) r.connection) r.wl)
+       (List.length r.arcs))
+    r.arcs
+
+(* Every change to [active] goes through these two, so [route_sum]
+   stays the sum of the live routes' hashes; removal cancels a term
+   exactly (the sum wraps mod 2^63). *)
+let add_route t r =
+  Hashtbl.replace t.active r.id r;
+  t.route_sum <- t.route_sum + route_hash r
+
+let remove_route t r =
+  Hashtbl.remove t.active r.id;
+  t.route_sum <- t.route_sum - route_hash r
+
+(* O(nodes), never O(routes).  The strategy enters by name, so
+   [Named "first-fit"] and [First_fit] agree, as their state encodings
+   do.  Masked to 55 bits, the range the wire codec's ints carry. *)
+let digest t =
+  let h = Wdm_core.Strategy.mix_string 0 t.topo_name in
+  let h = mix h t.cfg.k in
+  let h = Wdm_core.Strategy.mix_string h (Assign.strategy_to_string t.cfg.strategy) in
+  let h =
+    ref
+      (List.fold_left mix h
+         [
+           (match t.cfg.mode with Light_tree.Tree -> 0 | Light_tree.Hierarchy -> 1);
+           t.cfg.k_paths; Graph.n t.graph;
+         ])
+  in
+  (* nodes 1..n only, as the state codec writes them: index 0 is unused
+     and not the same after a restore *)
+  for v = 1 to Graph.n t.graph do
+    h := mix !h (Bool.to_int t.mc.(v))
+  done;
+  List.fold_left mix !h
+    [ t.next_id; t.attempts; Hashtbl.length t.active; t.route_sum ]
+  land ((1 lsl 55) - 1)
 
 (* ----- connect --------------------------------------------------------- *)
 
@@ -339,7 +391,7 @@ let connect t (c : Connection.t) =
         let id = t.next_id in
         t.next_id <- id + 1;
         let route = { id; connection = c; wl; arcs; cost } in
-        Hashtbl.replace t.active id route;
+        add_route t route;
         (match t.tel with Some tel -> Metrics.inc tel.connects | None -> ());
         gauges t;
         Ok route)
@@ -349,7 +401,7 @@ let disconnect t id =
   | Some r ->
     let edges = arc_edge_ids r.arcs in
     if edges <> [] then Assign.release t.assign ~edges ~wl:r.wl;
-    Hashtbl.remove t.active id;
+    remove_route t r;
     (match t.tel with Some tel -> Metrics.inc tel.releases | None -> ());
     gauges t;
     Ok r
@@ -395,12 +447,21 @@ let restore ?telemetry (s : state) =
       (match build ?telemetry ~cfg ~topo_name:s.s_topo ~mc:s.s_mc graph with
       | Error _ as e -> e
       | Ok t -> (
+        (* a route repeating an id, or claiming a slot another route
+           (or an earlier arc of its own) holds, can only come from a
+           corrupt state: occupying arc by arc refuses the overlaps *)
         match
           List.iter
             (fun r ->
-              let edges = arc_edge_ids r.arcs in
-              if edges <> [] then Assign.occupy t.assign ~edges ~wl:r.wl;
-              Hashtbl.replace t.active r.id r)
+              if r.id >= s.s_next_id then
+                invalid_arg
+                  (Printf.sprintf "route id %d >= next_id %d" r.id s.s_next_id);
+              if Hashtbl.mem t.active r.id then
+                invalid_arg (Printf.sprintf "route id %d repeated" r.id);
+              List.iter
+                (fun e -> Assign.occupy t.assign ~edges:[ e ] ~wl:r.wl)
+                (arc_edge_ids r.arcs);
+              add_route t r)
             s.s_routes
         with
         | () ->

@@ -97,7 +97,21 @@ val snapshot : t -> state
 val restore : ?telemetry:Sink.t -> state -> (t, string) result
 (** Rebuilds the graph from [s_topo] and re-derives wavelength
     occupancy by re-marking every active route, so a restored network
-    is behaviorally indistinguishable from the snapshotted one. *)
+    is behaviorally indistinguishable from the snapshotted one.  An
+    inconsistent state is an [Error]: a route id at or above
+    [s_next_id] or repeated, or a route claiming an (edge, wavelength)
+    slot that another route, or another of its own arcs, holds. *)
+
+val digest : t -> int
+(** A fingerprint of everything {!snapshot} captures, in [0, 2^55):
+    equal states give equal digests.  It costs O(nodes), not
+    O(routes): the network keeps a running sum (mod 2^63) of a
+    per-route hash — {!Wdm_core.Strategy.mix} folded over every field
+    the route codec writes — updated on every connect, disconnect and
+    restore, and [digest] mixes that sum with the route count, the
+    topology name, the config (strategy by name, so [Named "first-fit"]
+    and [First_fit] agree), the splitter map, [next_id] and the
+    attempt counter. *)
 
 (** Refusal rendering, mirroring {!Wdm_multistage.Network.Error} so
     callers (wdmnet in particular) print both engines' refusals through

@@ -218,6 +218,7 @@ type t = {
   middle_occ : int array;  (* busy stage-1 slots into middle j, index j-1 *)
   mutable next_id : int;
   mutable routes : route Imap.t;
+  mutable route_sum : int;  (* sum of [route_hash] over [routes], mod 2^63 *)
   mutable faults : Fault.Set.t;
   (* derived views of [faults], rebuilt on every inject/clear *)
   mutable failed_middles : Iset.t;
@@ -382,6 +383,7 @@ let create ?(config = Config.default) ~construction ~output_model
     middle_occ = Array.make topo.m 0;
     next_id = 0;
     routes = Imap.empty;
+    route_sum = 0;
     faults = Fault.Set.empty;
     failed_middles = Iset.empty;
     failed_inputs = Iset.empty;
@@ -1169,13 +1171,36 @@ let mark_endpoints_free t (conn : Connection.t) =
   t.n_busy_sources <- t.n_busy_sources - 1;
   t.n_busy_dests <- t.n_busy_dests - List.length conn.destinations
 
+let mix = Wdm_core.Strategy.mix
+
+(* A live route's term in the state digest: [mix] folded over every
+   field the route codec writes, list lengths included.  [Hashtbl.hash]
+   would not do: it stops after ten meaningful values, so it would skip
+   hops of wide multicast routes. *)
+let route_hash (route : route) =
+  let serve h (p, w) = mix (mix h p) w in
+  let hop h { middle; stage1_wl; serves } =
+    List.fold_left serve
+      (mix (mix (mix h middle) stage1_wl) (List.length serves))
+      serves
+  in
+  let h = Connection.hash_into (mix 0 route.id) route.connection in
+  List.fold_left hop
+    (mix (mix h route.input_switch) (List.length route.hops))
+    route.hops
+
+(* Every change to the route map goes through these two (or [clear]),
+   so [route_sum] stays the sum of the live routes' hashes: adding and
+   subtracting wrap mod 2^63, and removal cancels a term exactly. *)
 let add_route t route =
   t.routes <- Imap.add route.id route t.routes;
-  t.n_routes <- t.n_routes + 1
+  t.n_routes <- t.n_routes + 1;
+  t.route_sum <- t.route_sum + route_hash route
 
-let remove_route t id =
-  t.routes <- Imap.remove id t.routes;
-  t.n_routes <- t.n_routes - 1
+let remove_route t route =
+  t.routes <- Imap.remove route.id t.routes;
+  t.n_routes <- t.n_routes - 1;
+  t.route_sum <- t.route_sum - route_hash route
 
 let connect_raw t (conn : Connection.t) =
   match validate_request t conn with
@@ -1271,7 +1296,7 @@ let disconnect_raw t id =
     else Error (Unknown_route id)
   | Some route ->
     release t route;
-    remove_route t id;
+    remove_route t route;
     Ok route
 
 let disconnect t id =
@@ -1291,20 +1316,39 @@ let disconnect t id =
     | Error _ -> ());
     result
 
-(* Re-mark exactly the resources of a previously released route (its
-   slots are known-free); used to roll back rearrangement attempts. *)
+(* Re-mark exactly the resources of a route that is not live: the
+   rollback of a rearrangement attempt, whose slots and endpoints are
+   known-free, and [restore], where only a corrupt snapshot can make a
+   route overlap the live ones.  That is refused, not asserted: a busy
+   endpoint or slot, or a wavelength outside 1..k, raises
+   [Invalid_argument] (after marking part of the route, which is fine:
+   [restore] then discards the network). *)
 let readmit t (route : route) =
+  let refuse what =
+    invalid_arg (Printf.sprintf "Network: route %d %s" route.id what)
+  in
+  let claim stage ~row ~col ~wl =
+    if wl < 1 || wl > t.topo.k || slot_busy stage ~row ~col ~wl then
+      refuse
+        (Printf.sprintf "claims slot (%d, %d, l%d), busy or out of range" row
+           col wl)
+  in
+  let conn = route.connection in
+  if
+    Eset.mem conn.source t.busy_sources
+    || List.exists (fun d -> Eset.mem d t.busy_dests) conn.destinations
+  then refuse "claims a busy endpoint";
   List.iter
     (fun { middle = j; stage1_wl; serves } ->
-      assert (not (slot_busy t.stage1 ~row:route.input_switch ~col:j ~wl:stage1_wl));
+      claim t.stage1 ~row:route.input_switch ~col:j ~wl:stage1_wl;
       s1_occupy t ~input_switch:route.input_switch ~middle:j ~wl:stage1_wl;
       List.iter
         (fun (p, w2) ->
-          assert (not (slot_busy t.stage2 ~row:j ~col:p ~wl:w2));
+          claim t.stage2 ~row:j ~col:p ~wl:w2;
           s2_occupy t ~middle:j ~out_switch:p ~wl:w2)
         serves)
     route.hops;
-  mark_endpoints_busy t route.connection;
+  mark_endpoints_busy t conn;
   add_route t route
 
 let rec take n = function
@@ -1339,7 +1383,7 @@ let connect_rearrangeable_raw t (conn : Connection.t) =
       | [] -> Error blocked
       | victim :: rest -> (
         release t victim;
-        remove_route t victim.id;
+        remove_route t victim;
         match connect_raw t conn with
         | Error _ ->
           readmit t victim;
@@ -1351,13 +1395,13 @@ let connect_rearrangeable_raw t (conn : Connection.t) =
                callers track live connections by id, and a silent
                renumbering would leave their handles stale. *)
             let rekeyed = { moved with id = victim.id } in
-            remove_route t moved.id;
+            remove_route t moved;
             add_route t rekeyed;
             Ok (new_route, Some rekeyed)
           | Error _ ->
             (* undo: drop the new route, restore the victim verbatim *)
             release t new_route;
-            remove_route t new_route.id;
+            remove_route t new_route;
             readmit t victim;
             attempt rest))
     in
@@ -1494,7 +1538,7 @@ let inject_fault t fault =
     List.iter
       (fun route ->
         release t route;
-        remove_route t route.id)
+        remove_route t route)
       victims;
     (match t.instruments with
     | None -> ()
@@ -1542,6 +1586,7 @@ let clear t =
   List.iter (fun (_, route) -> release t route) (Imap.bindings t.routes);
   t.routes <- Imap.empty;
   t.n_routes <- 0;
+  t.route_sum <- 0;
   update_gauges t
 
 (* ----- persistence ----------------------------------------------------- *)
@@ -1606,11 +1651,48 @@ let restore ?telemetry s =
         invalid_arg
           (Printf.sprintf "Network.restore: route id %d >= next_id %d" route.id
              s.s_next_id);
+      if Imap.mem route.id t.routes then
+        invalid_arg
+          (Printf.sprintf "Network.restore: route id %d repeated" route.id);
       readmit t route)
     s.s_routes;
   t.next_id <- s.s_next_id;
   update_gauges t;
   t
+
+let mix_fault h = function
+  | Fault.Middle j -> mix (mix h 1) j
+  | Fault.Input_module i -> mix (mix h 2) i
+  | Fault.Output_module p -> mix (mix h 3) p
+  | Fault.Stage1_laser { input; middle; wl } ->
+    List.fold_left mix h [ 4; input; middle; wl ]
+  | Fault.Stage2_laser { middle; output; wl } ->
+    List.fold_left mix h [ 5; middle; output; wl ]
+  | Fault.Converter { middle; output } -> List.fold_left mix h [ 6; middle; output ]
+
+(* O(faults), never O(routes): the routes enter through their running
+   sum.  The strategy enters by name, so [Named "first-fit"] and
+   [First_fit] agree, as their snapshot encodings do.  Masked to 55
+   bits, the range the wire codec's ints carry. *)
+let digest t =
+  let h =
+    List.fold_left mix 0
+      [
+        t.topo.n; t.topo.m; t.topo.r; t.topo.k;
+        (match t.construction with Msw_dominant -> 0 | Maw_dominant -> 1);
+        Model.strength t.output_model; t.x_limit;
+      ]
+  in
+  let h = Wdm_core.Strategy.mix_string h (strategy_to_string t.strategy) in
+  let h =
+    List.fold_left mix h
+      [
+        (match t.impl with Bitset -> 0 | Reference -> 1);
+        t.rearrange_limit; t.next_id; Fault.Set.cardinal t.faults;
+      ]
+  in
+  let h = Fault.Set.fold (fun f h -> mix_fault h f) t.faults h in
+  mix (mix h t.n_routes) t.route_sum land ((1 lsl 55) - 1)
 
 let copy t =
   {

@@ -335,8 +335,22 @@ val restore : ?telemetry:Wdm_telemetry.Sink.t -> snapshot -> t
     network exactly as {!create} would — counters start at the sink's
     current values (history is not replayed into them), gauges are set
     to the restored state.
-    @raise Invalid_argument on an inconsistent snapshot (fault indices
-    outside the topology, a route id at or above [s_next_id]). *)
+    @raise Invalid_argument on an inconsistent snapshot: fault indices
+    outside the topology, a route id at or above [s_next_id] or
+    repeated, or a route that claims a slot or an endpoint another
+    route holds (or a wavelength outside [1..k]). *)
+
+val digest : t -> int
+(** A fingerprint of everything {!snapshot} captures, in [0, 2^55):
+    equal snapshots give equal digests, and a leader and follower
+    compare these to detect divergence.  It costs O(faults), not
+    O(routes): the network keeps a running sum (mod 2^63) of a
+    per-route hash — {!Wdm_core.Strategy.mix} folded over every field
+    the route codec writes — updated wherever a route is added or
+    removed, and [digest] mixes that sum with the route count and every
+    non-route field: topology, construction, model, [x_limit], the
+    strategy by name (so [Named "first-fit"] and [First_fit] agree),
+    link impl, [rearrange_limit], [next_id] and the fault set. *)
 
 (** {1 Fault injection}
 

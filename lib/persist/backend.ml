@@ -365,7 +365,9 @@ let restore ?telemetry s =
       | net -> Ok (Net net)
       | exception Invalid_argument reason -> Error reason)
 
-let digest t = Crc32.string (encode_state t)
+let digest = function
+  | Net net -> Network.digest net
+  | Mesh net -> Mesh.digest net
 
 (* ----- replay ---------------------------------------------------------- *)
 

@@ -54,7 +54,15 @@ val apply : t -> Op.t -> (unit, string) result
     the service layer never commits their [Server_error] responses. *)
 
 val digest : t -> int
-(** CRC32 of {!encode_state} — the recovery-check fingerprint. *)
+(** The engine's own state digest ({!Network.digest} or
+    {!Mesh.digest}), the fingerprint recovery and replication compare:
+    states with equal {!encode_state} bytes have equal digests.  Its
+    cost does not grow with the number of live routes: each engine
+    keeps a running sum of per-route hashes, and the digest is not
+    computed from the encoding's bytes.  A leader and its followers
+    must therefore run builds with the same digest definition: a
+    mismatched pair disagrees at every check, and the follower resyncs
+    by snapshot on every digest. *)
 
 (** {1 Mesh-to-wire adapters}
 

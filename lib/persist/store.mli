@@ -28,10 +28,12 @@ val decode_route : Wire.reader -> Network.route
     [decode_route] @raise Wire.Decode_error on malformed input. *)
 
 val digest : Network.t -> int
-(** CRC32 of {!encode_state} of the network's snapshot — a cheap
-    whole-state fingerprint for "did recovery reproduce the same
-    network" checks (the CI smoke test compares these across a
-    record / kill / recover cycle). *)
+(** {!Backend.digest} of a multistage network ({!Network.digest}): a
+    whole-state fingerprint, in time independent of the number of live
+    routes, for "did recovery reproduce the same network" checks (the
+    CI smoke test compares these across a record / kill / recover
+    cycle).  Digests agree only between builds with the same digest
+    definition. *)
 
 val snapshot_path : wal:string -> seq:int -> string
 (** [<wal>.snap.<seq>]. *)

@@ -108,12 +108,25 @@ let test_yen_respects_edge_filter () =
       arcs nodes)
     paths
 
+(* The digest contract: a live network's running digest equals the
+   digest of its own restored encoding, although restore re-adds the
+   routes in id order and the live sum saw them in op order. *)
+let check_digest_roundtrip label m =
+  let live = Backend.Mesh m in
+  match Backend.restore (Backend.encode_state live) with
+  | Error e -> Alcotest.failf "%s: restore failed: %s" label e
+  | Ok restored ->
+    if Backend.digest live <> Backend.digest restored then
+      Alcotest.failf "%s: live digest %d, restored %d" label
+        (Backend.digest live) (Backend.digest restored)
+
 (* --- first-fit vs graph-coloring on unicast traffic ----------------------- *)
 
 (* For path requests the coloring conflict set is exactly the union of
    occupancy on the path's edges, so coloring must pick the same
    wavelength first-fit does.  Drive both engines with an identical
-   connect/disconnect trace and demand identical routes. *)
+   connect/disconnect trace and demand identical routes, and both
+   digests to survive a restore after every op. *)
 let test_first_fit_coloring_equivalent () =
   let a = mk_mesh ~strategy:Assign.First_fit () in
   let b = mk_mesh ~strategy:Assign.Coloring () in
@@ -147,7 +160,9 @@ let test_first_fit_coloring_equivalent () =
         active := ra.Mesh_network.id :: !active
       | Error _, Error _ -> ()
       | _ -> Alcotest.fail (Printf.sprintf "step %d: admission diverged" step)
-    end
+    end;
+    check_digest_roundtrip (Printf.sprintf "step %d, first-fit" step) a;
+    check_digest_roundtrip (Printf.sprintf "step %d, coloring" step) b
   done;
   Alcotest.(check int) "same active count" (Mesh_network.active_count a)
     (Mesh_network.active_count b)
@@ -219,23 +234,26 @@ let prop_no_branching_at_mi_nodes =
 
 (* --- snapshot codec round trip -------------------------------------------- *)
 
+(* Mixed unicast/multicast churn, checking the digest contract after
+   every op. *)
 let drive m rng steps =
   let active = ref [] in
-  for _ = 1 to steps do
-    if Random.State.int rng 100 < 30 && !active <> [] then begin
-      let i = Random.State.int rng (List.length !active) in
-      let id = List.nth !active i in
-      active := List.filter (fun x -> x <> id) !active;
-      ignore (Mesh_network.disconnect m id)
-    end
-    else begin
-      let src = 1 + Random.State.int rng 14 in
-      let fan = 1 + Random.State.int rng 3 in
-      let dests = List.init fan (fun _ -> 1 + Random.State.int rng 14) in
-      match Mesh_network.connect m (conn src (List.sort_uniq compare dests)) with
-      | Ok r -> active := r.Mesh_network.id :: !active
-      | Error _ -> ()
-    end
+  for step = 1 to steps do
+    (if Random.State.int rng 100 < 30 && !active <> [] then begin
+       let i = Random.State.int rng (List.length !active) in
+       let id = List.nth !active i in
+       active := List.filter (fun x -> x <> id) !active;
+       ignore (Mesh_network.disconnect m id)
+     end
+     else begin
+       let src = 1 + Random.State.int rng 14 in
+       let fan = 1 + Random.State.int rng 3 in
+       let dests = List.init fan (fun _ -> 1 + Random.State.int rng 14) in
+       match Mesh_network.connect m (conn src (List.sort_uniq compare dests)) with
+       | Ok r -> active := r.Mesh_network.id :: !active
+       | Error _ -> ()
+     end);
+    check_digest_roundtrip (Printf.sprintf "drive step %d" step) m
   done
 
 let test_mesh_codec_roundtrip () =
@@ -264,6 +282,74 @@ let test_mesh_codec_roundtrip () =
         (a.Mesh_network.arcs = b.Mesh_network.arcs)
     | Error _, Error _ -> ()
     | _ -> Alcotest.fail "restored mesh diverged")
+
+(* A corrupt state can repeat a route id on another wavelength (which
+   overlaps no slot, but would leak the first copy's slots) or claim a
+   slot another route holds.  Restoring either must be an [Error]. *)
+let refused label state =
+  match Backend.restore (Backend.encode_mesh_state state) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: restored" label
+  | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+
+(* One unicast route 1 -> 2 on ring6's edge 1-2, wavelength 1. *)
+let one_route_state () =
+  let m = mk_mesh ~topo:"ring6" ~k:4 () in
+  (match Mesh_network.connect m (conn 1 [ 2 ]) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "connect refused");
+  let s = Mesh_network.snapshot m in
+  (s, List.hd s.Mesh_network.s_routes)
+
+let test_restore_refuses_repeated_id () =
+  let s, r = one_route_state () in
+  refused "same id, other wavelength"
+    { s with Mesh_network.s_routes = [ r; { r with Mesh_network.wl = 2 } ] };
+  (* an id the allocator would hand out again *)
+  refused "id at next_id" { s with Mesh_network.s_next_id = r.Mesh_network.id }
+
+let test_restore_refuses_overlapping_slot () =
+  let s, r = one_route_state () in
+  let next = s.Mesh_network.s_next_id in
+  refused "same slot, new id"
+    {
+      s with
+      Mesh_network.s_next_id = next + 1;
+      s_routes = [ r; { r with Mesh_network.id = next } ];
+    };
+  refused "an arc repeated within one route"
+    {
+      s with
+      Mesh_network.s_routes =
+        [ { r with Mesh_network.arcs = r.Mesh_network.arcs @ r.Mesh_network.arcs } ];
+    }
+
+(* The digest sees every field the state codec writes: editing any one
+   of them in a valid state, and restoring, changes it. *)
+let test_digest_sensitivity () =
+  let s, r = one_route_state () in
+  let digest state =
+    match Mesh_network.restore state with
+    | Ok m -> Mesh_network.digest m
+    | Error e -> Alcotest.fail e
+  in
+  let base = digest s in
+  Alcotest.(check int) "unedited" base (digest s);
+  let g = Zoo.ring 6 in
+  let arc a b =
+    match Graph.edge_between g a b with
+    | Some e -> (a, b, e)
+    | None -> Alcotest.failf "no edge %d-%d" a b
+  in
+  let with_route r' = { s with Mesh_network.s_routes = [ r' ] } in
+  List.iter
+    (fun (label, edited) ->
+      if digest edited = base then Alcotest.failf "%s: digest unchanged" label)
+    [
+      ("one arc", with_route { r with Mesh_network.arcs = [ arc 1 6 ] });
+      ("the wavelength", with_route { r with Mesh_network.wl = 3 });
+      ("attempts", { s with Mesh_network.s_attempts = s.Mesh_network.s_attempts + 1 });
+    ]
 
 let test_multistage_state_not_mesh () =
   (* dispatch safety: a multistage snapshot must not be mistaken for a
@@ -390,6 +476,12 @@ let () =
             test_mesh_codec_roundtrip;
           Alcotest.test_case "dispatch tags disjoint" `Quick
             test_multistage_state_not_mesh;
+          Alcotest.test_case "restore refuses a repeated id" `Quick
+            test_restore_refuses_repeated_id;
+          Alcotest.test_case "restore refuses an overlapping slot" `Quick
+            test_restore_refuses_overlapping_slot;
+          Alcotest.test_case "digest sensitivity" `Quick
+            test_digest_sensitivity;
         ] );
       ( "campaign",
         [

@@ -289,6 +289,91 @@ let test_restore_rejects_inconsistent () =
        false
      with Invalid_argument _ -> true)
 
+(* A corrupt state can repeat a route or add an overlapping copy of one
+   under a fresh id.  Restoring its encoding must answer [Error] (what
+   a follower's snapshot handler expects), never raise. *)
+let refused label snap =
+  match P.Backend.restore (P.Store.encode_state snap) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: restored" label
+  | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+
+let test_restore_refuses_repeated_route impl () =
+  let net = make_net ~impl () in
+  populate net;
+  let snap = Network.snapshot net in
+  let r = List.hd snap.Network.s_routes in
+  refused "route list [r; r; ...]"
+    { snap with Network.s_routes = r :: snap.Network.s_routes }
+
+let test_restore_refuses_overlapping_copy impl () =
+  let net = make_net ~impl () in
+  populate net;
+  let snap = Network.snapshot net in
+  let r = List.hd snap.Network.s_routes in
+  let next = snap.Network.s_next_id in
+  let with_extra (extra : Network.route) =
+    {
+      snap with
+      Network.s_next_id = next + 1;
+      s_routes = snap.Network.s_routes @ [ { extra with Network.id = next } ];
+    }
+  in
+  refused "copy under a new id" (with_extra r);
+  (* free endpoints, same hops: only the slots overlap *)
+  let elsewhere = { r with Network.connection = conn (ep 3 1) [ ep 6 1 ] } in
+  refused "slot overlap" (with_extra elsewhere);
+  refused "wavelength outside 1..k"
+    (with_extra
+       {
+         elsewhere with
+         Network.hops =
+           List.map (fun h -> { h with Network.stage1_wl = 3 }) r.Network.hops;
+       })
+
+(* The digest sees every field the state codec writes: editing any one
+   of them in a valid state, and restoring, changes it. *)
+let test_digest_sensitivity () =
+  let topo = Topology.make_exn ~n:2 ~m:3 ~r:2 ~k:2 in
+  let net =
+    Network.create ~construction:Network.Msw_dominant ~output_model:Model.MSW
+      topo
+  in
+  let r =
+    match Network.connect net (conn (ep 1 1) [ ep 3 1 ]) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "connect: %a" Network.pp_error e
+  in
+  let s = Network.snapshot net in
+  let digest snap = Network.digest (Network.restore snap) in
+  let base = digest s in
+  Alcotest.(check int) "unedited" base (digest s);
+  let hop = List.hd r.Network.hops in
+  let with_route r' = { s with Network.s_routes = [ r' ] } in
+  let idle_middle =
+    List.find (fun j -> j <> hop.Network.middle) [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (label, edited) ->
+      if digest edited = base then Alcotest.failf "%s: digest unchanged" label)
+    [
+      ( "one hop's stage-2 wavelength",
+        let p, w = List.hd hop.Network.serves in
+        with_route
+          {
+            r with
+            Network.hops = [ { hop with Network.serves = [ (p, 3 - w) ] } ];
+          } );
+      ( "one destination",
+        with_route { r with Network.connection = conn (ep 1 1) [ ep 4 1 ] } );
+      ("next_id", { s with Network.s_next_id = s.Network.s_next_id + 1 });
+      ("one fault", { s with Network.s_faults = [ Fault.Middle idle_middle ] });
+      ("the strategy", { s with Network.s_strategy = Network.First_fit });
+    ];
+  Alcotest.(check int) "strategies compare by name"
+    (digest { s with Network.s_strategy = Network.First_fit })
+    (digest { s with Network.s_strategy = Network.Named "first-fit" })
+
 let test_state_codec_roundtrip () =
   let net = make_net ~impl:Network.Reference () in
   populate net;
@@ -492,8 +577,17 @@ let () =
             (test_snapshot_restore Network.Reference);
           Alcotest.test_case "rejects inconsistent" `Quick
             test_restore_rejects_inconsistent;
+          Alcotest.test_case "refuses a repeated route (bitset)" `Quick
+            (test_restore_refuses_repeated_route Network.Bitset);
+          Alcotest.test_case "refuses a repeated route (reference)" `Quick
+            (test_restore_refuses_repeated_route Network.Reference);
+          Alcotest.test_case "refuses an overlapping copy (bitset)" `Quick
+            (test_restore_refuses_overlapping_copy Network.Bitset);
+          Alcotest.test_case "refuses an overlapping copy (reference)" `Quick
+            (test_restore_refuses_overlapping_copy Network.Reference);
           Alcotest.test_case "state codec roundtrip" `Quick
             test_state_codec_roundtrip;
+          Alcotest.test_case "digest sensitivity" `Quick test_digest_sensitivity;
         ] );
       ( "wal",
         [

@@ -2,15 +2,18 @@
    behaviour change: for any seeded workload it must pick byte-identical
    routes to the retained bool-array reference implementation.  These
    tests drive both implementations in lockstep through churn with
-   faults in force, and pin the supporting data structures (Bitops,
-   Event_heap, Free_pool) against naive references.  Also here: the
-   fault-counter reconciliation and run_timed gauge-reset regressions. *)
+   faults in force (checking after every op that each network's running
+   state digest equals its restored encoding's), and pin the supporting
+   data structures (Bitops, Event_heap, Free_pool) against naive
+   references.  Also here: the fault-counter reconciliation and
+   run_timed gauge-reset regressions. *)
 
 open Wdm_core
 open Wdm_multistage
 module Tel = Wdm_telemetry
 module Fault = Wdm_faults.Fault
 module Schedule = Wdm_faults.Schedule
+module Backend = Wdm_persist.Backend
 open Wdm_traffic
 
 let rng seed = Random.State.make [| seed |]
@@ -127,9 +130,28 @@ let test_free_pool () =
 
 (* --- lockstep equivalence: Bitset vs Reference -------------------------- *)
 
+(* The digest contract: a live network's running digest equals the
+   digest of its own restored encoding.  Restore re-adds the routes in
+   id order, while the live sum saw op order, re-keyed rearrangement
+   moves and fault teardowns. *)
+let check_digest_roundtrip label net =
+  let live = Backend.Net net in
+  match Backend.restore (Backend.encode_state live) with
+  | Error e -> Alcotest.failf "%s: restore failed: %s" label e
+  | Ok restored ->
+    if Backend.digest live <> Backend.digest restored then
+      Alcotest.failf "%s: live digest %d, restored %d" label
+        (Backend.digest live) (Backend.digest restored)
+
 (* A faulty_sut that applies every operation to both networks and fails
-   the test on any observable divergence. *)
-let lockstep_sut ta tb =
+   the test on any observable divergence, or on either network breaking
+   the digest contract after the op.  [moves] counts rearrangements. *)
+let lockstep_sut ~moves ta tb =
+  let checked x =
+    check_digest_roundtrip "bitset" ta;
+    check_digest_roundtrip "reference" tb;
+    x
+  in
   let check_routes label (ra : Network.route) (rb : Network.route) =
     if ra <> rb then
       Alcotest.failf "%s diverged:@.bitset    %a@.reference %a" label
@@ -154,11 +176,12 @@ let lockstep_sut ta tb =
   {
     Churn.base =
       {
-        Churn.connect = connect_both Network.connect;
+        Churn.connect = (fun c -> checked (connect_both Network.connect c));
         disconnect =
           (fun id ->
             ignore (Network.disconnect ta id);
-            ignore (Network.disconnect tb id));
+            ignore (Network.disconnect tb id);
+            checked ());
       };
     inject =
       (fun f ->
@@ -168,23 +191,26 @@ let lockstep_sut ta tb =
           (List.length va) (List.length vb);
         if va <> vb then
           Alcotest.failf "victim sets of %s diverged" (Fault.to_string f);
-        va);
+        checked va);
     clear =
       (fun f ->
         Network.clear_fault ta f;
-        Network.clear_fault tb f);
+        Network.clear_fault tb f;
+        checked ());
     reconnect =
       (fun c ->
-        match (Network.connect_rearrangeable ta c, Network.connect_rearrangeable tb c) with
-        | Ok (ra, ma), Ok (rb, mb) ->
-          check_routes "rearranged route" ra rb;
-          Alcotest.(check int) "moves" ma mb;
-          Ok ra.Network.id
-        | Error ea, Error _ -> Error ea
-        | _ -> Alcotest.fail "rearrangement admit/deny diverged")
+        checked
+          (match (Network.connect_rearrangeable ta c, Network.connect_rearrangeable tb c) with
+          | Ok (ra, ma), Ok (rb, mb) ->
+            check_routes "rearranged route" ra rb;
+            Alcotest.(check int) "moves" ma mb;
+            moves := !moves + ma;
+            Ok ra.Network.id
+          | Error ea, Error _ -> Error ea
+          | _ -> Alcotest.fail "rearrangement admit/deny diverged"))
   }
 
-let run_lockstep ~seed ~construction ~output_model ~strategy ~n ~m ~r ~k =
+let run_lockstep ~moves ~seed ~construction ~output_model ~strategy ~n ~m ~r ~k =
   let topo = Topology.make_exn ~n ~m ~r ~k in
   let ta =
     Network.create
@@ -214,7 +240,7 @@ let run_lockstep ~seed ~construction ~output_model ~strategy ~n ~m ~r ~k =
     Churn.run_with_faults (rng seed)
       ~spec:(Topology.spec topo) ~model:output_model
       ~fanout:(Fanout.Uniform (1, r))
-      ~steps:400 ~teardown_bias:0.4 ~schedule (lockstep_sut ta tb)
+      ~steps:400 ~teardown_bias:0.4 ~schedule (lockstep_sut ~moves ta tb)
   in
   (* the workload must actually exercise the interesting paths *)
   Alcotest.(check bool) "some accepts" true (s.Churn.churn.Churn.accepted > 0);
@@ -227,26 +253,30 @@ let run_lockstep ~seed ~construction ~output_model ~strategy ~n ~m ~r ~k =
 
 let test_lockstep_msw () =
   let exercised_faults = ref false in
+  let moves = ref 0 in
   for seed = 1 to 6 do
     let s =
-      run_lockstep ~seed ~construction:Network.Msw_dominant
+      run_lockstep ~moves ~seed ~construction:Network.Msw_dominant
         ~output_model:Model.MSW ~strategy:Network.Min_intersection ~n:3 ~m:6
         ~r:3 ~k:2
     in
     if s.Churn.injected > 0 then exercised_faults := true
   done;
-  Alcotest.(check bool) "faults were in force" true !exercised_faults
+  Alcotest.(check bool) "faults were in force" true !exercised_faults;
+  Alcotest.(check bool) "rearrangements moved routes" true (!moves > 0)
 
 let test_lockstep_maw () =
   let exercised_faults = ref false in
+  let moves = ref 0 in
   for seed = 1 to 6 do
     let s =
-      run_lockstep ~seed ~construction:Network.Maw_dominant
+      run_lockstep ~moves ~seed ~construction:Network.Maw_dominant
         ~output_model:Model.MAW ~strategy:Network.First_fit ~n:3 ~m:5 ~r:3 ~k:2
     in
     if s.Churn.injected > 0 then exercised_faults := true
   done;
-  Alcotest.(check bool) "faults were in force" true !exercised_faults
+  Alcotest.(check bool) "faults were in force" true !exercised_faults;
+  Alcotest.(check bool) "rearrangements moved routes" true (!moves > 0)
 
 (* Static spot-check on a wider-than-62-wavelength fabric: the packed
    representation is refused and the wide fallback engages. *)
