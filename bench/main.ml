@@ -1424,6 +1424,108 @@ let mesh_blocking_bench ~quick () =
         ] )
 
 (* ----------------------------------------------------------------- *)
+(* Mesh connect cost per strategy                                     *)
+(* ----------------------------------------------------------------- *)
+
+module Mesh_network = Wdm_mesh.Mesh_network
+
+(* The mesh engine's connect, timed call by call under the serving
+   benchmark's mesh-batch traffic (nsf14, 32 wavelengths, 120 Erlangs,
+   Zipf fanout <= 8), once per registered strategy.  Connects are split
+   by outcome because the three cost very differently: an admitted
+   unicast tries the pair's Yen paths, an admitted multicast builds
+   light-trees until one fits, and a refusal runs out of wavelengths.
+   The first [warmup] arrivals fill the per-pair Yen memo untimed;
+   quantiles are exact order statistics of the timed calls. *)
+let mesh_connect_bench ~quick () =
+  section "Mesh connect cost per strategy (nsf14, 32 wavelengths, 120 Erlangs)";
+  let seed = 1 and offered = 120. and fanout_max = 8 and k = 32 in
+  let warmup = if quick then 500 else 2_000 in
+  let arrivals = if quick then 4_000 else 30_000 in
+  let classes = [ "unicast"; "multicast"; "refused" ] in
+  let row name =
+    let strategy =
+      match Assign.strategy_of_string name with
+      | Ok s -> s
+      | Error e -> failwith ("mesh_connect: " ^ e)
+    in
+    let config = { Mesh_network.Config.default with k; strategy } in
+    let net =
+      match Mesh_network.create ~config "nsf14" with
+      | Ok net -> net
+      | Error e -> failwith ("mesh_connect: " ^ e)
+    in
+    let samples = Array.make 3 [] and calls = ref 0 in
+    let sut =
+      {
+        Wdm_traffic.Churn.connect =
+          (fun c ->
+            incr calls;
+            let t0 = Monotonic_clock.now () in
+            let outcome = Mesh_network.connect net c in
+            let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+            (if !calls > warmup then
+               let cls =
+                 match outcome with
+                 | Error _ -> 2
+                 | Ok _ when List.length c.Connection.destinations = 1 -> 0
+                 | Ok _ -> 1
+               in
+               samples.(cls) <- (ns /. 1e3) :: samples.(cls));
+            Result.map (fun r -> r.Mesh_network.id) outcome);
+        disconnect = (fun id -> ignore (Mesh_network.disconnect net id));
+      }
+    in
+    ignore
+      (Wdm_traffic.Erlang.run
+         (Random.State.make [| seed |])
+         ~nodes:(Wdm_mesh.Graph.n (Mesh_network.graph net))
+         ~fanout:(Wdm_traffic.Fanout.Zipf { max = fanout_max; s = 1.3 })
+         ~offered ~arrivals:(warmup + arrivals) sut);
+    let stats us =
+      let a = Array.of_list us in
+      Array.sort compare a;
+      let n = Array.length a in
+      if n = 0 then (0, 0., 0., 0.)
+      else
+        let q p = a.(min (n - 1) (int_of_float (p *. float_of_int n))) in
+        (n, Array.fold_left ( +. ) 0. a /. float_of_int n, q 0.5, q 0.99)
+    in
+    let per_class = List.mapi (fun i cls -> (cls, stats samples.(i))) classes in
+    List.iter
+      (fun (cls, (n, mean, p50, p99)) ->
+        Printf.printf "%-12s %-9s %6d  mean %7.1f  p50 %7.1f  p99 %7.1f us\n"
+          name cls n mean p50 p99)
+      per_class;
+    J.Obj
+      (("strategy", J.String name)
+      :: ("arrivals", J.Int arrivals)
+      :: List.map
+           (fun (cls, (n, mean, p50, p99)) ->
+             ( cls,
+               J.Obj
+                 [
+                   ("count", J.Int n);
+                   ("mean_us", J.Float mean);
+                   ("p50_us", J.Float p50);
+                   ("p99_us", J.Float p99);
+                 ] ))
+           per_class)
+  in
+  let rows = List.map row (Assign.plugin_names ()) in
+  ( "mesh_connect",
+    J.Obj
+      [
+        ("topo", J.String "nsf14");
+        ("wavelengths", J.Int k);
+        ("erlangs", J.Float offered);
+        ("fanout_max", J.Int fanout_max);
+        ("seed", J.Int seed);
+        ("warmup", J.Int warmup);
+        ("rows", J.List rows);
+      ] )
+
+(* ----------------------------------------------------------------- *)
 (* Strategy racing (plug-in lab)                                      *)
 (* ----------------------------------------------------------------- *)
 
@@ -1858,6 +1960,65 @@ let validate_results path =
       if List.length (distinct_cmp "engine") >= 2 then Ok ()
       else fail "strategy_compare must exercise both engines"
     in
+    let* mc = require "mesh_connect" (J.member "mesh_connect" doc) in
+    let* mrows = require "mesh_connect.rows" (J.member "rows" mc) in
+    let* mrows = require "mesh_connect.rows as a list" (J.to_list mrows) in
+    let check_connect_row i j =
+      let ctx = Printf.sprintf "mesh_connect.rows[%d]" i in
+      let* () =
+        match Option.bind (J.member "strategy" j) J.to_string_opt with
+        | Some _ -> Ok ()
+        | None -> fail "%s.strategy is not a string" ctx
+      in
+      let* arrivals =
+        require (ctx ^ ".arrivals") (Option.bind (J.member "arrivals" j) J.to_int)
+      in
+      let* counted =
+        List.fold_left
+          (fun acc cls ->
+            let* sum = acc in
+            let cctx = Printf.sprintf "%s.%s" ctx cls in
+            let* c = require cctx (J.member cls j) in
+            let* n =
+              require (cctx ^ ".count")
+                (Option.bind (J.member "count" c) J.to_int)
+            in
+            let* () =
+              List.fold_left
+                (fun acc key ->
+                  let* () = acc in
+                  match Option.bind (J.member key c) J.to_float_opt with
+                  | Some us when us > 0. || n = 0 -> Ok ()
+                  | Some us -> fail "%s.%s %.3f is not positive" cctx key us
+                  | None -> fail "%s.%s is not a number" cctx key)
+                (Ok ())
+                [ "mean_us"; "p50_us"; "p99_us" ]
+            in
+            Ok (sum + n))
+          (Ok 0)
+          [ "unicast"; "multicast"; "refused" ]
+      in
+      if counted = arrivals then Ok ()
+      else
+        fail "%s: arrivals %d <> unicast + multicast + refused %d" ctx arrivals
+          counted
+    in
+    let* () =
+      List.fold_left
+        (fun acc (i, j) -> Result.bind acc (fun () -> check_connect_row i j))
+        (Ok ())
+        (List.mapi (fun i j -> (i, j)) mrows)
+    in
+    let* () =
+      let names =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun j -> Option.bind (J.member "strategy" j) J.to_string_opt)
+             mrows)
+      in
+      if List.length names >= 5 then Ok ()
+      else fail "mesh_connect must time at least 5 strategies"
+    in
     Ok (List.length benches, List.length impls)
   in
   match result with
@@ -1895,8 +2056,9 @@ let full () =
   let repl = replication_bench ~topo ~ops in
   let micro = micro_benchmarks ~quick:false () in
   let meshb = mesh_blocking_bench ~quick:false () in
+  let meshc = mesh_connect_bench ~quick:false () in
   let cmp = strategy_compare_bench ~quick:false () in
-  write_results [ micro; rt; persist; serving; stages; repl; meshb; cmp ];
+  write_results [ micro; rt; persist; serving; stages; repl; meshb; meshc; cmp ];
   print_endline "All reproduction sections completed."
 
 (* --quick runs just the machine-readable sections at reduced sizes —
@@ -1910,8 +2072,9 @@ let quick () =
   let repl = replication_bench ~topo ~ops in
   let micro = micro_benchmarks ~quick:true () in
   let meshb = mesh_blocking_bench ~quick:true () in
+  let meshc = mesh_connect_bench ~quick:true () in
   let cmp = strategy_compare_bench ~quick:true () in
-  write_results [ micro; rt; persist; serving; stages; repl; meshb; cmp ];
+  write_results [ micro; rt; persist; serving; stages; repl; meshb; meshc; cmp ];
   print_endline "Quick bench profile completed."
 
 let () =

@@ -3,9 +3,9 @@
     Nodes are 1-based ints (matching {!Wdm_core.Endpoint.t.port});
     edges are canonicalized with [u < v] and numbered densely from 0 in
     a deterministic order (sorted by endpoints), so per-edge wavelength
-    occupancy can live in plain arrays indexed by edge id.  Graphs are
-    immutable; all mutable RWA state lives in {!Assign} and
-    {!Mesh_network}. *)
+    occupancy can live in plain arrays indexed by edge id.  Adjacency is
+    kept as flat arrays ({!adjacency}).  Graphs are immutable; all
+    mutable RWA state lives in {!Assign} and {!Mesh_network}. *)
 
 type edge = private { u : int; v : int; w : float; id : int }
 (** One undirected fiber link, [1 <= u < v <= n], [w > 0]. *)
@@ -32,7 +32,22 @@ val edge : t -> int -> edge
 (** By id. @raise Invalid_argument out of range. *)
 
 val adj : t -> int -> (int * int) list
-(** [(neighbor, edge id)] pairs in ascending neighbor order. *)
+(** [(neighbor, edge id)] pairs in ascending neighbor order, as a fresh
+    list. *)
+
+type adjacency = private {
+  off : int array;
+      (** node [v]'s entries sit at [off.(v) .. off.(v + 1) - 1];
+          length [n + 2] *)
+  nbr : int array;  (** neighbour ids, ascending within each node *)
+  eid : int array;  (** the joining edge's id *)
+  wt : float array;  (** the joining edge's weight *)
+}
+(** Every node's {!adj} at once, as the flat arrays {!make} builds:
+    what the routing loops scan, so they neither chase list cells nor
+    look weights up by edge id.  Do not mutate. *)
+
+val adjacency : t -> adjacency
 
 val edge_between : t -> int -> int -> int option
 (** Edge id joining two nodes, if any (either order). *)

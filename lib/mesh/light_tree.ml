@@ -14,63 +14,81 @@ type structure = {
 
 let build ~mode ~mc ~use_edge g ~src ~dests =
   let n = Graph.n g in
-  let in_t = Array.make (n + 1) false in
-  (* ins counts signal arrivals at a node (the source's transmitter
+  (* in_t marks the nodes the structure reaches (the covered ones).
+     ins counts signal arrivals at a node (the source's transmitter
      counts as one); outs counts departures.  An MI node can grow a new
      branch only while ins > outs — each arrival forwards at most once
      (drop-and-continue).  MC nodes split freely. *)
+  let in_t = Array.make (n + 1) false in
   let ins = Array.make (n + 1) 0 in
   let outs = Array.make (n + 1) 0 in
-  let used_here = Hashtbl.create 16 in
+  let used_here = Array.make (Graph.m g) false in
+  (* the destinations not yet covered, and how many there are *)
+  let target = Array.make (n + 1) false in
+  let pending = ref 0 in
   in_t.(src) <- true;
   ins.(src) <- 1;
-  let covered = Array.make (n + 1) false in
-  covered.(src) <- true;
-  let uncovered = ref (List.filter (fun d -> d <> src) dests) in
+  List.iter
+    (fun d ->
+      if not (in_t.(d) || target.(d)) then begin
+        target.(d) <- true;
+        incr pending
+      end)
+    dests;
   let arcs = ref [] in
   let cost = ref 0. in
-  let can_attach v = in_t.(v) && (mc.(v) || ins.(v) > outs.(v)) in
-  let graft path =
-    let rec go = function
-      | a :: (b :: _ as rest) ->
-        let e =
-          match Graph.edge_between g a b with
-          | Some e -> e
-          | None -> assert false
-        in
-        arcs := (a, b, e) :: !arcs;
-        cost := !cost +. (Graph.edge g e).Graph.w;
-        Hashtbl.replace used_here e ();
-        outs.(a) <- outs.(a) + 1;
-        ins.(b) <- ins.(b) + 1;
-        in_t.(b) <- true;
-        covered.(b) <- true;
-        go rest
-      | _ -> ()
-    in
-    go path
+  let source v = in_t.(v) && (mc.(v) || ins.(v) > outs.(v)) in
+  let skip_node =
+    match mode with
+    | Tree -> fun v -> in_t.(v) (* node-disjoint grafts: attach only at ends *)
+    | Hierarchy -> fun _ -> false (* edge-disjoint only: cross-pair reuse *)
+  in
+  let use_edge' e = use_edge e && not used_here.(e) in
+  let graft ((a, b, e) as arc) =
+    arcs := arc :: !arcs;
+    cost := !cost +. (Graph.edge g e).Graph.w;
+    used_here.(e) <- true;
+    outs.(a) <- outs.(a) + 1;
+    ins.(b) <- ins.(b) + 1;
+    in_t.(b) <- true;
+    if target.(b) then begin
+      target.(b) <- false;
+      decr pending
+    end
   in
   let rec loop () =
-    match !uncovered with
-    | [] -> Ok { arcs = List.rev !arcs; cost = !cost }
-    | pending -> (
-      let sources =
-        List.filter can_attach (List.init n (fun i -> i + 1))
-      in
-      let skip_node v =
-        match mode with
-        | Tree -> in_t.(v) (* node-disjoint grafts: attach only at ends *)
-        | Hierarchy -> false (* edge-disjoint only: cross-pair reuse *)
-      in
-      let use_edge' e = use_edge e && not (Hashtbl.mem used_here e) in
-      let target v = (not covered.(v)) && List.mem v pending in
+    if !pending = 0 then Ok { arcs = List.rev !arcs; cost = !cost }
+    else
       match
-        Shortest.grow ~sources ~skip_node ~use_edge:use_edge' ~target g
+        Shortest.grow ~source ~skip_node ~use_edge:use_edge'
+          ~target:(fun v -> target.(v)) g
       with
-      | None -> Error (List.sort compare pending)
-      | Some (_, path) ->
-        graft path;
-        uncovered := List.filter (fun d -> not covered.(d)) pending;
-        loop ())
+      | None ->
+        Error (List.sort compare (List.filter (fun d -> not in_t.(d)) dests))
+      | Some path ->
+        List.iter graft path;
+        loop ()
   in
   loop ()
+
+let unreachable ~use_edge g ~src ~dests =
+  let { Graph.off; nbr; eid; _ } = Graph.adjacency g in
+  let seen = Array.make (Graph.n g + 1) false in
+  (* each node is pushed at most once *)
+  let stack = Array.make (Graph.n g) 0 in
+  let top = ref 1 in
+  seen.(src) <- true;
+  stack.(0) <- src;
+  while !top > 0 do
+    decr top;
+    let u = stack.(!top) in
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(i) in
+      if (not seen.(v)) && use_edge eid.(i) then begin
+        seen.(v) <- true;
+        stack.(!top) <- v;
+        incr top
+      end
+    done
+  done;
+  List.fold_left (fun lost d -> if seen.(d) then lost else lost + 1) 0 dests

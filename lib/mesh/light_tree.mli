@@ -17,7 +17,10 @@
     Construction is Member-Only-style greedy: repeatedly graft the
     nearest uncovered destination onto the structure via the cheapest
     path from any attach-capable node, with deterministic tie-breaks
-    inherited from {!Shortest}. *)
+    inherited from {!Shortest}.  The construction's state (reached nodes,
+    per-node arrival and departure counts, used edges, uncovered
+    destinations) lives in arrays indexed by node and edge id, so a
+    graft costs one {!Shortest.grow} and no list scans. *)
 
 type mode = Tree | Hierarchy
 
@@ -44,3 +47,12 @@ val build :
     has a single transmitter (out-degree 1 until revisited in
     [Hierarchy] mode).  [Error uncovered] lists the destinations (in
     ascending order) no further graft could reach. *)
+
+val unreachable :
+  use_edge:(int -> bool) -> Graph.t -> src:int -> dests:int list -> int
+(** How many of [dests] no path from [src] over [use_edge] edges
+    reaches (one depth-first search).  A lower bound on the length of
+    {!build}'s [Error] list under the same [use_edge], in any mode and
+    with any splitters: every graft runs over usable edges from a node
+    already reached, so the structure never covers an unreachable
+    destination.  When it is positive, [build] fails. *)

@@ -60,6 +60,11 @@ type t = {
   plugin : Assign.plugin option;
       (* resolved once at build time when cfg.strategy is [Named _];
          plug-ins are pure so sharing the resolution is safe *)
+  yen : (int, int array array) Hashtbl.t;
+      (* key [src * (n + 1) + dst]: the edge ids of the pair's k_paths
+         Yen paths, cheapest first, filled on the pair's first unicast.
+         Unicast routing applies no edge filter and the graph never
+         changes, so they depend on the pair alone. *)
   active : (int, route) Hashtbl.t;
   mutable route_sum : int;  (* sum of [route_hash] over [active], mod 2^63 *)
   mutable next_id : int;
@@ -141,6 +146,7 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
           mc;
           assign = Assign.create ~k:cfg.k ~m:(Graph.m graph);
           plugin;
+          yen = Hashtbl.create 64;
           active = Hashtbl.create 64;
           route_sum = 0;
           next_id = 1;
@@ -228,16 +234,6 @@ let digest t =
 
 (* ----- connect --------------------------------------------------------- *)
 
-let path_edges g nodes =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> (
-      match Graph.edge_between g a b with
-      | Some e -> go ((a, b, e) :: acc) rest
-      | None -> assert false)
-    | _ -> List.rev acc
-  in
-  go [] nodes
-
 let arc_edge_ids arcs = List.map (fun (_, _, e) -> e) arcs
 
 (* The [Random] strategy's rotation hash: a deterministic mix of the
@@ -287,41 +283,82 @@ let admits t ~edges ~wl ~fanout =
   | Some p -> Assign.plugin_admits p t.assign ~edges ~wl ~fanout
   | None -> true
 
-let try_unicast t ~hash ~src ~dst =
-  let paths =
-    Shortest.k_shortest t.graph ~src ~dst ~k:t.cfg.k_paths
-  in
-  let pick_for_path nodes =
-    let arcs = path_edges t.graph nodes in
-    let edge_ids = arc_edge_ids arcs in
-    let chosen =
-      match t.cfg.strategy with
-      | Assign.Coloring -> (
-        match coloring_pick t edge_ids with
-        | Some wl when Assign.free_on t.assign ~edges:edge_ids ~wl -> Some wl
-        | Some _ ->
-          (* conflict-graph coloring and edge occupancy disagree: the
-             invariant relating them is broken *)
-          assert false
-        | None -> None)
-      | _ ->
-        List.find_opt
-          (fun wl ->
-            Assign.free_on t.assign ~edges:edge_ids ~wl
-            && admits t ~edges:edge_ids ~wl ~fanout:1)
-          (scan_order t ~hash)
+let unicast_paths t ~src ~dst =
+  let key = (src * (Graph.n t.graph + 1)) + dst in
+  match Hashtbl.find_opt t.yen key with
+  | Some paths -> paths
+  | None ->
+    let edge_ids (_, nodes) =
+      let rec go acc = function
+        | a :: (b :: _ as rest) -> (
+          match Graph.edge_between t.graph a b with
+          | Some e -> go (e :: acc) rest
+          | None -> assert false)
+        | _ -> Array.of_list (List.rev acc)
+      in
+      go [] nodes
     in
-    Option.map (fun wl -> (arcs, wl)) chosen
-  in
-  let rec first = function
-    | [] -> Error [ dst ]
-    | (cost, nodes) :: rest -> (
-      match pick_for_path nodes with
-      | Some (arcs, wl) -> Ok (arcs, wl, cost)
-      | None -> first rest)
-  in
-  first paths
+    let paths =
+      Shortest.k_shortest t.graph ~src ~dst ~k:t.cfg.k_paths
+      |> List.map edge_ids |> Array.of_list
+    in
+    Hashtbl.add t.yen key paths;
+    paths
 
+(* A path's arcs, walked from its source, and its cost: the weights
+   summed hop by hop from the source, the same sum Yen ranked it by. *)
+let path_route g ~src edges =
+  let rec go a i cost =
+    if i = Array.length edges then ([], cost)
+    else
+      let e = edges.(i) in
+      let { Graph.u; v; w; _ } = Graph.edge g e in
+      let b = if u = a then v else u in
+      let arcs, cost = go b (i + 1) (cost +. w) in
+      ((a, b, e) :: arcs, cost)
+  in
+  go src 0 0.
+
+let try_unicast t ~hash ~src ~dst =
+  let order = scan_order t ~hash in
+  let pick_for_path edges =
+    let free wl =
+      Array.for_all (fun e -> not (Assign.used t.assign ~edge:e ~wl)) edges
+    in
+    let edge_ids = Array.to_list edges in
+    match t.cfg.strategy with
+    | Assign.Coloring -> (
+      match coloring_pick t edge_ids with
+      | Some wl when free wl -> Some wl
+      | Some _ ->
+        (* conflict-graph coloring and edge occupancy disagree: the
+           invariant relating them is broken *)
+        assert false
+      | None -> None)
+    | _ ->
+      List.find_opt
+        (fun wl -> free wl && admits t ~edges:edge_ids ~wl ~fanout:1)
+        order
+  in
+  let paths = unicast_paths t ~src ~dst in
+  let rec first i =
+    if i = Array.length paths then Error [ dst ]
+    else
+      match pick_for_path paths.(i) with
+      | Some wl ->
+        let arcs, cost = path_route t.graph ~src paths.(i) in
+        Ok (arcs, wl, cost)
+      | None -> first (i + 1)
+  in
+  first 0
+
+(* Wavelengths in scan order; the first whose structure builds and is
+   admitted wins.  A refusal reports the shortest uncovered list any
+   wavelength left (the earliest among equals).  Once one is recorded,
+   a wavelength whose free edges leave at least that many destinations
+   unreachable from the source is skipped without a build: its build
+   would fail (see [Light_tree.unreachable]) with an uncovered list no
+   shorter, which changes nothing. *)
 let try_multicast t ~hash ~src ~dests =
   let order = scan_order t ~hash in
   let fanout = List.length dests in
@@ -329,25 +366,31 @@ let try_multicast t ~hash ~src ~dests =
     | [] -> Error (match worst with [] -> dests | w -> w)
     | wl :: rest -> (
       let use_edge e = not (Assign.used t.assign ~edge:e ~wl) in
-      match
-        Light_tree.build ~mode:t.cfg.mode ~mc:t.mc ~use_edge t.graph ~src
-          ~dests
-      with
-      | Ok s
-        when admits t ~edges:(arc_edge_ids s.Light_tree.arcs) ~wl ~fanout ->
-        Ok (s.Light_tree.arcs, wl, s.Light_tree.cost)
-      | Ok _ ->
-        (* feasible but vetoed by the plug-in's admission predicate:
-           try the next wavelength, reporting nothing uncovered *)
-        first worst rest
-      | Error uncovered ->
-        let worst =
-          match worst with
-          | [] -> uncovered
-          | w when List.length uncovered < List.length w -> uncovered
-          | w -> w
-        in
-        first worst rest)
+      if
+        worst <> []
+        && Light_tree.unreachable ~use_edge t.graph ~src ~dests
+           >= List.length worst
+      then first worst rest
+      else
+        match
+          Light_tree.build ~mode:t.cfg.mode ~mc:t.mc ~use_edge t.graph ~src
+            ~dests
+        with
+        | Ok s
+          when admits t ~edges:(arc_edge_ids s.Light_tree.arcs) ~wl ~fanout ->
+          Ok (s.Light_tree.arcs, wl, s.Light_tree.cost)
+        | Ok _ ->
+          (* feasible but vetoed by the plug-in's admission predicate:
+             try the next wavelength, reporting nothing uncovered *)
+          first worst rest
+        | Error uncovered ->
+          let worst =
+            match worst with
+            | [] -> uncovered
+            | w when List.length uncovered < List.length w -> uncovered
+            | w -> w
+          in
+          first worst rest)
   in
   first [] order
 

@@ -15,7 +15,18 @@
     construction arguments and the op sequence so far.  The [Random]
     strategy hashes a monotone attempt counter (advanced on every
     connect, accepted or refused), so WAL replay — which records
-    refused connects too — reproduces routes byte-for-byte. *)
+    refused connects too — reproduces routes byte-for-byte.
+
+    Cost: a unicast tries the pair's [k_paths] Yen paths, memoised per
+    (source, destination) on the pair's first unicast (they depend on
+    the pair alone: no edge filter, and the graph never changes).  A
+    multicast tries wavelengths in scan order, building a structure on
+    each until one fits and is admitted; once a build has failed, a
+    wavelength that leaves at least as many destinations unreachable
+    from the source (see {!Light_tree.unreachable}) as the shortest
+    uncovered list so far is skipped unbuilt, which changes no outcome.
+    Neither is part of the state: {!snapshot}, {!digest} and {!restore}
+    are unaffected. *)
 
 module Sink = Wdm_telemetry.Sink
 module Connection = Wdm_core.Connection
@@ -56,7 +67,10 @@ type error =
   | Source_out_of_range of Endpoint.t
   | Destination_out_of_range of Endpoint.t
   | Blocked of { uncovered : int list }
-      (** no (structure, wavelength) pair could cover these nodes *)
+      (** no (structure, wavelength) pair could cover these nodes: a
+          unicast's destination, or the shortest uncovered list any
+          wavelength's build left (the earliest among equals; every
+          destination when plug-in vetoes were the only failures) *)
 
 type disconnect_error = Unknown_route of int | Already_released of int
 

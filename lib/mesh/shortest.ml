@@ -1,17 +1,23 @@
 let never _ = false
 let always _ = true
 
-(* O(n^2) selection Dijkstra: the zoo graphs are tens of nodes, and the
-   plain loop has an easy determinism story (ascending node scan means
-   equal distances resolve to the smallest id with no heap-order
-   subtleties). *)
-let run g ~sources ~skip_node ~use_edge =
+(* O(n^2) selection Dijkstra over the graph's flat adjacency arrays: the
+   zoo graphs are tens of nodes, and the plain loop has an easy
+   determinism story (ascending node scan means equal distances resolve
+   to the smallest id with no heap-order subtleties).  Every node with
+   [source v] starts at distance 0.  Weights are positive, so a source
+   never gets a predecessor, and following [prev] from any reached node
+   ends at the first node whose [pred] is -1: a source. *)
+let run g ~source ~skip_node ~use_edge =
   let n = Graph.n g in
+  let { Graph.off; nbr; eid; wt } = Graph.adjacency g in
   let dist = Array.make (n + 1) infinity in
   let pred = Array.make (n + 1) (-1) in (* edge id into the node *)
   let prev = Array.make (n + 1) 0 in    (* predecessor node *)
   let visited = Array.make (n + 1) false in
-  List.iter (fun s -> dist.(s) <- 0.) sources;
+  for v = 1 to n do
+    if source v then dist.(v) <- 0.
+  done;
   let rec loop () =
     let best = ref 0 in
     for v = 1 to n do
@@ -22,27 +28,27 @@ let run g ~sources ~skip_node ~use_edge =
     if !best <> 0 then begin
       let u = !best in
       visited.(u) <- true;
-      List.iter
-        (fun (v, e) ->
-          if (not visited.(v)) && (not (skip_node v)) && use_edge e then begin
-            let d = dist.(u) +. (Graph.edge g e).Graph.w in
-            if d < dist.(v) then begin
-              dist.(v) <- d;
-              pred.(v) <- e;
-              prev.(v) <- u
-            end
-          end)
-        (Graph.adj g u);
+      for i = off.(u) to off.(u + 1) - 1 do
+        let v = nbr.(i) in
+        if (not visited.(v)) && (not (skip_node v)) && use_edge eid.(i)
+        then begin
+          let d = dist.(u) +. wt.(i) in
+          if d < dist.(v) then begin
+            dist.(v) <- d;
+            pred.(v) <- eid.(i);
+            prev.(v) <- u
+          end
+        end
+      done;
       loop ()
     end
   in
   loop ();
   (dist, pred, prev)
 
-let walk_back ~prev ~pred ~sources dst =
+let walk_back ~prev ~pred dst =
   let rec go v acc =
-    if List.mem v sources && pred.(v) = -1 then v :: acc
-    else go prev.(v) (v :: acc)
+    if pred.(v) = -1 then v :: acc else go prev.(v) (v :: acc)
   in
   go dst []
 
@@ -50,14 +56,14 @@ let shortest_path ?(skip_node = never) ?(use_edge = always) g ~src ~dst =
   if src = dst then Some (0., [ src ])
   else begin
     let dist, pred, prev =
-      run g ~sources:[ src ] ~skip_node ~use_edge
+      run g ~source:(fun v -> v = src) ~skip_node ~use_edge
     in
     if dist.(dst) = infinity then None
-    else Some (dist.(dst), walk_back ~prev ~pred ~sources:[ src ] dst)
+    else Some (dist.(dst), walk_back ~prev ~pred dst)
   end
 
-let grow ~sources ~skip_node ~use_edge ~target g =
-  let dist, pred, prev = run g ~sources ~skip_node ~use_edge in
+let grow ~source ~skip_node ~use_edge ~target g =
+  let dist, pred, prev = run g ~source ~skip_node ~use_edge in
   let n = Graph.n g in
   let best = ref 0 in
   for v = 1 to n do
@@ -66,7 +72,12 @@ let grow ~sources ~skip_node ~use_edge ~target g =
     then best := v
   done;
   if !best = 0 then None
-  else Some (dist.(!best), walk_back ~prev ~pred ~sources !best)
+  else
+    let rec arcs v acc =
+      if pred.(v) = -1 then acc
+      else arcs prev.(v) ((prev.(v), v, pred.(v)) :: acc)
+    in
+    Some (arcs !best [])
 
 (* ----- Yen ------------------------------------------------------------- *)
 

@@ -1,6 +1,7 @@
 (** Deterministic shortest-path routing: Dijkstra, Yen's k-shortest
-    loopless paths, and the multi-source variant the light-tree
-    builder grows grafts with.
+    loopless paths, and the multi-source variant that light-tree
+    construction grows grafts with.  All three run one Dijkstra: an
+    O(n^2) selection loop over {!Graph.adjacency}'s flat arrays.
 
     Determinism contract: ties between equal-cost paths are broken by
     smaller node id at every selection point, and Yen orders equal-cost
@@ -30,13 +31,14 @@ val k_shortest :
     lexicographically by node sequence. *)
 
 val grow :
-  sources:int list ->
+  source:(int -> bool) ->
   skip_node:(int -> bool) ->
   use_edge:(int -> bool) ->
   target:(int -> bool) ->
   Graph.t ->
-  (float * int list) option
-(** Cheapest path from any source (all at distance 0) to the nearest
-    node satisfying [target]; ties prefer the smaller target id.  The
-    returned node list starts at the chosen source.  Sources are
-    exempt from [skip_node]; targets are not. *)
+  (int * int * int) list option
+(** Cheapest path from any node satisfying [source] (all at distance
+    0) to the nearest node satisfying [target]; ties prefer the smaller
+    target id.  The path comes back as its arcs [(from, to, edge id)],
+    starting at the chosen source.  Sources are exempt from
+    [skip_node]; targets are not. *)

@@ -30,8 +30,12 @@ let janet () =
          (4, 7); (5, 7); (6, 7);
        ])
 
+let max_nodes = 4096
+
 let ring n =
   if n < 3 then invalid_arg "Zoo.ring: need n >= 3";
+  if n > max_nodes then
+    invalid_arg (Printf.sprintf "Zoo.ring: at most %d nodes" max_nodes);
   let links = ref [] in
   for i = 1 to n - 1 do
     links := (i, i + 1) :: !links
@@ -40,18 +44,20 @@ let ring n =
 
 let torus rows cols =
   if rows < 2 || cols < 2 then invalid_arg "Zoo.torus: need rows, cols >= 2";
+  (* divided, so a huge dimension cannot overflow the product *)
+  if rows > max_nodes / cols then
+    invalid_arg (Printf.sprintf "Zoo.torus: at most %d nodes" max_nodes);
   let node r c = (r * cols) + c + 1 in
   let links = ref [] in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      let right = node r ((c + 1) mod cols) in
-      let down = node ((r + 1) mod rows) c in
       let here = node r c in
-      (* a 2-wide dimension wraps onto the same neighbor: keep one *)
-      if here <> right && not (List.mem (right, here) !links) then
-        links := (here, right) :: !links;
-      if here <> down && not (List.mem (down, here) !links) then
-        links := (here, down) :: !links
+      (* a 2-wide dimension wraps onto the same neighbor: only its
+         first column (row) links across *)
+      if cols > 2 || c = 0 then
+        links := (here, node r ((c + 1) mod cols)) :: !links;
+      if rows > 2 || r = 0 then
+        links := (here, node ((r + 1) mod rows) c) :: !links
     done
   done;
   Graph.make ~n:(rows * cols) (unit_links !links)

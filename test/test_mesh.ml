@@ -1,9 +1,10 @@
-(* Tests for the mesh RWA subsystem: the topology zoo, Yen's k-shortest
-   paths against brute-force enumeration, the first-fit/graph-coloring
-   equivalence on unicast traffic, the sparse-splitting invariant on
-   multicast structures, snapshot codec round-trips, campaign
-   reproducibility, and the mesh served behind the socket server with
-   WAL recovery. *)
+(* Tests for the mesh RWA subsystem: the topology zoo and its size
+   bounds, Yen's k-shortest paths against brute-force enumeration, the
+   array-based routing against the list-based oracle ([Mesh_oracle]),
+   the first-fit/graph-coloring equivalence on unicast traffic, the
+   sparse-splitting invariant on multicast structures, snapshot codec
+   round-trips, campaign reproducibility, whole-engine identity goldens,
+   and the mesh served behind the socket server with WAL recovery. *)
 
 open Wdm_mesh
 module Core = Wdm_core
@@ -46,6 +47,63 @@ let test_zoo () =
   match Zoo.by_name "atlantis" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown topology accepted"
+
+(* The torus's links, deduplicated by brute force. *)
+let torus_reference rows cols =
+  let node r c = (r * cols) + c + 1 in
+  List.concat
+    (List.init rows (fun r ->
+         List.concat
+           (List.init cols (fun c ->
+                [
+                  (node r c, node r ((c + 1) mod cols));
+                  (node r c, node ((r + 1) mod rows) c);
+                ]))))
+  |> List.map (fun (a, b) -> (min a b, max a b))
+  |> List.sort_uniq compare
+
+let test_torus_links () =
+  for rows = 2 to 6 do
+    for cols = 2 to 6 do
+      let got =
+        Array.to_list (Graph.edges (Zoo.torus rows cols))
+        |> List.map (fun (e : Graph.edge) -> (e.Graph.u, e.Graph.v))
+      in
+      if got <> torus_reference rows cols then
+        Alcotest.failf "torus%dx%d links differ from the reference" rows cols
+    done
+  done
+
+(* Topology names come from outside the program, so the generators are
+   bounded: a snapshot naming a huge ring is refused, not built, and the
+   largest torus builds quickly. *)
+let test_zoo_bounds () =
+  let accepts name =
+    match Zoo.by_name name with Ok _ -> true | Error _ -> false
+  in
+  List.iter
+    (fun (name, ok) ->
+      Alcotest.(check bool) name ok (accepts name))
+    [
+      ("ring4096", true); ("ring4097", false); ("ring300000000", false);
+      ("torus64x64", true); ("torus64x65", false);
+      ("torus2x4611686018427387903", false);
+    ];
+  let t0 = Unix.gettimeofday () in
+  (match Zoo.by_name "torus64x64" with
+  | Ok g ->
+    Alcotest.(check int) "torus64x64 nodes" 4096 (Graph.n g);
+    Alcotest.(check int) "torus64x64 links" 8192 (Graph.m g)
+  | Error e -> Alcotest.fail e);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.5 then Alcotest.failf "torus64x64 took %.2f s" dt;
+  let m = mk_mesh ~topo:"ring6" () in
+  let s =
+    { (Mesh_network.snapshot m) with Mesh_network.s_topo = "ring300000000" }
+  in
+  match Backend.decode_mesh_state (Backend.encode_mesh_state s) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a state naming ring300000000 decoded"
 
 (* --- Yen vs brute force --------------------------------------------------- *)
 
@@ -232,6 +290,71 @@ let prop_no_branching_at_mi_nodes =
       done;
       !ok)
 
+(* --- production routing against the list-based oracle --------------------- *)
+
+(* A seeded random instance: a zoo graph, a free-edge mask of random
+   density, a random splitter set, and a node sampler. *)
+let oracle_instance seed =
+  let rng = Random.State.make [| seed; 31 |] in
+  let topos =
+    [|
+      "nsf14"; "clara"; "janet"; "ring5"; "ring9"; "torus2x3"; "torus3x4";
+      "torus4x4";
+    |]
+  in
+  let g =
+    match Zoo.by_name topos.(Random.State.int rng (Array.length topos)) with
+    | Ok g -> g
+    | Error e -> failwith e
+  in
+  let n = Graph.n g in
+  let density = Random.State.float rng 1.0 in
+  let free =
+    Array.init (Graph.m g) (fun _ -> Random.State.float rng 1.0 < density)
+  in
+  let mc = Array.init (n + 1) (fun v -> v >= 1 && Random.State.bool rng) in
+  (rng, g, free, mc, fun () -> 1 + Random.State.int rng n)
+
+(* [build] equals the oracle's in both modes, destinations may repeat or
+   name the source, and [unreachable] bounds the uncovered list: 0 when
+   the build succeeds, at most its length when it fails. *)
+let prop_light_tree_matches_oracle =
+  QCheck.Test.make ~count:1500 ~name:"light-tree build = list-based oracle"
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let rng, g, free, mc, node = oracle_instance seed in
+      let use_edge e = free.(e) in
+      let src = node () in
+      let dests = List.init (1 + Random.State.int rng 7) (fun _ -> node ()) in
+      let lost = Light_tree.unreachable ~use_edge g ~src ~dests in
+      List.for_all
+        (fun mode ->
+          let got = Light_tree.build ~mode ~mc ~use_edge g ~src ~dests in
+          if got <> Mesh_oracle.Light_tree.build ~mode ~mc ~use_edge g ~src ~dests
+          then QCheck.Test.fail_reportf "seed %d %s: build differs" seed
+              (Light_tree.mode_to_string mode);
+          match got with
+          | Ok _ -> lost = 0
+          | Error uncovered -> lost <= List.length uncovered)
+        [ Light_tree.Tree; Light_tree.Hierarchy ])
+
+(* [shortest_path] under a random skip set and edge filter, and
+   [k_shortest] under a random edge filter, equal the oracle's. *)
+let prop_shortest_matches_oracle =
+  QCheck.Test.make ~count:1500 ~name:"shortest paths and Yen = list-based oracle"
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let rng, g, free, skip, node = oracle_instance seed in
+      let use_edge e = free.(e) and skip_node v = skip.(v) in
+      let src = node () and dst = node () in
+      let k = 1 + Random.State.int rng 5 in
+      Shortest.shortest_path ~skip_node ~use_edge g ~src ~dst
+      = Mesh_oracle.Shortest.shortest_path ~skip_node ~use_edge g ~src ~dst
+      && Shortest.k_shortest ~use_edge g ~src ~dst ~k
+         = Mesh_oracle.Shortest.k_shortest ~use_edge g ~src ~dst ~k
+      && Shortest.k_shortest g ~src ~dst ~k
+         = Mesh_oracle.Shortest.k_shortest g ~src ~dst ~k)
+
 (* --- snapshot codec round trip -------------------------------------------- *)
 
 (* Mixed unicast/multicast churn, checking the digest contract after
@@ -391,6 +514,137 @@ let test_campaign_reproducible () =
       a
   | Error e, _ | _, Error e -> Alcotest.fail e
 
+(* --- whole-engine identity goldens ----------------------------------------- *)
+
+(* Seeded Erlang traffic replayed through one network per configuration.
+   Every connect outcome folds into a hash: the route id, wavelength,
+   arcs and the bits of the cost, or the refusal's uncovered list.  The
+   literals pin the engine's exact behaviour, so a routing change that
+   moves any route, wavelength or refusal fails here, even when it
+   stays deterministic. *)
+type golden = {
+  topo : string;
+  k : int;
+  mode : Light_tree.mode;
+  split : Mesh_network.splitters;
+  strategy : string;
+  load : float;
+  blocked : int;
+  hash : int;
+  digest : int;
+}
+
+let golden_arrivals = 30_000
+
+let hash_outcome h outcome =
+  let mix = Core.Strategy.mix in
+  match outcome with
+  | Ok (r : Mesh_network.route) ->
+    let bits = Int64.bits_of_float r.Mesh_network.cost in
+    let h = mix (mix (mix h 1) r.Mesh_network.id) r.Mesh_network.wl in
+    let h =
+      mix
+        (mix h (Int64.to_int (Int64.shift_right_logical bits 32)))
+        (Int64.to_int (Int64.logand bits 0xffffffffL))
+    in
+    List.fold_left
+      (fun h (a, b, e) -> mix (mix (mix h a) b) e)
+      (mix h (List.length r.Mesh_network.arcs))
+      r.Mesh_network.arcs
+  | Error (Mesh_network.Blocked { uncovered }) ->
+    List.fold_left mix (mix (mix h 2) (List.length uncovered)) uncovered
+  | Error _ -> mix h 3
+
+let run_golden g =
+  let strategy =
+    match Assign.strategy_of_string g.strategy with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let config =
+    {
+      Mesh_network.Config.k = g.k;
+      strategy;
+      mode = g.mode;
+      splitters = g.split;
+      k_paths = 3;
+    }
+  in
+  let m =
+    match Mesh_network.create ~config g.topo with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let h = ref 0 in
+  let sut =
+    {
+      Wdm_traffic.Churn.connect =
+        (fun c ->
+          let outcome = Mesh_network.connect m c in
+          h := hash_outcome !h outcome;
+          Result.map (fun (r : Mesh_network.route) -> r.Mesh_network.id) outcome);
+      disconnect = (fun id -> ignore (Mesh_network.disconnect m id));
+    }
+  in
+  let p =
+    Wdm_traffic.Erlang.run
+      (Random.State.make [| 15; g.k |])
+      ~nodes:(Graph.n (Mesh_network.graph m))
+      ~fanout:(Wdm_traffic.Fanout.Zipf { max = 8; s = 1.3 })
+      ~offered:g.load ~arrivals:golden_arrivals sut
+  in
+  (p.Wdm_traffic.Erlang.blocked, !h, Mesh_network.digest m)
+
+(* One configuration, with the blocked count, outcome hash and final
+   digest the list-based routing code (now [Mesh_oracle]) produced. *)
+let golden topo k mode split strategy load (blocked, hash, digest) =
+  { topo; k; mode; split; strategy; load; blocked; hash; digest }
+
+(* Five topologies, both modes, four splitter sets and nine strategies,
+   two of them vetoing; blocking runs from 0.4% (torus6x6 first-fit) to
+   62% (clara most-used), so refusals and the wavelength skip both run. *)
+let goldens =
+  let open Mesh_network in
+  let open Light_tree in
+  [
+    golden "nsf14" 32 Hierarchy Split_all "first-fit" 120.
+      (3490, 3524679124956241830, 15010082477192479);
+    golden "nsf14" 16 Tree (Split_degree_ge 3) "most-used" 40.
+      (752, 2961173675919443731, 30805050308346988);
+    golden "nsf14" 8 Hierarchy Split_none "annealed" 30.
+      (8270, 2408129534694915476, 33027446544457573);
+    golden "clara" 8 Hierarchy (Split_degree_ge 4) "least-used" 20.
+      (6113, 1945072801767479246, 19898866187001064);
+    golden "clara" 8 Tree Split_none "random" 12.
+      (2314, 2651719365461863488, 34230547980564688);
+    golden "clara" 4 Hierarchy (Split_degree_ge 3) "most-used" 40.
+      (18474, 2225105015171370089, 30401135552342379);
+    golden "janet" 8 Tree Split_all "coloring" 16.
+      (992, 1586920319811474730, 28441515166357216);
+    golden "janet" 4 Hierarchy (Split_degree_ge 4) "crosstalk:first-fit:18" 10.
+      (7443, 972957484032765196, 25823461822642500);
+    golden "ring12" 8 Hierarchy Split_none "adaptive" 8.
+      (3434, 2234809184448629501, 30934318822607894);
+    golden "ring12" 4 Tree Split_all "crosstalk:most-used:15" 6.
+      (9382, 3274164738035677082, 15745755727747041);
+    golden "torus6x6" 8 Hierarchy (Split_degree_ge 4) "coloring" 40.
+      (784, 1759572024307897296, 12339975175996888);
+    golden "torus6x6" 8 Tree Split_none "first-fit" 24.
+      (120, 4541711494328266094, 23433852039978408);
+  ]
+
+let golden_case g =
+  let name =
+    Printf.sprintf "%s k=%d %s %s %.0fE" g.topo g.k
+      (Light_tree.mode_to_string g.mode) g.strategy g.load
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let blocked, hash, digest = run_golden g in
+      if (blocked, hash, digest) <> (g.blocked, g.hash, g.digest) then
+        Alcotest.failf
+          "%s: blocked %d hash %d digest %d, want blocked %d hash %d digest %d"
+          name blocked hash digest g.blocked g.hash g.digest)
+
 (* --- mesh behind the socket server, with WAL recovery --------------------- *)
 
 let test_mesh_served_recovers () =
@@ -456,12 +710,16 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "zoo shapes" `Quick test_zoo;
+          Alcotest.test_case "torus links" `Quick test_torus_links;
+          Alcotest.test_case "zoo bounds" `Quick test_zoo_bounds;
         ] );
       ( "routing",
         [
           Alcotest.test_case "yen vs brute force" `Quick test_yen_vs_brute_force;
           Alcotest.test_case "yen edge filter" `Quick
             test_yen_respects_edge_filter;
+          QCheck_alcotest.to_alcotest prop_shortest_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_light_tree_matches_oracle;
         ] );
       ( "assignment",
         [
@@ -488,6 +746,7 @@ let () =
           Alcotest.test_case "seed-reproducible table" `Quick
             test_campaign_reproducible;
         ] );
+      ("golden", List.map golden_case goldens);
       ( "server",
         [
           Alcotest.test_case "served mesh recovers" `Quick
