@@ -846,8 +846,7 @@ let persistence_bench ~topo ~ops ~dt_baseline =
 (* The same recorded trace, driven through `wdmnet serve`'s machinery
    over a unix socket by a single synchronous client — so the delta
    against the in-process replay prices the whole control-plane stack
-   (framing, CRC, two context switches and the admission queue per
-   request).  The served network must land on the same state digest as
+   (framing, CRC and the socket round trip per request).  The served network must land on the same state digest as
    an in-process twin, which is the bench-level version of the
    socket-vs-in-process equivalence test.
 

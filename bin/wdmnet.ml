@@ -943,15 +943,6 @@ let serve_cmd =
            ~doc:"fsync the WAL every N records (default: flush to the OS \
                  after every record, no fsync).")
   in
-  let queue_capacity_arg =
-    Arg.(value & opt int 256 & info [ "queue-capacity" ] ~docv:"Q"
-           ~doc:"Admission-queue bound; when full, reader threads stop \
-                 pulling bytes and TCP flow control holds the clients back.")
-  in
-  let batch_limit_arg =
-    Arg.(value & opt int 64 & info [ "batch-limit" ] ~docv:"B"
-           ~doc:"Requests the admission loop takes per drain.")
-  in
   let follower_arg =
     Arg.(value & opt (some address_conv) None & info [ "follower" ] ~docv:"LEADER"
            ~doc:"Run as a follower of the leader at this address: subscribe \
@@ -1006,15 +997,10 @@ let serve_cmd =
                  accepts any registered plug-in: adaptive, annealed, \
                  crosstalk[:BASE[:DB]].")
   in
-  let run n r k m construction model listen wal fsync_every queue_capacity
-      batch_limit follower http ready_lag slow_ms slow_log max_conns mesh
-      strategy trace_file =
+  let run n r k m construction model listen wal fsync_every follower http
+      ready_lag slow_ms slow_log max_conns mesh strategy trace_file =
     (match mesh with None -> check_dims n k | Some _ -> ());
     if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
-    if queue_capacity < 1 || batch_limit < 1 then begin
-      prerr_endline "wdmnet: queue-capacity and batch-limit must be >= 1";
-      exit 2
-    end;
     (match max_conns with
     | Some mc when mc < 1 ->
       prerr_endline "wdmnet: max-conns must be >= 1";
@@ -1098,7 +1084,7 @@ let serve_cmd =
           wal
     in
     let srv =
-      Server.start_backend ~telemetry:sink ?store ~queue_capacity ~batch_limit
+      Server.start_backend ~telemetry:sink ?store
         ?follower:
           (Option.map (fun leader -> { Server.leader; wal }) follower)
         ?http ~ready_lag ?slow_ms ?slow_log ?max_conns ~backend listen
@@ -1149,8 +1135,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve a live network over a socket: requests are WAL-format \
-             ops, admitted by a single writer in batches; with $(b,--wal) \
-             the session crash-recovers like a recorded run.  With \
+             ops, executed one at a time on the server's single thread; \
+             with $(b,--wal) the session crash-recovers like a recorded \
+             run.  With \
              $(b,--follower) the node replicates a leader instead (SIGUSR1 \
              promotes it).  $(b,--http) adds a live observability plane; \
              $(b,--trace) writes the request-stage spans as a Chrome trace \
@@ -1158,7 +1145,7 @@ let serve_cmd =
              prints the state digest.")
     Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
           $ model_arg $ listen_arg $ wal_arg $ fsync_every_arg
-          $ queue_capacity_arg $ batch_limit_arg $ follower_arg $ http_arg
+          $ follower_arg $ http_arg
           $ ready_lag_arg $ slow_ms_arg $ slow_log_arg $ max_conns_arg
           $ mesh_arg $ strategy_arg $ trace_arg)
 
@@ -1457,12 +1444,11 @@ let top_cmd =
           (str "role") (top_int "epoch") (top_int "applied") (top_int "lag");
         line
           "requests %d (%.1f/s) · responses %d · clients %.0f active / %d \
-           total · queue %.0f"
+           total"
           requests rate
           (counter j "server_responses_total")
           (g "server_clients_active")
-          (counter j "server_clients_total")
-          (g "server_queue_depth");
+          (counter j "server_clients_total");
         line
           "replication: followers %.0f · outbox lag %.0f ops %.0f B · apply \
            lag %.0f · evictions %d · slow %d"
@@ -1533,7 +1519,7 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:"Live dashboard for a $(b,wdmnet serve) instance: polls \
              $(b,Get_stats) and renders role, req/s, per-stage \
-             p50/p95/p99, queue depth, per-middle occupancy and \
+             p50/p95/p99, per-middle occupancy and \
              replication lag, refreshing every $(b,--interval) seconds.")
     Term.(const run $ connect_arg $ interval_arg $ iterations_arg
           $ no_clear_flag)

@@ -127,11 +127,25 @@ let encode_net_state (s : Network.snapshot) =
   List.iter (Op.encode_fault b) s.Network.s_faults;
   Buffer.contents b
 
+let max_link_slots = 1 lsl 22
+
 let decode_net_state_reader r : Network.snapshot =
   let n = Wire.get_u32 r in
   let m = Wire.get_u32 r in
   let rr = Wire.get_u32 r in
   let k = Wire.get_u32 r in
+  (* factor by factor, so the u32 product cannot overflow; n <= m is
+     Topology.make's rule, so n·r·k is bounded too *)
+  if
+    not
+      (m <= max_link_slots && rr <= max_link_slots && k <= max_link_slots
+      && m * rr <= max_link_slots
+      && m * rr * k <= max_link_slots)
+  then
+    fail r
+      (Printf.sprintf
+         "topology r=%d m=%d k=%d names more than %d link-state slots" rr m k
+         max_link_slots);
   let s_topology =
     match Topology.make ~n ~m ~r:rr ~k with
     | Ok t -> t

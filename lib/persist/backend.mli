@@ -22,6 +22,17 @@ val kind : t -> string
 
 (** {1 Multistage state codec} *)
 
+val max_link_slots : int
+(** 4,194,304 (2{^22}): the most link-state slots — r·m·k, one per
+    (input module, middle module, wavelength) — a decoded multistage
+    state may name; {!decode_net_state} refuses a larger topology with
+    [Error].  States arrive from outside the program (a snapshot file,
+    a leader's [Init_snapshot]), and restoring one allocates four r·m
+    matrices (r·m·k bools on the [Reference] link path), so a
+    CRC-valid state naming m = r = 100000 would otherwise exhaust
+    memory.  The largest fabric the repository builds, the N = 1024
+    serving benchmark (r = 32, m = 192, k = 2), has 12,288. *)
+
 val encode_net_state : Network.snapshot -> string
 val decode_net_state : string -> (Network.snapshot, string) result
 val encode_route : Buffer.t -> Network.route -> unit

@@ -26,23 +26,20 @@ type ckind =
   | Cdial  (** follower side: dialing the leader, awaiting its hello *)
   | Clink  (** follower side: the live replication link *)
 
+(* A connection belongs to the loop thread alone: every field below is
+   read and written only there. *)
 type client = {
   cid : int;
   fd : Unix.file_descr;
-  mutable open_ : bool;  (** guarded by the server mutex *)
+  mutable open_ : bool;
   mutable spans : bool;
-      (** the hello negotiated the span extension; written once by the
-          loop thread before any frame is read *)
+      (** the hello negotiated the span extension; set before any frame
+          is read *)
   mutable c_requests : Tel.Metrics.counter option;
-      (** registered after the handshake, guarded by the server mutex *)
+      (** registered after the handshake *)
   mutable digests : (int * int) list;
       (** leader side, replicas only: (seq, digest) sent and awaiting
-          the follower's ack; guarded by the server mutex *)
-  (* --- event-loop connection state.  [kind], [fb], [rd_eof] and
-     [deadline] belong to the loop thread alone; the output queue
-     ([out_off] loop-only, [out_q]/[out_bytes] shared with the
-     admission thread) and the [want_close]/[kill]/[in_dirty]
-     flags are guarded by the server mutex. *)
+          the follower's ack *)
   mutable kind : ckind;
   fb : Framebuf.t;  (** incremental receive buffer *)
   out_q : string Queue.t;
@@ -65,24 +62,12 @@ type client = {
    so one maximal response always fits. *)
 let out_limit = 2 * P.Wire.max_payload
 
+(* A [promote] call from another thread, waiting for the loop to
+   answer it; guarded by the server mutex. *)
 type promote_waiter = {
   mutable result : (int, string) result option;
   pcond : Condition.t;
 }
-
-type item =
-  | Request of {
-      client : client;
-      req : P.Resp.request;
-      enqueued : float;
-      span : int option;  (** client-minted id from the trailing extension *)
-      decode : float;  (** loop-side decode time, observed at admission *)
-    }
-  | Malformed of { client : client; reason : string }
-  | Gone of client
-  | Attach of { client : client; epoch : int; last_seq : int }
-  | Repl_msg of { link : client; msg : P.Repl.to_follower }
-  | Do_promote of promote_waiter
 
 type instruments = {
   sink : Tel.Sink.t;
@@ -90,11 +75,8 @@ type instruments = {
   responses : Tel.Metrics.counter;
   malformed : Tel.Metrics.counter;
   clients_total : Tel.Metrics.counter;
-  batches : Tel.Metrics.counter;
   accept_errors : Tel.Metrics.counter;
   g_clients_active : Tel.Metrics.gauge;
-  g_queue_depth : Tel.Metrics.gauge;
-  h_batch_size : Tel.Histogram.t;
   h_latency : Tel.Histogram.t;
   (* per-request stage breakdown (tentpole: where a request's time goes) *)
   h_st_decode : Tel.Histogram.t;
@@ -125,7 +107,7 @@ type instruments = {
 
 (* One served request's timing record: what the span ring holds, what
    the slow-op log and the Chrome export render.  [sr_start] is the
-   sink-clock instant the reader began decoding the frame; stages are
+   sink-clock instant the loop began decoding the frame; stages are
    contiguous slices in emission order. *)
 type span_record = {
   sr_span : int option;
@@ -135,42 +117,35 @@ type span_record = {
   sr_stages : (string * float) list;
 }
 
+(* Every mutable field belongs to the loop thread, except the three the
+   server mutex guards: [stopping], [promotes] and [spans_ring] — the
+   only state another thread ([stop], [promote], [spans]) enters. *)
 type t = {
   mutable backend : P.Backend.t;
       (** the replicated state machine — multistage fabric or mesh;
-          replaced when a follower installs a leader snapshot; only
-          the admission thread writes it *)
+          replaced when a follower installs a leader snapshot *)
   mutable store : P.Store.t option;
       (** replaced alongside [backend] in follower mode *)
   ins : instruments option;
   tel : Tel.Sink.t option;
   listen_fd : Unix.file_descr;
   mutable bound : address;
-  queue : item Queue.t;
-  capacity : int;
-  batch_limit : int;
   mu : Mutex.t;
-  not_empty : Condition.t;
-  mutable stopping : bool;
-  mutable stopped : bool;
+  mutable stopping : bool;  (** guarded by [mu] *)
+  mutable promotes : promote_waiter list;
+      (** [promote] calls the loop has not answered yet, newest first;
+          guarded by [mu] *)
   mutable next_cid : int;
   mutable clients : client list;
   mutable served_count : int;
   mutable loop_thread : Thread.t option;
-  mutable admit_thread : Thread.t option;
   (* event loop *)
   ev : Evloop.t;
   wake_r : Unix.file_descr;  (** loop side of the wake pipe *)
-  wake_w : Unix.file_descr;  (** any thread pokes this to wake the loop *)
+  wake_w : Unix.file_descr;  (** [stop] and [promote] poke this *)
   mutable dirty : client list;
-      (** connections with fresh output / close flags awaiting the
-          loop's attention; guarded by the server mutex *)
-  mutable read_paused : bool;
-      (** loop-written under the mutex: the admission queue is at
-          capacity and the loop is waiting on the wake pipe only *)
-  mutable loop_finish : bool;
-      (** stop(): flush remaining output, close everything, exit *)
-  mutable finish_deadline : float;
+      (** connections with fresh output or close flags, flushed at the
+          top of the next loop pass *)
   max_conns : int option;
   conn_sndbuf : int option;
   (* replication *)
@@ -183,14 +158,13 @@ type t = {
           than this queued unwritten is evicted *)
   digest_every : int;
   mutable last_digest_seq : int;
-  mutable replicas : client list;  (** guarded by the server mutex *)
+  mutable replicas : client list;
   (* follower role *)
   follower_cfg : follower_config option;
   mutable repl_epoch : int;  (** leader generation we last synced to; 0 none *)
   mutable link : client option;
-      (** the established link to the leader whose messages admission
-          applies; cleared by admission once the link's stream has
-          ended.  Guarded by the server mutex. *)
+      (** the established link to the leader whose messages the loop
+          applies; cleared when the link closes *)
   mutable force_snapshot : bool;  (** next subscribe must ask for a snapshot *)
   mutable leader_seq : int;
       (** follower: highest seq the leader has shown us (op or digest);
@@ -199,7 +173,7 @@ type t = {
   span_buffer : int;
   spans_ring : span_record Queue.t;  (** guarded by the server mutex *)
   slow_ms : float option;
-  slow_out : out_channel option;  (** admission thread only *)
+  slow_out : out_channel option;
   slow_owned : bool;  (** [stop] closes [slow_out] only if we opened it *)
   ready_lag : int;
   mutable http_fd : Unix.file_descr option;
@@ -212,30 +186,26 @@ let register_instruments sink =
   let g help name = Tel.Metrics.gauge reg ~help name in
   {
     sink;
-    requests = c "Requests admitted to the queue" "server_requests_total";
+    requests = c "Requests decoded for execution" "server_requests_total";
     responses = c "Responses written back" "server_responses_total";
     malformed = c "Undecodable frames received" "server_malformed_total";
     clients_total = c "Client connections accepted" "server_clients_total";
-    batches = c "Admission-loop drains" "server_batches_total";
     accept_errors =
       c "Transient accept(2) failures survived and connections rejected \
          by the --max-conns gate"
         "server_accept_errors_total";
     g_clients_active = g "Clients currently connected" "server_clients_active";
-    g_queue_depth = g "Requests waiting for admission" "server_queue_depth";
-    h_batch_size =
-      Tel.Metrics.histogram reg ~help:"Requests taken per drain"
-        ~bounds:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-        "server_batch_size";
     h_latency =
       Tel.Metrics.histogram reg
-        ~help:"Enqueue-to-response-written latency of one request"
+        ~help:"Time from a request's decode to its response being queued \
+               on the connection"
         "server_request_latency_seconds";
     h_st_decode =
-      Tel.Metrics.histogram reg ~help:"Reader-thread frame decode time"
+      Tel.Metrics.histogram reg ~help:"Frame decode time"
         "server_stage_decode_seconds";
     h_st_queue =
-      Tel.Metrics.histogram reg ~help:"Admission-queue wait"
+      Tel.Metrics.histogram reg
+        ~help:"Wait between a frame's decode and its execution"
         "server_stage_queue_seconds";
     h_st_execute =
       Tel.Metrics.histogram reg ~help:"Network execute time"
@@ -248,7 +218,8 @@ let register_instruments sink =
         ~help:"Replication ship time (outbox enqueue across followers)"
         "server_stage_replicate_seconds";
     h_st_respond =
-      Tel.Metrics.histogram reg ~help:"Response frame write time"
+      Tel.Metrics.histogram reg
+        ~help:"Response encode and queueing time"
         "server_stage_respond_seconds";
     slow_requests =
       c "Requests whose total latency crossed the --slow-ms threshold"
@@ -298,60 +269,16 @@ let leader_string t =
   | Some { leader; _ } -> Format.asprintf "%a" pp_address leader
   | None -> ""
 
-(* ----- bounded queue --------------------------------------------------- *)
-
-let set_depth t =
-  match t.ins with
-  | Some i -> Tel.Metrics.set i.g_queue_depth (float_of_int (Queue.length t.queue))
-  | None -> ()
-
-(* Poke the event loop's wake pipe.  Unconditional and non-blocking: a
-   full pipe means the loop has wakeups queued already, which is all a
-   wake can ask for. *)
+(* Poke the event loop's wake pipe from [stop] or [promote].
+   Non-blocking: a full pipe means the loop has wakeups queued already,
+   which is all a wake can ask for. *)
 let wake_byte = Bytes.of_string "!"
 
 let wake t =
   try ignore (Unix.write t.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
 
-(* Never blocks: the loop must not sleep on a full queue (the admission
-   thread wakes it through the pipe), so it deposits unconditionally
-   and instead stops reading sockets while the queue is over capacity.
-   [promote] deposits its one item the same way. *)
-let push_loop t item =
-  Mutex.lock t.mu;
-  Queue.add item t.queue;
-  set_depth t;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.mu
-
-let queue_depth t =
-  Mutex.lock t.mu;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.mu;
-  n
-
-(* Admission side: take up to [batch_limit] items in one lock hold. *)
-let drain_batch t =
-  Mutex.lock t.mu;
-  while Queue.is_empty t.queue && not t.stopping do
-    Condition.wait t.not_empty t.mu
-  done;
-  let batch = ref [] in
-  let n = ref 0 in
-  while !n < t.batch_limit && not (Queue.is_empty t.queue) do
-    batch := Queue.pop t.queue :: !batch;
-    incr n
-  done;
-  set_depth t;
-  let wake_loop = t.read_paused in
-  let finished = t.stopping && Queue.is_empty t.queue && !batch = [] in
-  Mutex.unlock t.mu;
-  if wake_loop then wake t;
-  if finished then None else Some (List.rev !batch)
-
 (* ----- per-client plumbing --------------------------------------------- *)
 
-(* Under the mutex. *)
 let set_conn_gauges t =
   match t.ins with
   | None -> ()
@@ -366,7 +293,7 @@ let set_conn_gauges t =
     Tel.Metrics.set i.g_lag_ops (float_of_int lag_ops);
     Tel.Metrics.set i.g_lag_bytes (float_of_int lag_bytes)
 
-(* Under the mutex: ask the loop to look at [c] on its next pass. *)
+(* Have the loop flush [c] at the top of its next pass. *)
 let flag_dirty t c =
   if not c.in_dirty then begin
     c.in_dirty <- true;
@@ -375,48 +302,35 @@ let flag_dirty t c =
 
 let accepts_output c = c.open_ && (not c.want_close) && not c.kill
 
-(* Under the mutex: queue one frame on an accepting connection. *)
+(* Queue one frame on an accepting connection. *)
 let add_out t c data =
   if String.length data > 0 then Queue.add data c.out_q;
   c.out_bytes <- c.out_bytes + String.length data;
   if c.out_bytes > out_limit then c.kill <- true;
   flag_dirty t c
 
-(* Append bytes to a connection's output queue (any thread) and flag
-   it for the loop.  Returns whether the bytes were accepted — a
-   closed or closing connection swallows them, exactly as the old
-   direct write swallowed EPIPE. *)
+(* Append bytes to a connection's output queue.  Returns whether the
+   bytes were accepted — a closed or closing connection swallows them,
+   exactly as a direct write would have swallowed EPIPE. *)
 let enqueue_out t c data =
-  Mutex.lock t.mu;
   let accepted = accepts_output c in
   if accepted then add_out t c data;
-  Mutex.unlock t.mu;
-  if accepted then wake t;
   accepted
 
-(* Ask the loop to close an event connection once its queued output has
-   been written — the ordered replacement for closing the fd directly,
-   which would race responses still in flight. *)
+(* Close a connection once its queued output has been written, so
+   responses already queued still go out. *)
 let mark_want_close t c =
-  Mutex.lock t.mu;
-  let flag = c.open_ && not c.want_close in
-  if flag then begin
+  if c.open_ && not c.want_close then begin
     c.want_close <- true;
     flag_dirty t c
-  end;
-  Mutex.unlock t.mu;
-  if flag then wake t
+  end
 
-(* Ask the loop to close a connection now, dropping its pending
-   output (any thread). *)
+(* Close a connection at the next flush, dropping its pending output. *)
 let kill_conn t c =
-  Mutex.lock t.mu;
   if c.open_ then begin
     c.kill <- true;
     flag_dirty t c
-  end;
-  Mutex.unlock t.mu;
-  wake t
+  end
 
 (* ----- leader-side replication ----------------------------------------- *)
 
@@ -425,13 +339,11 @@ let frame_to_follower msg =
   P.Repl.encode_to_follower b msg;
   P.Wire.frame (Buffer.contents b)
 
-(* Admission-thread side: queue one frame on every live replica.  A
-   replica already holding [resume_window] unwritten frames is evicted
-   through the kill path instead — admission never waits for a slow
-   consumer, and one that far behind needs a snapshot on reconnect
-   anyway. *)
+(* Queue one frame on every live replica.  A replica already holding
+   [resume_window] unwritten frames is evicted through the kill path
+   instead — the loop never waits for a slow consumer, and one that far
+   behind needs a snapshot on reconnect anyway. *)
 let offer_frame t frame =
-  Mutex.lock t.mu;
   List.iter
     (fun c ->
       if accepts_output c then
@@ -449,38 +361,27 @@ let offer_frame t frame =
           | None -> ()
         end)
     t.replicas;
-  set_conn_gauges t;
-  Mutex.unlock t.mu;
-  wake t
+  set_conn_gauges t
 
 let offer_digest t =
   let digest = P.Backend.digest t.backend in
   let seq = t.rep_seq in
   let frame = frame_to_follower (P.Repl.Rep_digest { seq; digest }) in
-  Mutex.lock t.mu;
   List.iter
     (fun c ->
       if accepts_output c && Queue.length c.out_q < t.resume_window then begin
         add_out t c frame;
         c.digests <- (seq, digest) :: c.digests
       end)
-    t.replicas;
-  Mutex.unlock t.mu;
-  wake t
+    t.replicas
 
-(* Called by the admission thread for every committed op, after the
-   WAL append: the replication stream is the WAL, frame by frame. *)
+(* Called for every committed op, after the WAL append: the
+   replication stream is the WAL, frame by frame. *)
 let replicate t op =
   t.rep_seq <- t.rep_seq + 1;
   Queue.add (t.rep_seq, op) t.ring;
   if Queue.length t.ring > t.resume_window then ignore (Queue.pop t.ring);
-  let have_replicas =
-    Mutex.lock t.mu;
-    let r = t.replicas <> [] in
-    Mutex.unlock t.mu;
-    r
-  in
-  if have_replicas then begin
+  if t.replicas <> [] then begin
     offer_frame t (frame_to_follower (P.Repl.Rep_op { seq = t.rep_seq; op }));
     if t.rep_seq - t.last_digest_seq >= t.digest_every then begin
       t.last_digest_seq <- t.rep_seq;
@@ -488,9 +389,9 @@ let replicate t op =
     end
   end
 
-(* Admission-thread handling of a follower's Subscribe: decide resume
-   vs snapshot at a point where no op can slip between the decision
-   and the stream start — the admission thread is the only writer. *)
+(* A follower's Subscribe: decide resume vs snapshot at a point where
+   no op can slip between the decision and the stream start — the loop
+   is the only writer. *)
 let handle_attach t client ~epoch ~last_seq =
   if t.role <> Leader then begin
     ignore
@@ -532,7 +433,6 @@ let handle_attach t client ~epoch ~last_seq =
     let dig_frame =
       frame_to_follower (P.Repl.Rep_digest { seq = t.rep_seq; digest })
     in
-    Mutex.lock t.mu;
     if accepts_output client then begin
       (* from here on the connection is a replica, not a client *)
       t.clients <- List.filter (fun c -> c != client) t.clients;
@@ -540,19 +440,14 @@ let handle_attach t client ~epoch ~last_seq =
       List.iter (add_out t client) (init @ [ dig_frame ]);
       client.digests <- [ (t.rep_seq, digest) ];
       set_conn_gauges t
-    end;
-    Mutex.unlock t.mu;
-    wake t
+    end
   end
 
-(* A follower's digest ack, decoded by the event loop; it only touches
-   the replica's own record.  Returns [false] when the follower
-   diverged and must be dropped. *)
+(* A follower's digest ack; it only touches the replica's own record.
+   Returns [false] when the follower diverged and must be dropped. *)
 let handle_ack t client ~seq ~digest =
-  Mutex.lock t.mu;
   let sent = List.assoc_opt seq client.digests in
   client.digests <- List.remove_assoc seq client.digests;
-  Mutex.unlock t.mu;
   match sent with
   | None -> true (* an ack we no longer remember sending *)
   | Some sent ->
@@ -566,90 +461,89 @@ let handle_ack t client ~seq ~digest =
 
 (* ----- follower-side replication --------------------------------------- *)
 
-(* Admission thread, follower role: the replication stream diverged
-   (bad seq, undecodable state, digest mismatch).  Drop the link and
-   make the next subscribe demand a fresh snapshot. *)
-let resync t link =
-  Mutex.lock t.mu;
+(* Follower role: the replication stream diverged (bad seq,
+   undecodable state, digest mismatch).  Make the next subscribe demand
+   a fresh snapshot; the [false] tells the caller to drop the link. *)
+let resync t =
   t.force_snapshot <- true;
-  (match t.link with Some c when c == link -> t.link <- None | _ -> ());
-  Mutex.unlock t.mu;
-  kill_conn t link
+  false
 
-(* Admission thread: apply one replication message.  Stale frames from
-   a link the follower already abandoned are dropped — the new
-   subscribe re-fetches whatever they carried. *)
+(* Apply one replication message as the loop decodes it.  Returns
+   whether to keep the link: [false] on divergence, on the leader's
+   Goodbye, and for a link that is no longer the current one (promotion
+   cut it; whatever it still carries is moot). *)
 let handle_repl t link msg =
-  let current =
-    Mutex.lock t.mu;
-    let c = match t.link with Some c -> c == link | None -> false in
-    Mutex.unlock t.mu;
-    c
-  in
-  if current then begin
-    (* every message that names a leader seq tells us how far ahead the
-       leader is; the gap to [rep_seq] is the apply lag /readyz gates on *)
-    (match msg with
-    | P.Repl.Init_snapshot { seq; _ }
-    | P.Repl.Init_resume { seq; _ }
-    | P.Repl.Rep_op { seq; _ }
-    | P.Repl.Rep_digest { seq; _ } ->
-      if seq > t.leader_seq then t.leader_seq <- seq
-    | P.Repl.Goodbye _ -> ());
-    (match msg with
-    | P.Repl.Init_snapshot { epoch; seq; state } -> (
-      match P.Backend.restore ?telemetry:t.tel state with
-      | Error _ -> resync t link
-      | exception Invalid_argument _ -> resync t link
-      | Ok backend ->
-        t.backend <- backend;
-        t.rep_seq <- seq;
-        t.repl_epoch <- epoch;
-        inc t (fun i -> i.r_snapshots_recv);
-        (match t.follower_cfg with
-        | Some { wal = Some wal; _ } ->
-          (match t.store with
-          | Some s -> ( try P.Store.close s with Sys_error _ -> ())
-          | None -> ());
-          t.store <- Some (P.Store.start_backend ?telemetry:t.tel ~wal backend);
-          P.Repl.save_mark ~wal { P.Repl.epoch; base_seq = seq }
-        | _ -> ()))
-    | P.Repl.Init_resume { epoch; seq } ->
-      if seq <> t.rep_seq then resync t link else t.repl_epoch <- epoch
-    | P.Repl.Rep_op { seq; op } ->
-      if seq <> t.rep_seq + 1 then resync t link
-      else (
-        match P.Backend.apply t.backend op with
-        | Ok _ ->
-          t.rep_seq <- seq;
-          inc t (fun i -> i.r_applied);
-          Option.iter (fun s -> P.Store.log s op) t.store
-        | Error _ -> resync t link)
-    | P.Repl.Rep_digest { seq; digest } ->
-      let own = P.Backend.digest t.backend in
-      if seq <> t.rep_seq || own <> digest then begin
-        inc t (fun i -> i.r_digest_mismatch);
-        resync t link
-      end
-      else begin
-        let b = Buffer.create 32 in
-        P.Repl.encode_to_leader b (P.Repl.Ack { seq; digest = own });
-        ignore (enqueue_out t link (P.Wire.frame (Buffer.contents b)))
-      end
-    | P.Repl.Goodbye _ ->
-      (* end of this link's stream (leader goodbye, or the loop's
-         synthetic one after the link closed): every earlier message
-         has been applied, so letting the loop redial is now loss-free *)
-      Mutex.lock t.mu;
-      t.link <- None;
-      Mutex.unlock t.mu;
-      wake t);
-    match t.ins with
-    | Some i ->
-      Tel.Metrics.set i.g_follower_lag
-        (float_of_int (max 0 (t.leader_seq - t.rep_seq)))
-    | None -> ()
-  end
+  let current = match t.link with Some c -> c == link | None -> false in
+  current
+  && begin
+       (* every message that names a leader seq tells us how far ahead
+          the leader is; the gap to [rep_seq] is the apply lag /readyz
+          gates on *)
+       (match msg with
+       | P.Repl.Init_snapshot { seq; _ }
+       | P.Repl.Init_resume { seq; _ }
+       | P.Repl.Rep_op { seq; _ }
+       | P.Repl.Rep_digest { seq; _ } ->
+         if seq > t.leader_seq then t.leader_seq <- seq
+       | P.Repl.Goodbye _ -> ());
+       let keep =
+         match msg with
+         | P.Repl.Init_snapshot { epoch; seq; state } -> (
+           match P.Backend.restore ?telemetry:t.tel state with
+           | Error _ -> resync t
+           | exception Invalid_argument _ -> resync t
+           | Ok backend ->
+             t.backend <- backend;
+             t.rep_seq <- seq;
+             t.repl_epoch <- epoch;
+             inc t (fun i -> i.r_snapshots_recv);
+             (match t.follower_cfg with
+             | Some { wal = Some wal; _ } ->
+               (match t.store with
+               | Some s -> ( try P.Store.close s with Sys_error _ -> ())
+               | None -> ());
+               t.store <-
+                 Some (P.Store.start_backend ?telemetry:t.tel ~wal backend);
+               P.Repl.save_mark ~wal { P.Repl.epoch; base_seq = seq }
+             | _ -> ());
+             true)
+         | P.Repl.Init_resume { epoch; seq } ->
+           if seq <> t.rep_seq then resync t
+           else begin
+             t.repl_epoch <- epoch;
+             true
+           end
+         | P.Repl.Rep_op { seq; op } -> (
+           if seq <> t.rep_seq + 1 then resync t
+           else
+             match P.Backend.apply t.backend op with
+             | Ok _ ->
+               t.rep_seq <- seq;
+               inc t (fun i -> i.r_applied);
+               Option.iter (fun s -> P.Store.log s op) t.store;
+               true
+             | Error _ -> resync t)
+         | P.Repl.Rep_digest { seq; digest } ->
+           let own = P.Backend.digest t.backend in
+           if seq <> t.rep_seq || own <> digest then begin
+             inc t (fun i -> i.r_digest_mismatch);
+             resync t
+           end
+           else begin
+             let b = Buffer.create 32 in
+             P.Repl.encode_to_leader b (P.Repl.Ack { seq; digest = own });
+             ignore (enqueue_out t link (P.Wire.frame (Buffer.contents b)));
+             true
+           end
+         | P.Repl.Goodbye _ -> false
+       in
+       (match t.ins with
+       | Some i ->
+         Tel.Metrics.set i.g_follower_lag
+           (float_of_int (max 0 (t.leader_seq - t.rep_seq)))
+       | None -> ());
+       keep
+     end
 
 let sockaddr_of_address = function
   | Tcp (host, port) ->
@@ -660,12 +554,12 @@ let sockaddr_of_address = function
     (Unix.PF_INET, Unix.ADDR_INET (inet, port))
   | Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
 
-(* ----- admission loop -------------------------------------------------- *)
+(* ----- request execution ----------------------------------------------- *)
 
-(* Frame a response and hand it to the event loop's output queue: the
-   admission thread never blocks on a peer's socket.  A batch reply
-   counts once per sub-response so the counter reconciles with
-   [server_requests_total] whichever way the ops arrived. *)
+(* Frame a response and queue it on the connection; the loop writes it
+   at the top of its next pass, so it never blocks on a peer's socket.
+   A batch reply counts once per sub-response so the counter reconciles
+   with [server_requests_total] whichever way the ops arrived. *)
 let send_response t client resp =
   let b = Buffer.create 64 in
   P.Resp.encode b resp;
@@ -682,34 +576,23 @@ let send_response t client resp =
 
 (* How far behind the slowest consumer is: on a follower the gap to
    the leader's newest shown seq, on a leader the deepest replica
-   outbox.  Admission-thread callers already own the interesting
-   fields; the replica scan still takes the mutex. *)
+   outbox. *)
 let current_lag t =
   match t.role with
   | Follower -> max 0 (t.leader_seq - t.rep_seq)
   | Leader ->
-    Mutex.lock t.mu;
-    let lag =
-      List.fold_left (fun acc c -> max acc (Queue.length c.out_q)) 0 t.replicas
-    in
-    Mutex.unlock t.mu;
-    lag
+    List.fold_left (fun acc c -> max acc (Queue.length c.out_q)) 0 t.replicas
 
-(* Get_stats runs on the admission thread.  Role, epoch, applied seq
-   and lag ride alongside the metrics so a poller (wdmnet top, the CI
-   smoke) can assert convergence without a digest round-trip; a
-   follower reports the leader generation it synced to. *)
+(* Role, epoch, applied seq and lag ride alongside the metrics so a
+   poller (wdmnet top, the CI smoke) can assert convergence without a
+   digest round-trip; a follower reports the leader generation it
+   synced to. *)
 let stats_renderer t () =
   let base =
     match t.ins with
     | None -> []
     | Some i -> (
-      (* under the server mutex: the event loop may be registering
-         per-client counters in the same registry concurrently *)
-      Mutex.lock t.mu;
-      let snap = Tel.Sink.snapshot i.sink in
-      Mutex.unlock t.mu;
-      match Tel.Metrics.to_json snap with
+      match Tel.Metrics.to_json (Tel.Sink.snapshot i.sink) with
       | Tel.Json.Obj kvs -> kvs
       | j -> [ ("metrics", j) ])
   in
@@ -728,7 +611,7 @@ let stats_renderer t () =
         ]
        @ base))
 
-(* ----- span recording (admission thread) ------------------------------- *)
+(* ----- span recording -------------------------------------------------- *)
 
 let slow_line sr =
   Tel.Json.to_string
@@ -765,6 +648,7 @@ let record_span t i sr =
       in
       Tel.Histogram.observe h d)
     sr.sr_stages;
+  (* under the mutex: [spans] reads the ring from other threads *)
   Mutex.lock t.mu;
   Queue.add sr t.spans_ring;
   if Queue.length t.spans_ring > t.span_buffer then
@@ -827,20 +711,17 @@ let committed_op req resp =
         Some (P.Op.Repair { connection; rehomed = false })
       | _ -> Some op))
 
-(* Promotion, on the admission thread: cut the replication link, take
-   a fresh epoch, start leading.  The store and network continue as
-   they are — the newest boundary-consistent state this follower
-   reached is exactly what it starts serving. *)
+(* Promotion, on the loop: cut the replication link, take a fresh
+   epoch, start leading.  The store and network continue as they are —
+   the newest boundary-consistent state this follower reached is
+   exactly what it starts serving. *)
 let do_promote t =
   if t.role = Leader then Error "already the leader"
   else begin
-    Mutex.lock t.mu;
     t.role <- Leader;
     t.epoch <- fresh_epoch ();
-    let link = t.link in
+    Option.iter (kill_conn t) t.link;
     t.link <- None;
-    Mutex.unlock t.mu;
-    Option.iter (kill_conn t) link;
     Queue.clear t.ring;
     t.last_digest_seq <- t.rep_seq;
     (match t.follower_cfg with
@@ -873,7 +754,12 @@ let commit t req resp =
 let request_weight (req : P.Resp.request) =
   match req with P.Resp.Batch subs -> List.length subs | _ -> 1
 
-let handle_request t client req ~enqueued ~span ~decode =
+(* Execute one decoded request, commit it (WAL, then replication) and
+   queue its response: the response can only leave at the loop's next
+   flush, after the WAL append and any fsync the policy asked for.
+   [decoded] is the instant the frame finished decoding, [decode] how
+   long that took. *)
+let handle_request t client req ~decoded ~span ~decode =
   match t.ins with
   | None ->
     (* untimed path: no clock reads, no record — behaviourally the
@@ -932,8 +818,8 @@ let handle_request t client req ~enqueued ~span ~decode =
     send_response t client resp;
     let t_done = now t in
     t.served_count <- t.served_count + request_weight req;
-    Tel.Histogram.observe i.h_latency (t_done -. enqueued);
-    let start = enqueued -. decode in
+    Tel.Histogram.observe i.h_latency (t_done -. decoded);
+    let start = decoded -. decode in
     record_span t i
       {
         sr_span = span;
@@ -943,7 +829,7 @@ let handle_request t client req ~enqueued ~span ~decode =
         sr_stages =
           [
             ("decode", decode);
-            ("queue", max 0. (t_start -. enqueued));
+            ("queue", max 0. (t_start -. decoded));
             ("execute", max 0. (t_exec -. t_start -. !wal_acc -. !repl_acc));
             ("wal", !wal_acc);
             ("replicate", !repl_acc);
@@ -951,43 +837,12 @@ let handle_request t client req ~enqueued ~span ~decode =
           ];
       }
 
-let admit_loop t =
-  let continue = ref true in
-  while !continue do
-    match drain_batch t with
-    | None -> continue := false
-    | Some batch ->
-      (match t.ins with
-      | Some i ->
-        Tel.Metrics.inc i.batches;
-        Tel.Histogram.observe i.h_batch_size (float_of_int (List.length batch))
-      | None -> ());
-      List.iter
-        (fun item ->
-          match item with
-          | Gone client ->
-            (* closing through the loop lets responses already queued
-               ahead of the EOF still go out *)
-            mark_want_close t client
-          | Malformed { client; reason } ->
-            (match t.ins with
-            | Some i -> Tel.Metrics.inc i.malformed
-            | None -> ());
-            send_response t client (P.Resp.Server_error reason);
-            mark_want_close t client
-          | Request { client; req; enqueued; span; decode } ->
-            handle_request t client req ~enqueued ~span ~decode
-          | Attach { client; epoch; last_seq } ->
-            handle_attach t client ~epoch ~last_seq
-          | Repl_msg { link; msg } -> handle_repl t link msg
-          | Do_promote w ->
-            let result = do_promote t in
-            Mutex.lock t.mu;
-            w.result <- Some result;
-            Condition.broadcast w.pcond;
-            Mutex.unlock t.mu)
-        batch
-  done
+(* Protocol damage on a request connection: answer it (best effort) and
+   close once that answer is written. *)
+let malformed t client reason =
+  inc t (fun i -> i.malformed);
+  send_response t client (P.Resp.Server_error reason);
+  mark_want_close t client
 
 (* EMFILE/ENFILE (fd exhaustion), ECONNABORTED (peer gave up while
    queued) and EINTR are conditions a server rides out, not reasons to
@@ -1008,10 +863,8 @@ let ready t =
   match t.role with
   | Leader -> true
   | Follower ->
-    Mutex.lock t.mu;
-    let linked = t.link <> None && t.repl_epoch <> 0 in
-    Mutex.unlock t.mu;
-    linked && t.leader_seq - t.rep_seq <= t.ready_lag
+    t.link <> None && t.repl_epoch <> 0
+    && t.leader_seq - t.rep_seq <= t.ready_lag
 
 (* The span ring rendered as a Chrome trace: each request is its
    contiguous stage slices, correlated by span id in [args]. *)
@@ -1056,11 +909,7 @@ let http_route t path =
     let body =
       match t.ins with
       | None -> ""
-      | Some i ->
-        Mutex.lock t.mu;
-        let snap = Tel.Sink.snapshot i.sink in
-        Mutex.unlock t.mu;
-        Tel.Metrics.to_prometheus snap
+      | Some i -> Tel.Metrics.to_prometheus (Tel.Sink.snapshot i.sink)
     in
     ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
   | "/spans" -> ("200 OK", "application/json", spans_chrome t)
@@ -1068,16 +917,19 @@ let http_route t path =
 
 (* ----- event loop ------------------------------------------------------ *)
 
-(* State the loop thread alone owns.  [conns] is keyed by fd; because
-   the kernel recycles fds, every deferred reference to a client is
-   validated by physical equality against this table before use.  The
+(* Loop-local state.  [conns] is keyed by fd; because the kernel
+   recycles fds, every deferred reference to a client is validated by
+   physical equality against this table before use.  The
    [dialed]/[next_dial]/[backoff] trio is a follower's link to its
    leader: dialed without blocking, redialed with capped exponential
    backoff. *)
 type loopstate = {
   conns : (Unix.file_descr, client) Hashtbl.t;
   scratch : Bytes.t;  (** shared read buffer; bytes move to [c.fb] *)
-  mutable reads_disabled : bool;  (** [stopping]: drain writes only *)
+  mutable reads_disabled : bool;
+      (** [stop] was seen: no more reads or accepts; flush, close, exit
+          by [finish_deadline] *)
+  mutable finish_deadline : float;
   mutable last_sweep : float;
   mutable dialed : client option;  (** the link, from dial until close *)
   mutable next_dial : float;  (** no redial before this instant *)
@@ -1104,37 +956,27 @@ let dial_failed ls =
   ls.backoff <- min 2.0 (ls.backoff *. 2.)
 
 (* Every connection closes here, once.  Closing a follower's link
-   schedules its redial. *)
+   schedules its redial.  Every message the link delivered was applied
+   as it was decoded, so the next subscribe's [last_seq] already counts
+   the stream's whole tail. *)
 let loop_close t ls c =
   (match Hashtbl.find_opt ls.conns c.fd with
   | Some c' when c' == c ->
     Hashtbl.remove ls.conns c.fd;
     Evloop.remove t.ev c.fd
   | _ -> ());
-  Mutex.lock t.mu;
   let was_open = c.open_ in
   c.open_ <- false;
   t.clients <- List.filter (fun x -> x != c) t.clients;
   t.replicas <- List.filter (fun x -> x != c) t.replicas;
   set_conn_gauges t;
-  Mutex.unlock t.mu;
   if was_open then (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  (match t.link with Some l when l == c -> t.link <- None | _ -> ());
   match ls.dialed with
   | Some d when d == c ->
     ls.dialed <- None;
     if c.kind <> Clink then dial_failed ls
-    else begin
-      ls.next_dial <- Unix.gettimeofday () +. ls.backoff;
-      (* The stream's tail may still sit in the admission queue:
-         clearing [t.link] here would make [handle_repl] drop it as
-         stale and lose those ops for good (a dead leader cannot resend
-         them).  A synthetic Goodbye through the same queue lets
-         admission clear the link only after applying everything that
-         arrived before it, and the loop redials only after that, so
-         the next subscribe's [last_seq] counts the whole tail. *)
-      push_loop t
-        (Repl_msg { link = c; msg = P.Repl.Goodbye { reason = "link closed" } })
-    end
+    else ls.next_dial <- Unix.gettimeofday () +. ls.backoff
   | _ -> ()
 
 let owned_by_loop ls c =
@@ -1152,17 +994,15 @@ external writev_frames : Unix.file_descr -> string array -> int -> int
    stub's WDM_IOV_MAX. *)
 let max_iov = 64
 
-(* Write as much queued output as the kernel will take.  A batch of
-   queued frames is snapshotted under the lock and handed to writev
-   as an iovec — the syscall gathers what the old code achieved by
-   copying every pending response through a coalescing buffer.  Only
-   fully-written frames are popped, so a partial write (tiny
-   SO_SNDBUF) resumes from [out_off] of the front frame. *)
+(* Write as much queued output as the kernel will take.  Up to
+   [max_iov] queued frames go to writev as one iovec — the syscall
+   gathers what would otherwise mean copying every pending response
+   through a coalescing buffer.  Only fully-written frames are popped,
+   so a partial write (tiny SO_SNDBUF) resumes from [out_off] of the
+   front frame. *)
 let conn_flush t ls c =
   let continue = ref (owned_by_loop ls c) in
   while !continue do
-    Mutex.lock t.mu;
-    let kill = c.kill and wclose = c.want_close in
     let nframes = min (Queue.length c.out_q) max_iov in
     let batch = Array.make nframes "" in
     let i = ref 0 in
@@ -1174,13 +1014,12 @@ let conn_flush t ls c =
            incr i)
          c.out_q
      with Exit -> ());
-    Mutex.unlock t.mu;
-    if kill then begin
+    if c.kill then begin
       loop_close t ls c;
       continue := false
     end
     else if nframes = 0 then begin
-      if wclose then loop_close t ls c
+      if c.want_close then loop_close t ls c
       else
         Evloop.modify t.ev c.fd
           ~read:((not c.rd_eof) && not ls.reads_disabled)
@@ -1202,7 +1041,6 @@ let conn_flush t ls c =
       | n ->
         (* pop the frames the kernel swallowed whole; a partial tail
            frame stays as the new head with its offset advanced *)
-        Mutex.lock t.mu;
         c.out_bytes <- c.out_bytes - n;
         let rem = ref n in
         while !rem > 0 do
@@ -1217,25 +1055,22 @@ let conn_flush t ls c =
             c.out_off <- c.out_off + !rem;
             rem := 0
           end
-        done;
-        Mutex.unlock t.mu
+        done
     end
   done
 
-(* Serve the connections other threads flagged since the last pass.
-   [in_dirty] is reset under the lock, so a flag raised during the
-   flush re-queues the connection rather than being lost. *)
+(* Flush the connections flagged since the last pass: every response
+   the previous pass's requests queued, in one writev per connection.
+   [in_dirty] is reset first, so a flag raised during the flush
+   re-queues the connection rather than being lost. *)
 let refresh_dirty t ls =
-  Mutex.lock t.mu;
   let dirty = t.dirty in
   t.dirty <- [];
   List.iter (fun c -> c.in_dirty <- false) dirty;
-  Mutex.unlock t.mu;
   List.iter (fun c -> if owned_by_loop ls c then conn_flush t ls c) dirty
 
 (* Decode every complete frame buffered on a request connection and
-   queue the results for admission.  Mirrors the retired per-client
-   reader thread, minus the blocking. *)
+   execute each request as soon as it is decoded, in arrival order. *)
 let process_frames t c =
   let continue = ref true in
   while !continue do
@@ -1243,7 +1078,7 @@ let process_frames t c =
     | Framebuf.Need _ -> continue := false
     | Framebuf.Bad reason ->
       c.rd_eof <- true;
-      push_loop t (Malformed { client = c; reason });
+      malformed t c reason;
       continue := false
     | Framebuf.Frame payload -> (
       let t0 = now t in
@@ -1262,17 +1097,11 @@ let process_frames t c =
         (match t.ins with
         | Some i -> Tel.Metrics.add i.requests w
         | None -> ());
-        let enqueued = now t in
-        push_loop t
-          (Request { client = c; req; enqueued; span; decode = enqueued -. t0 })
+        let decoded = now t in
+        handle_request t c req ~decoded ~span ~decode:(decoded -. t0)
       | exception P.Wire.Decode_error { offset; reason } ->
         c.rd_eof <- true;
-        push_loop t
-          (Malformed
-             {
-               client = c;
-               reason = Printf.sprintf "%s at payload offset %d" reason offset;
-             });
+        malformed t c (Printf.sprintf "%s at payload offset %d" reason offset);
         continue := false)
   done
 
@@ -1325,9 +1154,10 @@ let http_head_done c =
   has "\r\n\r\n" || has "\n\n"
 
 (* Decode every complete replication frame buffered on a replica
-   (leader side) or on the link to the leader (follower side).  Any
-   garbage — bad framing, an undecodable or out-of-place message —
-   closes that one connection; the loop itself never stalls on it. *)
+   (leader side) or on the link to the leader (follower side), and act
+   on each as it is decoded.  Any garbage — bad framing, an undecodable
+   or out-of-place message — closes that one connection; the loop
+   itself never stalls on it. *)
 let rec process_repl_frames t ls c =
   match Framebuf.next_frame c.fb with
   | Framebuf.Need _ -> ()
@@ -1336,15 +1166,13 @@ let rec process_repl_frames t ls c =
     let keep =
       if c.kind = Clink then
         match P.Repl.to_follower_of_string payload with
-        | Ok (P.Repl.Goodbye _) | Error _ -> false
-        | Ok msg ->
-          push_loop t (Repl_msg { link = c; msg });
-          true
+        | Ok msg -> handle_repl t c msg
+        | Error _ -> false
       else
         match (c.kind, P.Repl.to_leader_of_string payload) with
         | Cfollower, Ok (P.Repl.Subscribe { epoch; last_seq }) ->
           c.kind <- Creplica;
-          push_loop t (Attach { client = c; epoch; last_seq });
+          handle_attach t c ~epoch ~last_seq;
           true
         | Creplica, Ok (P.Repl.Ack { seq; digest }) ->
           handle_ack t c ~seq ~digest
@@ -1352,18 +1180,15 @@ let rec process_repl_frames t ls c =
     in
     if keep then process_repl_frames t ls c else loop_close t ls c
 
-(* Follower side, on the leader's hello: make this the link admission
-   applies, and subscribe from the last applied position.  Admission
-   cleared the previous link before the loop redialed, so the position
-   read here already counts every op that link delivered. *)
+(* Follower side, on the leader's hello: make this the link the loop
+   applies, and subscribe from the last applied position, which counts
+   every op the previous link delivered. *)
 let subscribe t ls c =
-  Mutex.lock t.mu;
-  let go = (not t.stopping) && t.role = Follower in
-  if go then t.link <- Some c;
-  let epoch = t.repl_epoch in
-  let last_seq = if t.force_snapshot then -1 else t.rep_seq in
-  Mutex.unlock t.mu;
+  let go = (not ls.reads_disabled) && t.role = Follower in
   if go then begin
+    t.link <- Some c;
+    let epoch = t.repl_epoch in
+    let last_seq = if t.force_snapshot then -1 else t.rep_seq in
     c.kind <- Clink;
     let b = Buffer.create 32 in
     P.Repl.encode_to_leader b (P.Repl.Subscribe { epoch; last_seq });
@@ -1386,17 +1211,13 @@ let rec conn_dispatch t ls c =
         c.spans <- Protocol.hello_has_spans hello;
         match t.ins with
         | Some i ->
-          Mutex.lock t.mu;
-          if c.open_ then begin
-            c.c_requests <-
-              Some
-                (Tel.Metrics.counter i.sink.Tel.Sink.metrics
-                   ~help:"Requests received from this client"
-                   (Printf.sprintf
-                      "server_client_requests_total{client=\"%d\"}" c.cid));
-            Tel.Metrics.inc i.clients_total
-          end;
-          Mutex.unlock t.mu
+          c.c_requests <-
+            Some
+              (Tel.Metrics.counter i.sink.Tel.Sink.metrics
+                 ~help:"Requests received from this client"
+                 (Printf.sprintf "server_client_requests_total{client=\"%d\"}"
+                    c.cid));
+          Tel.Metrics.inc i.clients_total
         | None -> ()
       end
       else if Protocol.check_follower_hello hello = Ok () then
@@ -1422,13 +1243,14 @@ let rec conn_dispatch t ls c =
 
 (* Drain readable bytes into the connection's buffer, a bounded number
    of chunks per readiness event so one firehose client cannot starve
-   the rest (level-triggered backends re-report the remainder), and
-   never past the admission queue's capacity. *)
+   the rest (level-triggered backends re-report the remainder).  The
+   requests in those chunks execute before the next read, so a client
+   can run at most four chunks ahead of the server. *)
 let conn_readable t ls c =
   let rounds = ref 0 in
   let continue = ref true in
   while !continue && not c.rd_eof do
-    if !rounds >= 4 || queue_depth t >= t.capacity then continue := false
+    if !rounds >= 4 then continue := false
     else begin
       incr rounds;
       match Unix.read c.fd ls.scratch 0 (Bytes.length ls.scratch) with
@@ -1445,12 +1267,11 @@ let conn_readable t ls c =
         | Chttp -> http_answer t ls c
         | Creq ->
           (* half a frame followed by EOF is protocol damage, not a
-             clean goodbye; either way the close is ordered through
-             the admission queue so queued responses still go out *)
+             clean goodbye; either way the close waits for the
+             responses already queued *)
           if Framebuf.length c.fb > 0 then
-            push_loop t
-              (Malformed { client = c; reason = "peer closed mid-frame" })
-          else push_loop t (Gone c)
+            malformed t c "peer closed mid-frame"
+          else mark_want_close t c
         | Chello | Cfollower | Creplica | Cdial | Clink -> loop_close t ls c)
       | n ->
         Framebuf.add_subbytes c.fb ls.scratch ~off:0 ~len:n;
@@ -1522,52 +1343,38 @@ let accept_ready t ls lfd ~http =
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (err, _, _) ->
-      if not t.stopping then begin
-        (match t.ins with
-        | Some i -> Tel.Metrics.inc i.accept_errors
-        | None -> ());
-        Thread.delay (if accept_transient err then 0.05 else 0.25)
-      end;
+      inc t (fun i -> i.accept_errors);
+      Thread.delay (if accept_transient err then 0.05 else 0.25);
       continue := false
     | fd, _peer ->
-      if t.stopping then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        continue := false
+      let over =
+        (* the gate protects the request plane; scrapes stay
+           answerable even at the connection cap *)
+        (not http)
+        &&
+        match t.max_conns with
+        | Some m -> Hashtbl.length ls.conns >= m
+        | None -> false
+      in
+      if over then begin
+        inc t (fun i -> i.accept_errors);
+        try Unix.close fd with Unix.Unix_error _ -> ()
       end
       else begin
-        let over =
-          (* the gate protects the request plane; scrapes stay
-             answerable even at the connection cap *)
-          (not http)
-          &&
-          match t.max_conns with
-          | Some m -> Hashtbl.length ls.conns >= m
-          | None -> false
-        in
-        if over then begin
-          (match t.ins with
-          | Some i -> Tel.Metrics.inc i.accept_errors
-          | None -> ());
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        end
+        Unix.set_nonblock fd;
+        (* raises on unix sockets; harmless to skip there *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        (match t.conn_sndbuf with
+        | Some n when not http -> (
+          try Unix.setsockopt_int fd Unix.SO_SNDBUF n
+          with Unix.Unix_error _ -> ())
+        | _ -> ());
+        let c = add_conn t ls fd (if http then Chttp else Chello) in
+        if http then c.deadline <- Unix.gettimeofday () +. 5.0
         else begin
-          Unix.set_nonblock fd;
-          (* raises on unix sockets; harmless to skip there *)
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          (match t.conn_sndbuf with
-          | Some n when not http -> (
-            try Unix.setsockopt_int fd Unix.SO_SNDBUF n
-            with Unix.Unix_error _ -> ())
-          | _ -> ());
-          let c = add_conn t ls fd (if http then Chttp else Chello) in
-          if http then c.deadline <- Unix.gettimeofday () +. 5.0
-          else begin
-            Mutex.lock t.mu;
-            t.clients <- c :: t.clients;
-            set_conn_gauges t;
-            Mutex.unlock t.mu
-          end
+          t.clients <- c :: t.clients;
+          set_conn_gauges t
         end
       end
   done
@@ -1611,6 +1418,7 @@ let loop_run t =
       conns = Hashtbl.create 64;
       scratch = Bytes.create 65536;
       reads_disabled = false;
+      finish_deadline = 0.;
       last_sweep = 0.;
       dialed = None;
       next_dial = 0.;
@@ -1630,19 +1438,25 @@ let loop_run t =
   while not !finished do
     Mutex.lock t.mu;
     let stopping = t.stopping in
-    let finishing = t.loop_finish in
-    let paused = (not stopping) && Queue.length t.queue >= t.capacity in
-    t.read_paused <- paused;
-    (* a follower without a link (re)dials once its backoff has passed *)
-    let redial =
-      (not stopping) && t.role = Follower && Option.is_none t.link
-      && Option.is_none ls.dialed
-    in
+    let promotes = List.rev t.promotes in
+    t.promotes <- [];
     Mutex.unlock t.mu;
+    List.iter
+      (fun w ->
+        let result = do_promote t in
+        Mutex.lock t.mu;
+        w.result <- Some result;
+        Condition.broadcast w.pcond;
+        Mutex.unlock t.mu)
+      promotes;
     if stopping && not ls.reads_disabled then begin
-      (* no new connections, no new requests; what remains is flushing
-         responses for everything already admitted *)
+      (* No new connections, no new requests.  Every request read so
+         far has executed, so each replica's stream is final: end it
+         with a Goodbye.  What remains is flushing, bounded by a grace
+         deadline so one unreadable peer cannot hold shutdown
+         hostage. *)
       ls.reads_disabled <- true;
+      ls.finish_deadline <- Unix.gettimeofday () +. 5.0;
       Evloop.modify t.ev t.listen_fd ~read:false ~write:false;
       (match t.http_fd with
       | Some h -> Evloop.modify t.ev h ~read:false ~write:false
@@ -1653,39 +1467,42 @@ let loop_run t =
           match Evloop.interest t.ev fd with
           | Some (true, w) -> Evloop.modify t.ev fd ~read:false ~write:w
           | _ -> ())
-        ls.conns
+        ls.conns;
+      let goodbye =
+        frame_to_follower (P.Repl.Goodbye { reason = "shutdown" })
+      in
+      List.iter
+        (fun c ->
+          ignore (enqueue_out t c goodbye);
+          mark_want_close t c)
+        t.replicas
     end;
+    (* a follower without a link (re)dials once its backoff has passed *)
+    let redial =
+      (not stopping) && t.role = Follower && Option.is_none t.link
+      && Option.is_none ls.dialed
+    in
     (match t.follower_cfg with
     | Some cfg when redial && Unix.gettimeofday () >= ls.next_dial ->
       dial t ls cfg.leader
     | _ -> ());
     refresh_dirty t ls;
-    if paused then begin
-      (* admission backpressure: sockets stay unread (their bytes sit
-         in the kernel, which is the peer's backpressure), but response
-         flushing must go on or the queue could never drain *)
-      (try ignore (Unix.select [ t.wake_r ] [] [] 0.05)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      drain_wake t
-    end
-    else begin
-      let timeout_ms =
-        if finishing then 10
-        else if redial && Option.is_none ls.dialed then
-          let ms = (ls.next_dial -. Unix.gettimeofday ()) *. 1000. in
-          max 1 (min 100 (int_of_float ms + 1))
-        else 100
-      in
-      let events = Evloop.wait t.ev ~timeout_ms in
-      List.iter (fun ev -> handle_event t ls ev) events
-    end;
+    let timeout_ms =
+      if stopping then 10
+      else if redial && Option.is_none ls.dialed then
+        let ms = (ls.next_dial -. Unix.gettimeofday ()) *. 1000. in
+        max 1 (min 100 (int_of_float ms + 1))
+      else 100
+    in
+    let events = Evloop.wait t.ev ~timeout_ms in
+    List.iter (fun ev -> handle_event t ls ev) events;
     let nw = Unix.gettimeofday () in
     sweep t ls nw;
-    if finishing then begin
+    if stopping then begin
       let drained =
         Hashtbl.fold (fun _ c acc -> acc && c.out_bytes = 0) ls.conns true
       in
-      if drained || nw > t.finish_deadline then begin
+      if drained || nw > ls.finish_deadline then begin
         let cs = Hashtbl.fold (fun _ c acc -> c :: acc) ls.conns [] in
         List.iter (fun c -> loop_close t ls c) cs;
         finished := true
@@ -1720,16 +1537,12 @@ let bind_listen addr =
     Unix.listen fd 512;
     (fd, addr)
 
-let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
-    ?(digest_every = 64) ?(resume_window = 1024) ?follower ?http
-    ?(ready_lag = 64) ?slow_ms ?slow_log ?(span_buffer = 1024) ?max_conns
-    ?conn_sndbuf ~backend addr =
-  if queue_capacity < 1 then
-    invalid_arg "Server.start: queue_capacity must be >= 1";
+let start_backend ?telemetry ?store ?(digest_every = 64)
+    ?(resume_window = 1024) ?follower ?http ?(ready_lag = 64) ?slow_ms
+    ?slow_log ?(span_buffer = 1024) ?max_conns ?conn_sndbuf ~backend addr =
   (match max_conns with
   | Some m when m < 1 -> invalid_arg "Server.start: max_conns must be >= 1"
   | _ -> ());
-  if batch_limit < 1 then invalid_arg "Server.start: batch_limit must be >= 1";
   if digest_every < 1 then invalid_arg "Server.start: digest_every must be >= 1";
   if resume_window < 1 then
     invalid_arg "Server.start: resume_window must be >= 1";
@@ -1793,25 +1606,17 @@ let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
       tel = telemetry;
       listen_fd;
       bound;
-      queue = Queue.create ();
-      capacity = queue_capacity;
-      batch_limit;
       mu = Mutex.create ();
-      not_empty = Condition.create ();
       stopping = false;
-      stopped = false;
+      promotes = [];
       next_cid = 1;
       clients = [];
       served_count = 0;
       loop_thread = None;
-      admit_thread = None;
       ev = Evloop.create ();
       wake_r;
       wake_w;
       dirty = [];
-      read_paused = false;
-      loop_finish = false;
-      finish_deadline = 0.;
       max_conns;
       conn_sndbuf;
       role = (match follower with Some _ -> Follower | None -> Leader);
@@ -1838,15 +1643,14 @@ let start_backend ?telemetry ?store ?(queue_capacity = 256) ?(batch_limit = 64)
     }
   in
   t.loop_thread <- Some (Thread.create (fun () -> loop_run t) ());
-  t.admit_thread <- Some (Thread.create (fun () -> admit_loop t) ());
   t
 
-let start ?telemetry ?store ?queue_capacity ?batch_limit ?digest_every
-    ?resume_window ?follower ?http ?ready_lag ?slow_ms ?slow_log ?span_buffer
-    ?max_conns ?conn_sndbuf ~net addr =
-  start_backend ?telemetry ?store ?queue_capacity ?batch_limit ?digest_every
-    ?resume_window ?follower ?http ?ready_lag ?slow_ms ?slow_log ?span_buffer
-    ?max_conns ?conn_sndbuf ~backend:(P.Backend.Net net) addr
+let start ?telemetry ?store ?digest_every ?resume_window ?follower ?http
+    ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns ?conn_sndbuf ~net
+    addr =
+  start_backend ?telemetry ?store ?digest_every ?resume_window ?follower ?http
+    ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns ?conn_sndbuf
+    ~backend:(P.Backend.Net net) addr
 
 let address t = t.bound
 let http_address t = t.http_bound
@@ -1869,49 +1673,41 @@ let spans t =
     (fun sr -> (sr.sr_span, sr.sr_cid, sr.sr_start, sr.sr_total, sr.sr_stages))
     records
 
+(* Hand the switch to the loop and wait for its answer.  The wake is
+   written under the mutex while [stopping] is still false, so [stop]
+   cannot have closed the pipe yet; [stop] answers every waiter the
+   loop has not taken, and every later call. *)
 let promote t =
-  if t.stopped then Error "server is stopped"
+  let w = { result = None; pcond = Condition.create () } in
+  Mutex.lock t.mu;
+  if t.stopping then w.result <- Some (Error "server is stopped")
   else begin
-    let w = { result = None; pcond = Condition.create () } in
-    push_loop t (Do_promote w);
-    Mutex.lock t.mu;
-    while w.result = None do
-      Condition.wait w.pcond t.mu
-    done;
-    Mutex.unlock t.mu;
-    Option.get w.result
-  end
+    t.promotes <- w :: t.promotes;
+    wake t
+  end;
+  while w.result = None do
+    Condition.wait w.pcond t.mu
+  done;
+  Mutex.unlock t.mu;
+  Option.get w.result
 
 let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    Mutex.lock t.mu;
-    t.stopping <- true;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.mu;
-    (* the loop wakes through its pipe, sees [stopping], and stops
-       accepting and reading on its own; write sides stay open so every
-       request already admitted still gets its response — an answered
-       request is one the client will not retry against the next
-       leader *)
-    wake t;
-    Option.iter Thread.join t.admit_thread;
-    (* The admission thread is done, so every replica's stream is final:
-       end it with a Goodbye and let the loop close it once written. *)
-    let goodbye = frame_to_follower (P.Repl.Goodbye { reason = "shutdown" }) in
-    Mutex.lock t.mu;
-    let reps = t.replicas in
-    Mutex.unlock t.mu;
-    List.iter
-      (fun c ->
-        ignore (enqueue_out t c goodbye);
-        mark_want_close t c)
-      reps;
-    (* Tell the loop to flush what remains — responses and replica
-       tails alike — close its connections and exit, bounded by a grace
-       deadline so one unreadable peer cannot hold shutdown hostage. *)
-    t.finish_deadline <- Unix.gettimeofday () +. 5.0;
-    t.loop_finish <- true;
+  Mutex.lock t.mu;
+  let first = not t.stopping in
+  t.stopping <- true;
+  List.iter
+    (fun w ->
+      w.result <- Some (Error "server is stopped");
+      Condition.broadcast w.pcond)
+    t.promotes;
+  t.promotes <- [];
+  Mutex.unlock t.mu;
+  if first then begin
+    (* the loop wakes through its pipe, sees [stopping], stops accepting
+       and reading, ends every replica's stream, flushes what remains
+       and exits; write sides stay open so every request already read
+       still gets its response — an answered request is one the client
+       will not retry against the next leader *)
     wake t;
     Option.iter Thread.join t.loop_thread;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());

@@ -2,26 +2,32 @@
     behind a TCP or Unix-domain socket, optionally replicated to
     follower nodes.
 
-    Concurrency model — event loop in front, single-writer admission
-    behind (DESIGN.md §12): one loop thread owns every socket, in
-    either role — clients, scrapers, follower subscriptions on a
-    leader, and a follower's own link to its leader.  It
-    accepts, reads readiness-notified connections into per-connection
-    buffers ({!Framebuf}), decodes complete frames and enqueues
-    requests on a bounded queue; one admission thread drains the queue
-    in batches (up to [batch_limit] at a time) and is the only thread
-    that executes requests or touches the network and the WAL store.
-    Responses travel back through per-connection output queues the
-    loop flushes — consecutive responses coalesce into single writes,
-    which is what makes pipelined ({!Wdm_persist.Resp.request.Batch})
-    clients fast.  The network needs no locks, every client observes
-    its own requests in order, and when the queue is full the loop
-    stops reading sockets — TCP flow control propagates the
-    backpressure to the clients.  Connection count is bounded by
-    [max_conns] (accept-time gate), not by a thread per client: idle
-    connections cost one buffer each, no stack, so thousands can sit
-    idle ({!Evloop} uses [epoll] on Linux, [select] elsewhere).  A
-    server runs exactly these two threads, whatever its role.
+    Concurrency model — one thread (DESIGN.md §12): a single event-loop
+    thread owns every socket, in either role — clients, scrapers,
+    follower subscriptions on a leader, and a follower's own link to
+    its leader — and is the only thread that executes requests or
+    touches the network and the WAL store.  It accepts, reads
+    readiness-notified connections into per-connection buffers
+    ({!Framebuf}), and executes each request at the point where it
+    decodes the frame: execute, WAL append, replication fan-out, then
+    the response goes on the connection's output queue.  The loop
+    flushes the queued responses at the top of its next pass, so a
+    response never leaves before its WAL record (and any fsync the
+    policy asks for); consecutive responses coalesce into one writev,
+    which is what makes pipelined
+    ({!Wdm_persist.Resp.request.Batch}) clients fast.  The network
+    needs no locks and every client observes its own requests in
+    order.  A client that writes faster than the server executes is
+    held back by TCP flow control: the loop reads a bounded number of
+    chunks per readiness event and executes them before reading more.
+    Connection count is bounded by [max_conns] (accept-time gate), not
+    by a thread per client: idle connections cost one buffer each, no
+    stack, so thousands can sit idle ({!Evloop} uses [epoll] on Linux,
+    [select] elsewhere).  The loop also waits out every WAL fsync and
+    snapshot, so under [Wal.Fsync_every 1] an observability scrape
+    waits behind them too.  Other threads enter only through {!stop},
+    {!promote} and the span ring ({!spans}), under one mutex plus a
+    wake pipe.
 
     With [store], every state-changing request is also appended to the
     WAL after it executes (a refused connect is still recorded — WAL
@@ -38,13 +44,13 @@
     position is still inside the in-memory ring) and then ships every
     committed op, interleaving state digests every [digest_every] ops;
     the follower acknowledges each digest.  A follower connection is
-    an ordinary loop connection: admission queues the stream's frames
-    on its output queue and the loop writes them with the same writev
-    path as responses, so the queue is the follower's outbox.  A
-    follower with more than [resume_window] frames queued unwritten is
-    {e evicted} (closed), never allowed to stall admission.  A node
-    started with [follower] has its loop dial the leader without
-    blocking, applies the stream through the same admission queue (the
+    an ordinary loop connection: each committed op's frame goes on its
+    output queue and the loop writes them with the same writev path as
+    responses, so the queue is the follower's outbox.  A follower with
+    more than [resume_window] frames queued unwritten is {e evicted}
+    (closed), never allowed to stall the leader.  A node started with
+    [follower] has its loop dial the leader without blocking, applies
+    each message of the stream as its loop decodes it (the
     single-writer invariant holds on both roles), persists to its own
     WAL when [follower.wal] is set, serves read-only requests, refuses
     mutations with [Not_leader], and redials with capped exponential
@@ -55,11 +61,10 @@
     With [telemetry], the server feeds [server_requests_total] (plus a
     per-client [server_client_requests_total{client="N"}] family),
     [server_responses_total], [server_malformed_total],
-    [server_clients_total], [server_accept_errors_total],
-    [server_clients_active] / [server_queue_depth] gauges,
-    [server_batches_total], and [server_batch_size] /
-    [server_request_latency_seconds] histograms (latency is enqueue to
-    response written, so it includes queueing delay).  Replication
+    [server_clients_total], [server_accept_errors_total], the
+    [server_clients_active] gauge, and the
+    [server_request_latency_seconds] histogram (from a request's decode
+    to its response being queued on the connection).  Replication
     adds, leader-side, [repl_followers] / [repl_lag_ops] /
     [repl_lag_bytes] gauges and [repl_snapshots_sent_total],
     [repl_resumes_total], [repl_ops_sent_total],
@@ -72,8 +77,9 @@
     network was created with.
 
     {b Observability} (DESIGN.md §11): with [telemetry], every served
-    request is also timed per stage — frame decode, admission-queue
-    wait, execute, WAL append, replication ship, response write — into
+    request is also timed per stage — frame decode, the wait between
+    decode and execution, execute, WAL append, replication ship,
+    response encode and queueing — into
     [server_stage_<stage>_seconds] histograms and a bounded in-memory
     span ring ([span_buffer] records, exported as Chrome trace events
     through {!spans} / the [/spans] endpoint, and mirrored to the
@@ -110,8 +116,6 @@ type t
 val start :
   ?telemetry:Wdm_telemetry.Sink.t ->
   ?store:Wdm_persist.Store.t ->
-  ?queue_capacity:int ->
-  ?batch_limit:int ->
   ?digest_every:int ->
   ?resume_window:int ->
   ?follower:follower_config ->
@@ -127,11 +131,8 @@ val start :
   t
 (** {!start_backend} specialized to the multistage fabric.
 
-    Binds, listens and spawns the event-loop and admission threads
-    (with [follower], the loop also dials the leader).
-    [queue_capacity] (default 256) bounds the admission queue;
-    [batch_limit] (default 64) caps how many requests one drain takes.
-    [max_conns] caps concurrently open request-plane connections: past
+    Binds, listens and spawns the event-loop thread (with [follower],
+    the loop also dials the leader).  [max_conns] caps concurrently open request-plane connections: past
     it, accepted fds are closed immediately (counted in
     [server_accept_errors_total]); the observability plane is exempt
     so health stays scrapable at the cap.  [conn_sndbuf] sets
@@ -160,8 +161,6 @@ val start :
 val start_backend :
   ?telemetry:Wdm_telemetry.Sink.t ->
   ?store:Wdm_persist.Store.t ->
-  ?queue_capacity:int ->
-  ?batch_limit:int ->
   ?digest_every:int ->
   ?resume_window:int ->
   ?follower:follower_config ->
@@ -213,19 +212,21 @@ val promote : t -> (int, string) result
 (** Make this follower the leader: cut the replication link, adopt a
     fresh epoch, start accepting mutations and follower subscriptions
     from the newest consistent state.  Returns {!applied} at the
-    moment of promotion.  [Error] when already the leader or stopped.
-    Blocks until the admission thread performs the switch, so on
-    return every subsequent request sees the new role. *)
+    moment of promotion.  [Error] when already the leader, or
+    ["server is stopped"] when {!stop} has begun — also for a call
+    that was waiting when it began.  Blocks until the loop performs
+    the switch, so on return every subsequent request sees the new
+    role.  Safe to call from any thread, concurrently with {!stop}. *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting and reading connections
-    (requests already admitted are still answered — an answered
-    request is one a retrying client will not replay against the next
-    leader), drain the queue, end each follower's stream with a
-    [Goodbye], flush every connection's output within a 5 s grace
-    period, and join both threads.  After [stop] returns no thread
-    touches the network or the store, so the caller can checkpoint and
-    close them safely.  Idempotent. *)
+    (requests already read are still answered — an answered request is
+    one a retrying client will not replay against the next leader),
+    answer any waiting {!promote} with an [Error], end each follower's
+    stream with a [Goodbye], flush every connection's output within a
+    5 s grace period, and join the loop thread.  After [stop] returns
+    no thread touches the network or the store, so the caller can
+    checkpoint and close them safely.  Idempotent. *)
 
 val served : t -> int
 (** Requests answered so far (monotone; stable after {!stop}).  A
@@ -246,7 +247,8 @@ val spans :
     stages)] per request, where [stages] are [(name, seconds)] slices
     in [decode; queue; execute; wal; replicate; respond] order.  Spans
     are recorded only when the server has [telemetry].  Taken under
-    the server mutex — cheap, but a snapshot, not a live view. *)
+    the server mutex, so any thread may call it — cheap, but a
+    snapshot, not a live view. *)
 
 val spans_chrome : t -> string
 (** The span ring as Chrome [trace_event] JSON (what [/spans] serves):

@@ -1,6 +1,7 @@
 (* Decoder fuzz: every wire decoder the event loop runs on untrusted
-   bytes — the replication codec on both roles, responses, ops, and the
-   incremental frame reader — fed random strings, truncations and
+   bytes — the replication codec on both roles, responses, ops, the
+   incremental frame reader, and the state restore a follower runs on a
+   leader's snapshot — fed random strings, truncations and
    single-byte mutations of valid encodings.  Each must answer with its
    typed Ok/Error (Frame/Need/Bad), never an exception, because an
    exception there would escape into the one thread that serves every
@@ -93,6 +94,43 @@ let request_corpus =
     P.Resp.[ Get_digest; Get_stats; Promote ] @ List.map (fun op -> P.Resp.Admit op) ops
   in
   List.map (encoded P.Resp.encode_request) (P.Resp.Batch reqs :: reqs)
+
+(* Real states of both engines: a multistage fabric on each link path
+   (routes, a teardown, a fault; the second under a plug-in strategy,
+   which takes the string-carrying tag) and a mesh with a splitter map
+   and live routes. *)
+let state_corpus =
+  let fabric ?(strategy = Network.Min_intersection) impl =
+    let n =
+      Network.create
+        ~config:{ Network.Config.default with strategy; link_impl = Some impl }
+        ~construction:Network.Msw_dominant ~output_model:Model.MSW
+        (Topology.make_exn ~n:3 ~m:4 ~r:3 ~k:2)
+    in
+    List.iter
+      (fun c -> ignore (Network.connect n c))
+      [ conn (ep 1 1) [ ep 4 1; ep 7 2 ]; conn (ep 2 2) [ ep 5 2 ];
+        conn (ep 3 1) [ ep 9 1 ] ];
+    ignore (Network.disconnect n 2);
+    ignore (Network.inject_fault n (Fault.Middle 3));
+    P.Backend.encode_state (P.Backend.Net n)
+  in
+  let mesh =
+    let config =
+      { Wdm_mesh.Mesh_network.Config.default with
+        Wdm_mesh.Mesh_network.Config.k = 3;
+        splitters = Wdm_mesh.Mesh_network.Split_nodes [ 2; 5 ] }
+    in
+    let m = Result.get_ok (Wdm_mesh.Mesh_network.create ~config "janet") in
+    List.iter
+      (fun c -> ignore (Wdm_mesh.Mesh_network.connect m c))
+      [ conn (ep 1 1) [ ep 4 1; ep 6 1 ]; conn (ep 2 1) [ ep 7 1 ];
+        conn (ep 3 1) [ ep 5 1; ep 1 1 ] ];
+    P.Backend.encode_state (P.Backend.Mesh m)
+  in
+  [ fabric Network.Bitset;
+    fabric ~strategy:(Network.Named "adaptive") Network.Reference;
+    mesh ]
 
 (* --- generators ------------------------------------------------------------- *)
 
@@ -201,6 +239,8 @@ let () =
             never_raises "Resp.decode_string" resp_corpus P.Resp.decode_string;
             never_raises "Op.decode_string" op_corpus P.Op.decode_string;
             decode_request_raises_only_decode_error;
+            never_raises "Backend.restore" state_corpus (fun s ->
+                P.Backend.restore s);
             framebuf_never_raises;
           ] );
     ]

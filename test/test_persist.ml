@@ -331,6 +331,51 @@ let test_restore_refuses_overlapping_copy impl () =
            List.map (fun h -> { h with Network.stage1_wl = 3 }) r.Network.hops;
        })
 
+(* A state's topology header (u32 n, m, r, k at offsets 0, 4, 8, 12)
+   may name a fabric far larger than any the program builds.  Restoring
+   one allocates r·m matrices, so the decoder refuses anything above
+   [Backend.max_link_slots] r·m·k slots before allocating — just over
+   the cap, the m = r = 100000 state that once exhausted memory, and
+   u32 maxima whose product would overflow. *)
+let test_restore_refuses_oversized_topology () =
+  let net = make_net ~impl:Network.Bitset () in
+  populate net;
+  let valid = P.Store.encode_state (Network.snapshot net) in
+  let with_dims ~m ~r ~k =
+    let b = Bytes.of_string valid in
+    Bytes.set_int32_le b 4 (Int32.of_int m);
+    Bytes.set_int32_le b 8 (Int32.of_int r);
+    Bytes.set_int32_le b 12 (Int32.of_int k);
+    Bytes.to_string b
+  in
+  let cap = P.Backend.max_link_slots in
+  let refused_by_cap label state =
+    match P.Backend.restore state with
+    | Error e ->
+      Alcotest.(check bool)
+        (label ^ ": refused for its size") true
+        (let needle = "link-state slots" in
+         let rec go i =
+           i + String.length needle <= String.length e
+           && (String.sub e i (String.length needle) = needle || go (i + 1))
+         in
+         go 0)
+    | Ok _ -> Alcotest.failf "%s: restored" label
+    | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  (* the base fabric is r = 3, k = 2 *)
+  let m = (cap / 6) + 1 in
+  Alcotest.(check bool) "one middle more is over the cap" true (3 * m * 2 > cap);
+  refused_by_cap "just over the cap" (with_dims ~m ~r:3 ~k:2);
+  refused_by_cap "m = r = 100000" (with_dims ~m:100_000 ~r:100_000 ~k:2);
+  refused_by_cap "u32 maxima"
+    (with_dims ~m:0xffff_ffff ~r:0xffff_ffff ~k:0xffff_ffff);
+  refused_by_cap "k alone" (with_dims ~m:8 ~r:3 ~k:(cap + 1));
+  (* the untouched encoding still restores *)
+  match P.Backend.restore valid with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
 (* The digest sees every field the state codec writes: editing any one
    of them in a valid state, and restoring, changes it. *)
 let test_digest_sensitivity () =
@@ -585,6 +630,8 @@ let () =
             (test_restore_refuses_overlapping_copy Network.Bitset);
           Alcotest.test_case "refuses an overlapping copy (reference)" `Quick
             (test_restore_refuses_overlapping_copy Network.Reference);
+          Alcotest.test_case "refuses an oversized topology" `Quick
+            test_restore_refuses_oversized_topology;
           Alcotest.test_case "state codec roundtrip" `Quick
             test_state_codec_roundtrip;
           Alcotest.test_case "digest sensitivity" `Quick test_digest_sensitivity;

@@ -347,9 +347,10 @@ let threads_now () =
   in
   settle (count ())
 
-(* Both ends of replication run on the servers' event loops: attaching a
-   follower to a running leader adds exactly the follower's own loop and
-   admission threads, and stopping the follower returns them. *)
+(* Both ends of replication run on the servers' event loops, and a
+   server runs one thread: attaching a follower to a running leader adds
+   exactly the follower's loop thread, and stopping the follower
+   returns it. *)
 let test_follower_thread_budget () =
   let leader_sink = Tel.Sink.create () in
   let leader =
@@ -377,15 +378,57 @@ let test_follower_thread_budget () =
          Srv.Server.applied follower >= Srv.Server.applied leader
          && counter_of leader_sink "repl_digest_checks_total" >= 1));
   (match (before, threads_now ()) with
-  | Some b, Some a -> Alcotest.(check int) "loop + admission, nothing else" (b + 2) a
+  | Some b, Some a -> Alcotest.(check int) "the loop, nothing else" (b + 1) a
   | _ -> ());
   Srv.Server.stop follower;
   stopped := true;
   match before with
   | Some b ->
-    Alcotest.(check bool) "stop returns both threads" true
+    Alcotest.(check bool) "stop returns the thread" true
       (wait_for (fun () -> threads_now () = Some b))
   | None -> ()
+
+(* --- promote racing stop ------------------------------------------------------- *)
+
+(* [promote] and [stop] entered from two threads at once: both must
+   return, and the promote answers either with the promotion or with
+   "server is stopped" — never waits on a loop that has already
+   exited.  The start order and a small head start alternate across
+   rounds so both interleavings get hit. *)
+let test_promote_races_stop () =
+  let leader = Srv.Server.start ~net:(make_net Network.Bitset) (sock ()) in
+  Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
+  for round = 1 to 100 do
+    let follower =
+      Srv.Server.start
+        ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
+        ~net:(make_net Network.Bitset) (sock ())
+    in
+    let promoted = Atomic.make None and stopped = Atomic.make false in
+    let head_start = float_of_int (round mod 4) *. 0.0002 in
+    let promote () =
+      if round mod 2 = 1 then Thread.delay head_start;
+      Atomic.set promoted (Some (Srv.Server.promote follower))
+    and stop () =
+      if round mod 2 = 0 then Thread.delay head_start;
+      Srv.Server.stop follower;
+      Atomic.set stopped true
+    in
+    let threads =
+      if round mod 2 = 0 then [ Thread.create promote (); Thread.create stop () ]
+      else [ Thread.create stop (); Thread.create promote () ]
+    in
+    if
+      not
+        (wait_for ~timeout:5.0 (fun () ->
+             Atomic.get promoted <> None && Atomic.get stopped))
+    then Alcotest.failf "round %d: promote or stop still blocked after 5 s" round;
+    List.iter Thread.join threads;
+    match Atomic.get promoted with
+    | Some (Ok _) | Some (Error "server is stopped") -> ()
+    | Some (Error e) -> Alcotest.failf "round %d: promote answered %S" round e
+    | None -> assert false
+  done
 
 (* --- garbage on the replication link ---------------------------------------- *)
 
@@ -858,8 +901,10 @@ let () =
             test_slow_follower_eviction;
           Alcotest.test_case "follower wal resume" `Quick
             test_follower_wal_resume;
-          Alcotest.test_case "attaching a follower adds two threads" `Quick
+          Alcotest.test_case "attaching a follower adds one thread" `Quick
             test_follower_thread_budget;
+          Alcotest.test_case "promote racing stop returns" `Quick
+            test_promote_races_stop;
           Alcotest.test_case "replica garbage closes only that link" `Quick
             test_replica_garbage_closes_only_that_link;
           Alcotest.test_case "follower drops a garbage link" `Quick

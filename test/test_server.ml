@@ -707,6 +707,54 @@ let test_served_session_recovers () =
     (Sys.readdir dir);
   Unix.rmdir dir
 
+(* The durability rule: under [Fsync_every 1] no response leaves before
+   its WAL record is fsynced.  Seen from the client, when the answer to
+   its i-th committed op arrives, the store has fsynced at least i
+   times.  Checked on the untimed and the traced request path. *)
+let test_response_never_overtakes_fsync ~traced () =
+  let dir = Filename.temp_file "wdmnet_serve_wal" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let wal = Filename.concat dir "serve.wal" in
+  let sink = Tel.Sink.create () in
+  let fsyncs =
+    Tel.Metrics.histogram sink.Tel.Sink.metrics "persist_fsync_latency_seconds"
+  in
+  let net = make_net Network.Bitset in
+  let store =
+    P.Store.start ~telemetry:sink ~policy:(P.Wal.Fsync_every 1) ~wal net
+  in
+  let committed = ref 0 and overtaken = ref 0 in
+  (* churn connects are all committed (admitted or refused), and churn
+     only tears down routes it holds *)
+  let answered () =
+    incr committed;
+    if Tel.Histogram.count fsyncs < !committed then incr overtaken
+  in
+  let telemetry = if traced then Some (Tel.Sink.create ()) else None in
+  with_server ?telemetry ~store net (fun srv ->
+      with_client srv (fun c ->
+          let base = Srv.Client.churn_sut c in
+          ignore
+            (run_churn ~sink:(Tel.Sink.create ())
+               {
+                 Churn.connect =
+                   (fun conn ->
+                     let r = base.Churn.connect conn in
+                     answered ();
+                     r);
+                 disconnect =
+                   (fun id ->
+                     base.Churn.disconnect id;
+                     answered ());
+               })));
+  Alcotest.(check int) "responses that overtook their fsync" 0 !overtaken;
+  Alcotest.(check int) "every answered op was logged" !committed
+    (P.Store.wal_records store);
+  P.Store.close store;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 (* A request that fails to execute (refused disconnect, out-of-range
    fault index) is answered but must never reach the WAL: replaying it
    fails, and [Store.recover] reads a failing replay as corruption —
@@ -798,9 +846,7 @@ let test_server_instruments () =
                && (String.sub js i (String.length needle) = needle || go (i + 1))
              in
              go 0)));
-  (* [served] is only specified stable after [stop]: reading it inside
-     the session races the admission thread, which increments the
-     count just after writing the response the client already saw *)
+  (* [served] is specified stable after [stop] *)
   Alcotest.(check int) "served" 6 (Srv.Server.served srv);
   let snap = Tel.Sink.snapshot sink in
   let counter name =
@@ -1029,7 +1075,7 @@ let test_http_plane () =
              (P.Resp.Admit
                 (P.Op.Connect (conn (ep i 1) [ ep ((i mod 9) + 1) 1 ]))))
       done);
-  (* let the admission thread finish post-response bookkeeping *)
+  (* wait until the server has counted all five requests *)
   let deadline = Unix.gettimeofday () +. 5. in
   while Srv.Server.served srv < 5 && Unix.gettimeofday () < deadline do
     Thread.delay 0.002
@@ -1217,6 +1263,10 @@ let () =
           Alcotest.test_case "pipelined churn" `Quick test_pipelined_equivalence;
           Alcotest.test_case "served session recovers" `Quick
             test_served_session_recovers;
+          Alcotest.test_case "no response overtakes its fsync" `Quick
+            (test_response_never_overtakes_fsync ~traced:false);
+          Alcotest.test_case "no response overtakes its fsync (traced)" `Quick
+            (test_response_never_overtakes_fsync ~traced:true);
           Alcotest.test_case "failed ops not WAL-logged" `Quick
             test_failed_ops_do_not_poison_wal;
         ] );
