@@ -496,8 +496,8 @@ module Protocol = Wdm_server.Protocol
 
 (* A recorded network workload: the churn driver runs once against a
    scratch network (so every request is admissible and the teardown ids
-   are real), and the op sequence is then replayed directly against
-   each link-state implementation with nothing but Network.connect /
+   are real), and the op sequence is then replayed directly against a
+   fresh network with nothing but Network.connect /
    Network.disconnect inside the timed loop.  That isolates the routing
    engine from the generator, which otherwise dominates at N=1024.
    The ops are Wdm_persist.Op values — the same vocabulary the WAL
@@ -531,21 +531,18 @@ let record_trace ~topo ~steps ~seed =
        ~steps ~teardown_bias:0.35 sut);
   Array.of_list (List.rev !ops)
 
-(* Replay, timing only the network calls; the running checksum over the
-   chosen hops (Op.route_checksum) is the byte-identical-routes check
-   between the two implementations (cheap, and paid equally by both
-   sides).  Each replay carries its own metrics sink, as instrumented
-   production runs do: gauge maintenance is part of the per-op cost
-   under comparison (O(1) on the packed path vs the pre-change full
-   recomputation on the reference path). *)
-let replay ~topo ~impl ops =
+(* Replay, timing only the network calls, with a running checksum over
+   the chosen hops (Op.route_checksum; test_routing_equiv pins its value
+   for the quick trace).  The replay carries its own metrics sink, as
+   instrumented production runs do: gauge maintenance is part of the
+   per-op cost. *)
+let replay ~topo ops =
   let net =
     Network.create
       ~config:
         {
           Network.Config.default with
           telemetry = Some (Wdm_telemetry.Sink.create ());
-          link_impl = Some impl;
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
@@ -564,10 +561,6 @@ let replay ~topo ~impl ops =
     ops;
   let dt = Unix.gettimeofday () -. t0 in
   (dt, !accepted, !checksum)
-
-let impl_name = function
-  | Network.Bitset -> "bitset"
-  | Network.Reference -> "reference"
 
 (* Rearrangement latency: churn an undersized switch until a request
    blocks, snapshot the fabric at that instant, then repeatedly time
@@ -639,27 +632,14 @@ let routing_throughput ~quick () =
   Printf.printf "trace: %d network ops (%d connects, %d disconnects)\n\n"
     (Array.length ops) connects
     (Array.length ops - connects);
-  let run impl =
-    let dt, accepted, checksum = replay ~topo ~impl ops in
-    let cps = float_of_int connects /. dt in
-    Printf.printf "%-9s: %6.3f s  %8.0f connects/s  %8.0f ops/s (%d accepted)\n"
-      (impl_name impl) dt cps
-      (float_of_int (Array.length ops) /. dt)
-      accepted;
-    (impl, dt, accepted, checksum, cps)
-  in
-  let results = [ run Network.Bitset; run Network.Reference ] in
-  let find impl =
-    List.find (fun (i, _, _, _, _) -> i = impl) results
-  in
-  let _, dt_bit, acc_bit, ck_bit, _ = find Network.Bitset in
-  let _, dt_ref, acc_ref, ck_ref, _ = find Network.Reference in
-  let identical = acc_bit = acc_ref && ck_bit = ck_ref in
-  let speedup = dt_ref /. dt_bit in
-  Printf.printf "\nspeedup (reference / bitset): %.2fx; identical routes: %b\n\n"
-    speedup identical;
-  if not identical then
-    failwith "routing_throughput: implementations chose different routes";
+  let dt, accepted, checksum = replay ~topo ops in
+  let cps = float_of_int connects /. dt in
+  Printf.printf
+    "replay: %6.3f s  %8.0f connects/s  %8.0f ops/s (%d accepted, route \
+     checksum %d)\n\n"
+    dt cps
+    (float_of_int (Array.length ops) /. dt)
+    accepted checksum;
   section "Rearrangement latency (undersized switch, blocked-probe snapshot)";
   let rows =
     rearrangement_latency
@@ -695,20 +675,10 @@ let routing_throughput ~quick () =
               ("connect_ops", J.Int connects);
               ("total_ops", J.Int (Array.length ops));
             ] );
-        ( "impls",
-          J.List
-            (List.map
-               (fun (impl, dt, accepted, _, cps) ->
-                 J.Obj
-                   [
-                     ("impl", J.String (impl_name impl));
-                     ("elapsed_s", J.Float dt);
-                     ("accepted", J.Int accepted);
-                     ("connects_per_s", J.Float cps);
-                   ])
-               results) );
-        ("routes_identical", J.Bool identical);
-        ("speedup", J.Float speedup);
+        ("elapsed_s", J.Float dt);
+        ("connects_per_s", J.Float cps);
+        ("accepted", J.Int accepted);
+        ("route_checksum", J.Int checksum);
         ( "rearrangement",
           J.List
             (List.map
@@ -725,13 +695,13 @@ let routing_throughput ~quick () =
                    ])
                rows) );
       ] ),
-    (topo, ops, dt_bit) )
+    (topo, ops, dt) )
 
 (* ----------------------------------------------------------------- *)
 (* Persistence: WAL overhead, snapshot/restore throughput             *)
 (* ----------------------------------------------------------------- *)
 
-(* Replays the recorded trace once more (bitset) while logging every op
+(* Replays the recorded trace once more while logging every op
    to a live Store session — the difference against the no-persist
    replay is the WAL's per-op tax.  The final state then prices the
    snapshot path (encode + write, decode + restore) and a full
@@ -755,7 +725,6 @@ let persistence_bench ~topo ~ops ~dt_baseline =
         {
           Network.Config.default with
           telemetry = Some (Wdm_telemetry.Sink.create ());
-          link_impl = Some Network.Bitset;
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
@@ -907,7 +876,6 @@ let serving_bench ~topo ~ops ~dt_baseline =
         {
           Network.Config.default with
           telemetry = Some (Wdm_telemetry.Sink.create ());
-          link_impl = Some Network.Bitset;
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
@@ -1032,7 +1000,6 @@ let replication_bench ~topo ~ops =
         {
           Network.Config.default with
           telemetry = Some (Wdm_telemetry.Sink.create ());
-          link_impl = Some Network.Bitset;
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
@@ -1150,7 +1117,6 @@ let stage_latency_bench ~topo ~ops =
         {
           Network.Config.default with
           telemetry = Some (Tel.Sink.create ());
-          link_impl = Some Network.Bitset;
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
@@ -1617,19 +1583,11 @@ let validate_results path =
     | Some _ -> Ok ()
     | None -> fail "%s.iterations is not an int" ctx
   in
-  let check_impl i j =
-    let ctx = Printf.sprintf "routing_throughput.impls[%d]" i in
-    let* impl = require (ctx ^ ".impl") (J.member "impl" j) in
-    let* _ =
-      match J.to_string_opt impl with
-      | Some ("bitset" | "reference") -> Ok ()
-      | Some other -> fail "%s.impl: unknown implementation %S" ctx other
-      | None -> fail "%s.impl is not a string" ctx
-    in
-    let* elapsed = require (ctx ^ ".elapsed_s") (J.member "elapsed_s" j) in
-    let* () = number (ctx ^ ".elapsed_s") elapsed in
-    let* cps = require (ctx ^ ".connects_per_s") (J.member "connects_per_s" j) in
-    number (ctx ^ ".connects_per_s") cps
+  let positive what j =
+    match J.to_float_opt j with
+    | Some v when v > 0. -> Ok ()
+    | Some v -> fail "%s %g is not positive" what v
+    | None -> fail "%s is not a number" what
   in
   let result =
     let* doc =
@@ -1649,40 +1607,42 @@ let validate_results path =
     in
     let* rt = require "routing_throughput" (J.member "routing_throughput" doc) in
     let* params = require "routing_throughput.params" (J.member "params" rt) in
+    let param key = Option.bind (J.member key params) J.to_int in
     let* () =
       List.fold_left
         (fun acc key ->
           Result.bind acc (fun () ->
-              match Option.bind (J.member key params) J.to_int with
+              match param key with
               | Some _ -> Ok ()
               | None -> fail "routing_throughput.params.%s missing" key))
         (Ok ())
         [ "big_n"; "n"; "r"; "k"; "m"; "connect_ops"; "total_ops" ]
     in
-    let* impls = require "routing_throughput.impls" (J.member "impls" rt) in
-    let* impls = require "impls as a list" (J.to_list impls) in
-    let* () =
-      if List.length impls >= 2 then Ok ()
-      else fail "routing_throughput.impls must cover both implementations"
-    in
     let* () =
       List.fold_left
-        (fun acc (i, j) -> Result.bind acc (fun () -> check_impl i j))
+        (fun acc key ->
+          Result.bind acc (fun () ->
+              let what = "routing_throughput." ^ key in
+              let* j = require what (J.member key rt) in
+              positive what j))
         (Ok ())
-        (List.mapi (fun i j -> (i, j)) impls)
-    in
-    let* identical =
-      require "routing_throughput.routes_identical"
-        (J.member "routes_identical" rt)
+        [ "elapsed_s"; "connects_per_s" ]
     in
     let* () =
-      match identical with
-      | J.Bool true -> Ok ()
-      | J.Bool false -> fail "routes_identical is false: implementations diverged"
-      | _ -> fail "routes_identical is not a bool"
+      match
+        ( Option.bind (J.member "accepted" rt) J.to_int,
+          param "connect_ops" )
+      with
+      | Some a, Some c when a >= 0 && a <= c -> Ok ()
+      | Some a, Some c ->
+        fail "routing_throughput.accepted %d is outside 0..connect_ops %d" a c
+      | _ -> fail "routing_throughput.accepted is not an int"
     in
-    let* speedup = require "routing_throughput.speedup" (J.member "speedup" rt) in
-    let* () = number "routing_throughput.speedup" speedup in
+    let* () =
+      match Option.bind (J.member "route_checksum" rt) J.to_int with
+      | Some _ -> Ok ()
+      | None -> fail "routing_throughput.route_checksum is not an int"
+    in
     let* rearr =
       require "routing_throughput.rearrangement" (J.member "rearrangement" rt)
     in
@@ -2018,12 +1978,10 @@ let validate_results path =
       if List.length names >= 5 then Ok ()
       else fail "mesh_connect must time at least 5 strategies"
     in
-    Ok (List.length benches, List.length impls)
+    Ok (List.length benches)
   in
   match result with
-  | Ok (nb, ni) ->
-    Printf.printf "%s: schema ok (%d micro-benchmarks, %d routing impls)\n" path
-      nb ni
+  | Ok nb -> Printf.printf "%s: schema ok (%d micro-benchmarks)\n" path nb
   | Error e ->
     Printf.eprintf "%s: schema violation: %s\n" path e;
     exit 1
@@ -2048,9 +2006,9 @@ let full () =
   frontier ();
   exact_frontier ();
   blocking_vs_load ();
-  let rt, (topo, ops, dt_bit) = routing_throughput ~quick:false () in
-  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt_bit in
-  let serving = serving_bench ~topo ~ops ~dt_baseline:dt_bit in
+  let rt, (topo, ops, dt) = routing_throughput ~quick:false () in
+  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt in
+  let serving = serving_bench ~topo ~ops ~dt_baseline:dt in
   let stages = stage_latency_bench ~topo ~ops in
   let repl = replication_bench ~topo ~ops in
   let micro = micro_benchmarks ~quick:false () in
@@ -2064,9 +2022,9 @@ let full () =
    the CI profile: fast enough for every push, still ends with a
    BENCH_results.json that --validate can gate on. *)
 let quick () =
-  let rt, (topo, ops, dt_bit) = routing_throughput ~quick:true () in
-  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt_bit in
-  let serving = serving_bench ~topo ~ops ~dt_baseline:dt_bit in
+  let rt, (topo, ops, dt) = routing_throughput ~quick:true () in
+  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt in
+  let serving = serving_bench ~topo ~ops ~dt_baseline:dt in
   let stages = stage_latency_bench ~topo ~ops in
   let repl = replication_bench ~topo ~ops in
   let micro = micro_benchmarks ~quick:true () in

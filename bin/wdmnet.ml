@@ -1080,7 +1080,8 @@ let serve_cmd =
       | Some _ -> None
       | None ->
         Option.map
-          (fun wal -> Persist.Store.start_backend ?policy ~wal backend)
+          (fun wal ->
+            Persist.Store.start_backend ~telemetry:sink ?policy ~wal backend)
           wal
     in
     let srv =

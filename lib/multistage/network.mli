@@ -3,6 +3,10 @@
 
     A network instance tracks, per fiber link of Fig. 8, which of its
     [k] wavelengths are in use, plus the busy input/output endpoints.
+    Each link's wavelength plane is a packed bitset of [ceil(k/62)] ints
+    (one int whenever [k <= 62]), so first-free and coverage probes are
+    mask operations; the first free wavelength is always the lowest one
+    across all the link's words.
     {!connect} admits one multicast connection using at most [x_limit]
     middle modules (the paper's routing strategy behind Theorems 1-2)
     and {!disconnect} releases it — the dynamic, any-sequence setting in
@@ -25,19 +29,6 @@
 open Wdm_core
 
 type construction = Msw_dominant | Maw_dominant
-
-type link_impl =
-  | Bitset
-      (** Pack each link's [k]-wavelength plane into one int bitmask
-          (bit [w-1] = wavelength [w]), so first-free / coverage probes
-          are single mask operations.  Requires [k <= 62].  Default
-          whenever it fits. *)
-  | Reference
-      (** The original bool-array planes and list-based selection.
-          Doubles as the fallback for [k > 62] and as the executable
-          specification: for any seeded workload both implementations
-          choose byte-identical routes (the equivalence property tests
-          pin this down). *)
 
 type strategy =
   | Min_intersection
@@ -99,7 +90,7 @@ type disconnect_error = Unknown_route of int | Already_released of int
 type t
 
 (** Construction-time options gathered into one value, so call sites
-    name only what they override and new knobs do not ripple a sixth
+    name only what they override and a new knob does not ripple another
     optional argument through every signature that wraps {!create}. *)
 module Config : sig
   type t = {
@@ -107,9 +98,6 @@ module Config : sig
     x_limit : int option;
         (** [None]: the optimal [x] of the construction's nonblocking
             condition (Theorem 1 or 2) for the topology. *)
-    link_impl : link_impl option;
-        (** [None]: {!Bitset} when [k <= 62], {!Reference} otherwise.
-            Route choice is identical either way. *)
     rearrange_limit : int;
         (** Cap on how many existing connections
             {!connect_rearrangeable} will try to move aside for one
@@ -119,8 +107,8 @@ module Config : sig
   }
 
   val default : t
-  (** [Min_intersection], optimal [x_limit], auto [link_impl],
-      [rearrange_limit = 64], no telemetry. *)
+  (** [Min_intersection], optimal [x_limit], [rearrange_limit = 64],
+      no telemetry. *)
 end
 
 val create :
@@ -132,8 +120,9 @@ val create :
 (** [create ?config ~construction ~output_model topo] builds an empty
     network; [config] defaults to {!Config.default}, and overrides read
     as [{ Config.default with x_limit = Some 2 }].
-    @raise Invalid_argument for [Bitset] with [k > 62], or a
-    non-positive [x_limit] / [rearrange_limit].
+    @raise Invalid_argument for a non-positive [x_limit] or
+    [rearrange_limit], or a [Named] strategy the registry does not
+    resolve.
 
     When [config.telemetry] is set, the network is instrumented:
     {!connect}, {!connect_rearrangeable} and {!disconnect} feed
@@ -238,7 +227,6 @@ val construction : t -> construction
 val output_model : t -> Model.t
 val x_limit : t -> int
 val strategy : t -> strategy
-val link_impl : t -> link_impl
 
 val connect : t -> Connection.t -> (route, error) result
 
@@ -316,7 +304,6 @@ type snapshot = {
   s_output_model : Model.t;
   s_x_limit : int;
   s_strategy : strategy;
-  s_link_impl : link_impl;
   s_rearrange_limit : int;
   s_next_id : int;  (** route-id allocator; ids are never reused *)
   s_routes : route list;  (** ascending id *)
@@ -327,9 +314,9 @@ val snapshot : t -> snapshot
 
 val restore : ?telemetry:Wdm_telemetry.Sink.t -> snapshot -> t
 (** A network behaviorally indistinguishable from the one {!snapshot}
-    captured: both {!Bitset} and {!Reference} planes are rebuilt by
-    re-marking each route's hops, the fault views by re-applying the
-    fault set, so any operation sequence applied to the restored
+    captured: the link planes are rebuilt by re-marking each route's
+    hops, the fault views by re-applying the fault set, so any
+    operation sequence applied to the restored
     network chooses byte-identical routes (and ids) to the original
     continuing uninterrupted.  [telemetry] instruments the restored
     network exactly as {!create} would — counters start at the sink's
@@ -350,7 +337,10 @@ val digest : t -> int
     removed, and [digest] mixes that sum with the route count and every
     non-route field: topology, construction, model, [x_limit], the
     strategy by name (so [Named "first-fit"] and [First_fit] agree),
-    link impl, [rearrange_limit], [next_id] and the fault set. *)
+    [rearrange_limit], [next_id] and the fault set.  A constant 0 sits
+    where earlier releases mixed a link-implementation tag: 0 for their
+    bitset planes (the default whenever [k <= 62]), 1 for their
+    bool-array planes.  States of the first kind keep their digests. *)
 
 (** {1 Fault injection}
 

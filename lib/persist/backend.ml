@@ -61,7 +61,6 @@ let get_strategy r =
   | 3 -> Network.Named (get_string r)
   | t -> fail r (Printf.sprintf "unknown strategy tag %d" t)
 
-let link_impl_tag = function Network.Bitset -> 0 | Network.Reference -> 1
 let model_tag = function Model.MSW -> 0 | Model.MSDW -> 1 | Model.MAW -> 2
 
 let put_route b (route : Network.route) =
@@ -118,7 +117,9 @@ let encode_net_state (s : Network.snapshot) =
   Wire.put_u8 b (model_tag s.Network.s_output_model);
   Wire.put_u32 b s.Network.s_x_limit;
   put_strategy b s.Network.s_strategy;
-  Wire.put_u8 b (link_impl_tag s.Network.s_link_impl);
+  (* the link-state byte: earlier releases wrote 1 for their bool-array
+     Reference planes, which decode to the same network *)
+  Wire.put_u8 b 0;
   Wire.put_u32 b s.Network.s_rearrange_limit;
   Wire.put_int b s.Network.s_next_id;
   Wire.put_u32 b (List.length s.Network.s_routes);
@@ -166,12 +167,9 @@ let decode_net_state_reader r : Network.snapshot =
   in
   let s_x_limit = Wire.get_u32 r in
   let s_strategy = get_strategy r in
-  let s_link_impl =
-    match Wire.get_u8 r with
-    | 0 -> Network.Bitset
-    | 1 -> Network.Reference
-    | t -> fail r (Printf.sprintf "unknown link impl tag %d" t)
-  in
+  (match Wire.get_u8 r with
+  | 0 | 1 -> ()
+  | t -> fail r (Printf.sprintf "unknown link impl tag %d" t));
   let s_rearrange_limit = Wire.get_u32 r in
   let s_next_id = Wire.get_int r in
   let nroutes = Wire.get_u32 r in
@@ -187,7 +185,6 @@ let decode_net_state_reader r : Network.snapshot =
     s_output_model;
     s_x_limit;
     s_strategy;
-    s_link_impl;
     s_rearrange_limit;
     s_next_id;
     s_routes;

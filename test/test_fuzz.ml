@@ -95,17 +95,19 @@ let request_corpus =
   in
   List.map (encoded P.Resp.encode_request) (P.Resp.Batch reqs :: reqs)
 
-(* Real states of both engines: a multistage fabric on each link path
-   (routes, a teardown, a fault; the second under a plug-in strategy,
-   which takes the string-carrying tag) and a mesh with a splitter map
-   and live routes. *)
+(* Real states of both engines: a one-word (k = 2) and a two-word
+   (k = 96) multistage fabric (routes, a teardown, a fault; the second
+   under a plug-in strategy, which takes the string-carrying tag), a
+   legacy k = 96 state with link-state byte 1 as earlier releases wrote
+   for their bool-array planes, and a mesh with a splitter map and live
+   routes. *)
 let state_corpus =
-  let fabric ?(strategy = Network.Min_intersection) impl =
+  let fabric ?(strategy = Network.Min_intersection) ~k () =
     let n =
       Network.create
-        ~config:{ Network.Config.default with strategy; link_impl = Some impl }
+        ~config:{ Network.Config.default with strategy }
         ~construction:Network.Msw_dominant ~output_model:Model.MSW
-        (Topology.make_exn ~n:3 ~m:4 ~r:3 ~k:2)
+        (Topology.make_exn ~n:3 ~m:4 ~r:3 ~k)
     in
     List.iter
       (fun c -> ignore (Network.connect n c))
@@ -114,6 +116,13 @@ let state_corpus =
     ignore (Network.disconnect n 2);
     ignore (Network.inject_fault n (Fault.Middle 3));
     P.Backend.encode_state (P.Backend.Net n)
+  in
+  (* the link byte follows n, m, r, k, construction, model, x_limit and
+     a built-in strategy's tag *)
+  let legacy =
+    let b = Bytes.of_string (fabric ~k:96 ()) in
+    Bytes.set b 23 '\001';
+    Bytes.to_string b
   in
   let mesh =
     let config =
@@ -128,8 +137,9 @@ let state_corpus =
         conn (ep 3 1) [ ep 5 1; ep 1 1 ] ];
     P.Backend.encode_state (P.Backend.Mesh m)
   in
-  [ fabric Network.Bitset;
-    fabric ~strategy:(Network.Named "adaptive") Network.Reference;
+  [ fabric ~k:2 ();
+    fabric ~strategy:(Network.Named "adaptive") ~k:96 ();
+    legacy;
     mesh ]
 
 (* --- generators ------------------------------------------------------------- *)

@@ -227,11 +227,36 @@ let prop_op_roundtrip =
 
 (* --- network snapshot / restore ------------------------------------------ *)
 
-let make_net ?telemetry ~impl () =
-  let topo = Topology.make_exn ~n:3 ~m:8 ~r:3 ~k:2 in
+let make_net ?telemetry ?(k = 2) () =
+  let topo = Topology.make_exn ~n:3 ~m:8 ~r:3 ~k in
   Network.create
-    ~config:{ Network.Config.default with telemetry; link_impl = Some impl }
+    ~config:{ Network.Config.default with telemetry }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
+
+(* Earlier releases ran every k > 62 fabric on bool-array planes and
+   wrote 1 in the state's link-state byte for them.  That byte follows
+   n, m, r, k (u32 each), construction, model (u8 each), x_limit (u32)
+   and a built-in strategy's tag (u8): offset 23. *)
+let link_byte = 23
+
+let with_link_byte byte state =
+  let b = Bytes.of_string state in
+  Alcotest.(check char) "current states write link byte 0" '\000'
+    (Bytes.get b link_byte);
+  Bytes.set b link_byte (Char.chr byte);
+  Bytes.to_string b
+
+(* The states these tests restore: a current k = 2 one, and a legacy
+   one, as earlier releases wrote a wide fabric (k = 96, byte 1). *)
+type flavour = Current | Legacy_reference
+
+let flavour_k = function Current -> 2 | Legacy_reference -> 96
+
+let encode flavour snap =
+  let state = P.Store.encode_state snap in
+  match flavour with
+  | Current -> state
+  | Legacy_reference -> with_link_byte 1 state
 
 let populate net =
   let admitted = ref [] in
@@ -252,10 +277,18 @@ let populate net =
   | [] -> ());
   ignore (Network.inject_fault net (Fault.Middle 2))
 
-let test_snapshot_restore impl () =
-  let net = make_net ~impl () in
+let test_snapshot_restore flavour () =
+  let net = make_net ~k:(flavour_k flavour) () in
   populate net;
-  let restored = Network.restore (Network.snapshot net) in
+  let restored =
+    match flavour with
+    | Current -> Network.restore (Network.snapshot net)
+    | Legacy_reference -> (
+      match P.Backend.restore (encode flavour (Network.snapshot net)) with
+      | Ok (P.Backend.Net restored) -> restored
+      | Ok (P.Backend.Mesh _) -> Alcotest.fail "restored as a mesh"
+      | Error e -> Alcotest.fail e)
+  in
   Alcotest.(check int)
     "digest equal" (P.Store.digest net) (P.Store.digest restored);
   (* behavioral indistinguishability: the same fresh request must get
@@ -273,7 +306,7 @@ let test_snapshot_restore impl () =
   | _ -> Alcotest.fail "restored network answered differently"
 
 let test_restore_rejects_inconsistent () =
-  let net = make_net ~impl:Network.Bitset () in
+  let net = make_net () in
   populate net;
   let snap = Network.snapshot net in
   let bad = { snap with Network.s_next_id = 0 } in
@@ -292,22 +325,23 @@ let test_restore_rejects_inconsistent () =
 (* A corrupt state can repeat a route or add an overlapping copy of one
    under a fresh id.  Restoring its encoding must answer [Error] (what
    a follower's snapshot handler expects), never raise. *)
-let refused label snap =
-  match P.Backend.restore (P.Store.encode_state snap) with
+let refused flavour label snap =
+  match P.Backend.restore (encode flavour snap) with
   | Error _ -> ()
   | Ok _ -> Alcotest.failf "%s: restored" label
   | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
 
-let test_restore_refuses_repeated_route impl () =
-  let net = make_net ~impl () in
+let test_restore_refuses_repeated_route flavour () =
+  let net = make_net ~k:(flavour_k flavour) () in
   populate net;
   let snap = Network.snapshot net in
   let r = List.hd snap.Network.s_routes in
-  refused "route list [r; r; ...]"
+  refused flavour "route list [r; r; ...]"
     { snap with Network.s_routes = r :: snap.Network.s_routes }
 
-let test_restore_refuses_overlapping_copy impl () =
-  let net = make_net ~impl () in
+let test_restore_refuses_overlapping_copy flavour () =
+  let k = flavour_k flavour in
+  let net = make_net ~k () in
   populate net;
   let snap = Network.snapshot net in
   let r = List.hd snap.Network.s_routes in
@@ -319,16 +353,18 @@ let test_restore_refuses_overlapping_copy impl () =
       s_routes = snap.Network.s_routes @ [ { extra with Network.id = next } ];
     }
   in
-  refused "copy under a new id" (with_extra r);
+  refused flavour "copy under a new id" (with_extra r);
   (* free endpoints, same hops: only the slots overlap *)
   let elsewhere = { r with Network.connection = conn (ep 3 1) [ ep 6 1 ] } in
-  refused "slot overlap" (with_extra elsewhere);
-  refused "wavelength outside 1..k"
+  refused flavour "slot overlap" (with_extra elsewhere);
+  refused flavour "wavelength outside 1..k"
     (with_extra
        {
          elsewhere with
          Network.hops =
-           List.map (fun h -> { h with Network.stage1_wl = 3 }) r.Network.hops;
+           List.map
+             (fun h -> { h with Network.stage1_wl = k + 1 })
+             r.Network.hops;
        })
 
 (* A state's topology header (u32 n, m, r, k at offsets 0, 4, 8, 12)
@@ -338,7 +374,7 @@ let test_restore_refuses_overlapping_copy impl () =
    the cap, the m = r = 100000 state that once exhausted memory, and
    u32 maxima whose product would overflow. *)
 let test_restore_refuses_oversized_topology () =
-  let net = make_net ~impl:Network.Bitset () in
+  let net = make_net () in
   populate net;
   let valid = P.Store.encode_state (Network.snapshot net) in
   let with_dims ~m ~r ~k =
@@ -420,7 +456,7 @@ let test_digest_sensitivity () =
     (digest { s with Network.s_strategy = Network.Named "first-fit" })
 
 let test_state_codec_roundtrip () =
-  let net = make_net ~impl:Network.Reference () in
+  let net = make_net () in
   populate net;
   let snap = Network.snapshot net in
   let bytes = P.Store.encode_state snap in
@@ -432,6 +468,32 @@ let test_state_codec_roundtrip () =
     Alcotest.(check int) "routes survive"
       (List.length snap.Network.s_routes)
       (List.length snap'.Network.s_routes)
+
+(* A legacy state (link byte 1) restores to the same network as its
+   byte-0 twin — same routes, same digest — and re-encodes with byte 0;
+   any other byte is refused. *)
+let test_legacy_link_byte () =
+  let net = make_net ~k:96 () in
+  populate net;
+  let current = P.Store.encode_state (Network.snapshot net) in
+  let restore state =
+    match P.Backend.restore state with
+    | Ok (P.Backend.Net n) -> n
+    | Ok (P.Backend.Mesh _) -> Alcotest.fail "restored as a mesh"
+    | Error e -> Alcotest.fail e
+  in
+  let twin = restore current and legacy = restore (with_link_byte 1 current) in
+  Alcotest.(check bool) "same routes" true
+    (Network.active_routes twin = Network.active_routes legacy);
+  Alcotest.(check int) "same digest" (Network.digest twin)
+    (Network.digest legacy);
+  Alcotest.(check int) "digest of the live network" (Network.digest net)
+    (Network.digest legacy);
+  Alcotest.(check string) "re-encodes with byte 0" current
+    (P.Store.encode_state (Network.snapshot legacy));
+  match P.Backend.restore (with_link_byte 2 current) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "link byte 2 restored"
 
 (* --- wal ----------------------------------------------------------------- *)
 
@@ -525,7 +587,7 @@ let test_wal_policy_validation () =
 
 let test_store_session_and_recover () =
   let wal = "test_store_session.wal" in
-  let net = make_net ~impl:Network.Bitset () in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let log_and_apply op =
     P.Store.log store op;
@@ -561,7 +623,7 @@ let test_store_session_and_recover () =
 
 let test_store_falls_back_to_older_snapshot () =
   let wal = "test_store_fallback.wal" in
-  let net = make_net ~impl:Network.Reference () in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let log_and_apply op =
     P.Store.log store op;
@@ -617,23 +679,25 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "restore (bitset)" `Quick
-            (test_snapshot_restore Network.Bitset);
+            (test_snapshot_restore Current);
           Alcotest.test_case "restore (reference)" `Quick
-            (test_snapshot_restore Network.Reference);
+            (test_snapshot_restore Legacy_reference);
           Alcotest.test_case "rejects inconsistent" `Quick
             test_restore_rejects_inconsistent;
           Alcotest.test_case "refuses a repeated route (bitset)" `Quick
-            (test_restore_refuses_repeated_route Network.Bitset);
+            (test_restore_refuses_repeated_route Current);
           Alcotest.test_case "refuses a repeated route (reference)" `Quick
-            (test_restore_refuses_repeated_route Network.Reference);
+            (test_restore_refuses_repeated_route Legacy_reference);
           Alcotest.test_case "refuses an overlapping copy (bitset)" `Quick
-            (test_restore_refuses_overlapping_copy Network.Bitset);
+            (test_restore_refuses_overlapping_copy Current);
           Alcotest.test_case "refuses an overlapping copy (reference)" `Quick
-            (test_restore_refuses_overlapping_copy Network.Reference);
+            (test_restore_refuses_overlapping_copy Legacy_reference);
           Alcotest.test_case "refuses an oversized topology" `Quick
             test_restore_refuses_oversized_topology;
           Alcotest.test_case "state codec roundtrip" `Quick
             test_state_codec_roundtrip;
+          Alcotest.test_case "legacy link byte restores" `Quick
+            test_legacy_link_byte;
           Alcotest.test_case "digest sensitivity" `Quick test_digest_sensitivity;
         ] );
       ( "wal",

@@ -1,15 +1,16 @@
 (* Lockstep crash-recovery equivalence.
 
-   A seeded churn run under a middle-fault schedule is recorded to a
-   WAL with every snapshot retained.  We then simulate a crash at every
-   record boundary: truncate a copy of the WAL there, recover, and
-   check that the recovered network is byte-for-byte the network an
-   uninterrupted run had at that point (state digest), and that the
-   next 1000 ops of a deterministic continuation produce identical hop
-   checksums and blocked counts on both.  Interior byte flips must
+   A seeded churn run — on the multistage fabric under a middle-fault
+   schedule, and on a mesh — is recorded to a WAL with every snapshot
+   retained.  We then simulate a crash at every record boundary:
+   truncate a copy of the WAL there, recover, and check that the
+   recovered backend is byte-for-byte the one an uninterrupted run had
+   at that point (state digest); on the multistage fabric, the next
+   1000 ops of a deterministic continuation must also produce identical
+   hop checksums and blocked counts on both.  Interior byte flips must
    surface as corruption-with-offset or recover to a legitimate prefix
-   state — never silently diverge.  The whole sweep runs for both link
-   implementations. *)
+   state — never silently diverge.  A cut mid-record is a torn tail.
+   Faults stay multistage-only: the mesh has no fault ops. *)
 
 open Wdm_core
 open Wdm_multistage
@@ -18,6 +19,7 @@ module Fault = Wdm_faults.Fault
 module Schedule = Wdm_faults.Schedule
 module Churn = Wdm_traffic.Churn
 module Tel = Wdm_telemetry
+module Mesh = Wdm_mesh.Mesh_network
 
 let n = 3
 let r = 3
@@ -30,11 +32,24 @@ let continuation_ops = 1000
 
 let ep port wl = Endpoint.make ~port ~wl
 
-let make_net ?telemetry impl =
+let make_net ?telemetry () =
   Network.create
-    ~config:{ Network.Config.default with telemetry; link_impl = Some impl }
+    ~config:{ Network.Config.default with telemetry }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW
     (Topology.make_exn ~n ~m ~r ~k)
+
+(* nsf14 at 4 wavelengths: connects both admit and refuse *)
+let make_mesh () =
+  Result.get_ok
+    (Mesh.create ~config:{ Mesh.Config.default with Mesh.Config.k = 4 } "nsf14")
+
+type engine = Multistage | Mesh_engine
+
+let engine_name = function Multistage -> "bitset" | Mesh_engine -> "mesh"
+
+let fresh = function
+  | Multistage -> P.Backend.Net (make_net ())
+  | Mesh_engine -> P.Backend.Mesh (make_mesh ())
 
 (* --- file plumbing ------------------------------------------------------- *)
 
@@ -123,8 +138,8 @@ let fault_schedule () =
          | Schedule.Inject fault -> (step, `Inject fault)
          | Schedule.Clear fault -> (step, `Clear fault))
 
-let record ~impl ~wal =
-  let net = make_net impl in
+let record_multistage ~wal =
+  let net = make_net () in
   let store = P.Store.start ~retain:max_int ~wal net in
   let fsut = logged_fsut store net in
   let persist =
@@ -144,7 +159,51 @@ let record ~impl ~wal =
   P.Store.checkpoint store net;
   let records = P.Store.wal_records store in
   P.Store.close store;
-  (net, records)
+  (P.Backend.Net net, records)
+
+(* A mesh churn over nsf14's 14 nodes (one port each), journalled the
+   way a served mesh session is: connects and disconnects only. *)
+let record_mesh ~wal =
+  let mesh = make_mesh () in
+  let backend = P.Backend.Mesh mesh in
+  let store = P.Store.start_backend ~retain:max_int ~wal backend in
+  let sut =
+    {
+      Churn.connect =
+        (fun c ->
+          P.Store.log store (P.Op.Connect c);
+          match Mesh.connect mesh c with
+          | Ok route -> Ok route.Mesh.id
+          | Error e -> Error e);
+      disconnect =
+        (fun id ->
+          P.Store.log store (P.Op.Disconnect id);
+          ignore (Mesh.disconnect mesh id));
+    }
+  in
+  let persist =
+    {
+      Churn.policy = Churn.Every_n_ops 100;
+      checkpoint = (fun ~ops:_ -> P.Store.checkpoint_backend store backend);
+    }
+  in
+  let (_ : Churn.stats) =
+    Churn.run ~persist
+      (Random.State.make [| seed |])
+      ~spec:(Network_spec.make_exn ~n:14 ~k:2)
+      ~model:Model.MSW
+      ~fanout:(Wdm_traffic.Fanout.Zipf { max = 5; s = 1.2 })
+      ~steps ~teardown_bias:0.35 sut
+  in
+  P.Store.checkpoint_backend store backend;
+  let records = P.Store.wal_records store in
+  P.Store.close store;
+  (backend, records)
+
+let record ~engine ~wal =
+  match engine with
+  | Multistage -> record_multistage ~wal
+  | Mesh_engine -> record_mesh ~wal
 
 (* --- deterministic continuation ------------------------------------------ *)
 
@@ -193,10 +252,6 @@ let continuation net =
 
 (* --- the boundary sweep --------------------------------------------------- *)
 
-let impl_name = function
-  | Network.Bitset -> "bitset"
-  | Network.Reference -> "reference"
-
 type sweep = {
   wal : string;
   contents : string;  (** the full recorded WAL *)
@@ -205,14 +260,14 @@ type sweep = {
   final_digest : int;
 }
 
-let recorded : (Network.link_impl * sweep) list ref = ref []
+let recorded : (engine * sweep) list ref = ref []
 
-let sweep_of impl =
-  match List.assoc_opt impl !recorded with
+let sweep_of engine =
+  match List.assoc_opt engine !recorded with
   | Some s -> s
   | None ->
-    let wal = Printf.sprintf "lockstep_%s.wal" (impl_name impl) in
-    let live_net, records = record ~impl ~wal in
+    let wal = Printf.sprintf "lockstep_%s.wal" (engine_name engine) in
+    let live, records = record ~engine ~wal in
     if records < 500 then
       Alcotest.failf "recorded only %d WAL records, need >= 500" records;
     let ops =
@@ -225,57 +280,62 @@ let sweep_of impl =
     let boundaries =
       Array.of_list (List.map fst ops @ [ String.length contents ])
     in
-    (* replay the ops against a fresh net, fingerprinting every prefix *)
-    let ref_net = make_net impl in
+    (* replay the ops against a fresh backend, fingerprinting every
+       prefix *)
+    let replayed = fresh engine in
     let prefix_digests = Array.make (Array.length boundaries) 0 in
-    prefix_digests.(0) <- P.Store.digest ref_net;
+    prefix_digests.(0) <- P.Backend.digest replayed;
     List.iteri
       (fun i (_, op) ->
-        (match P.Op.apply ref_net op with
-        | Ok _ -> ()
+        (match P.Backend.apply replayed op with
+        | Ok () -> ()
         | Error e -> Alcotest.failf "replay of op %d failed: %s" i e);
-        prefix_digests.(i + 1) <- P.Store.digest ref_net)
+        prefix_digests.(i + 1) <- P.Backend.digest replayed)
       ops;
-    let final_digest = P.Store.digest live_net in
+    let final_digest = P.Backend.digest live in
     if prefix_digests.(Array.length boundaries - 1) <> final_digest then
       Alcotest.fail "full replay does not reproduce the recorded network";
     let s = { wal; contents; boundaries; prefix_digests; final_digest } in
-    recorded := (impl, s) :: !recorded;
+    recorded := (engine, s) :: !recorded;
     s
 
 (* Crash at every record boundary: truncate, recover, compare digests,
-   then race a 1000-op continuation against the uninterrupted network. *)
-let test_every_boundary impl () =
-  let s = sweep_of impl in
+   then, on the multistage fabric, race a 1000-op continuation against
+   the uninterrupted network. *)
+let test_every_boundary engine () =
+  let s = sweep_of engine in
   let trunc = s.wal ^ ".trunc" in
   copy_snapshots ~from_wal:s.wal ~to_wal:trunc;
-  let ref_net = make_net impl in
+  let uninterrupted = fresh engine in
   Array.iteri
     (fun i boundary ->
-      (* ref_net holds the uninterrupted state after i ops *)
+      (* [uninterrupted] holds the state after i ops *)
       write_file trunc (String.sub s.contents 0 boundary);
-      (match P.Store.recover ~wal:trunc () with
+      (match P.Store.recover_backend ~wal:trunc () with
       | Error e ->
         Alcotest.failf "recovery at boundary %d (byte %d): %a" i boundary
           P.Store.pp_recovery_error e
-      | Ok rec_ ->
-        if P.Store.digest rec_.P.Store.network <> s.prefix_digests.(i) then
+      | Ok rec_ -> (
+        if P.Backend.digest rec_.P.Store.backend <> s.prefix_digests.(i) then
           Alcotest.failf "digest mismatch at boundary %d (byte %d)" i boundary;
-        if rec_.P.Store.tear <> None then
+        if rec_.P.Store.b_tear <> None then
           Alcotest.failf "clean cut at boundary %d reported a tear" i;
-        let cs_rec, bl_rec = continuation rec_.P.Store.network in
-        let cs_ref, bl_ref = continuation (Network.copy ref_net) in
-        if cs_rec <> cs_ref || bl_rec <> bl_ref then
-          Alcotest.failf
-            "continuation diverged at boundary %d: checksum %d vs %d, blocked \
-             %d vs %d"
-            i cs_rec cs_ref bl_rec bl_ref);
+        match (rec_.P.Store.backend, uninterrupted) with
+        | P.Backend.Net recovered, P.Backend.Net ref_net ->
+          let cs_rec, bl_rec = continuation recovered in
+          let cs_ref, bl_ref = continuation (Network.copy ref_net) in
+          if cs_rec <> cs_ref || bl_rec <> bl_ref then
+            Alcotest.failf
+              "continuation diverged at boundary %d: checksum %d vs %d, \
+               blocked %d vs %d"
+              i cs_rec cs_ref bl_rec bl_ref
+        | _ -> ()));
       (* advance the uninterrupted run past op i *)
       if i < Array.length s.boundaries - 1 then
         match P.Wire.read_frame s.contents ~pos:boundary with
         | P.Wire.Frame { payload; _ } -> (
           match P.Op.decode_string payload with
-          | Ok op -> ignore (P.Op.apply ref_net op)
+          | Ok op -> ignore (P.Backend.apply uninterrupted op)
           | Error e -> Alcotest.fail e)
         | _ -> Alcotest.fail "boundary does not start a frame")
     s.boundaries;
@@ -284,8 +344,8 @@ let test_every_boundary impl () =
 (* The acceptance criterion's telemetry leg: recover at full length,
    run the continuation on the recovered and the uninterrupted network,
    each with a fresh sink, and require identical counter values. *)
-let test_counters_after_recovery impl () =
-  let s = sweep_of impl in
+let test_counters_after_recovery () =
+  let s = sweep_of Multistage in
   let trunc = s.wal ^ ".tel" in
   copy_snapshots ~from_wal:s.wal ~to_wal:trunc;
   write_file trunc s.contents;
@@ -324,8 +384,8 @@ let test_counters_after_recovery impl () =
 (* Interior byte flips: recovery must either name the damage (an error
    carrying the file and offset) or land on a legitimate prefix state —
    flipping a length field can only turn the tail into a torn write. *)
-let test_byte_flips impl () =
-  let s = sweep_of impl in
+let test_byte_flips engine () =
+  let s = sweep_of engine in
   let flip = s.wal ^ ".flip" in
   copy_snapshots ~from_wal:s.wal ~to_wal:flip;
   let len = String.length s.contents in
@@ -346,7 +406,7 @@ let test_byte_flips impl () =
       let b = Bytes.of_string s.contents in
       Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x10));
       write_file flip (Bytes.to_string b);
-      match P.Store.recover ~wal:flip () with
+      match P.Store.recover_backend ~wal:flip () with
       | Error (P.Store.Corrupt { offset; _ }) ->
         if offset < P.Wire.header_len || offset > len then
           Alcotest.failf "flip at %d: implausible corruption offset %d" off
@@ -357,7 +417,7 @@ let test_byte_flips impl () =
         if off > len / 4 then
           Alcotest.failf "flip at %d: lost all snapshots" off
       | Ok rec_ ->
-        let d = P.Store.digest rec_.P.Store.network in
+        let d = P.Backend.digest rec_.P.Store.backend in
         if not (List.mem d digests) then
           Alcotest.failf
             "flip at %d: recovery silently diverged from every prefix state"
@@ -367,51 +427,55 @@ let test_byte_flips impl () =
 
 (* A cut mid-record is a torn write: recovery reports (and truncates)
    the tear and lands on the boundary before it. *)
-let test_torn_tail impl () =
-  let s = sweep_of impl in
+let test_torn_tail engine () =
+  let s = sweep_of engine in
   let torn = s.wal ^ ".torn" in
   copy_snapshots ~from_wal:s.wal ~to_wal:torn;
   let nb = Array.length s.boundaries in
   let boundary = s.boundaries.(nb / 2) in
   let i = nb / 2 in
   write_file torn (String.sub s.contents 0 (boundary + 5));
-  (match P.Store.recover ~wal:torn () with
+  (match P.Store.recover_backend ~wal:torn () with
   | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e
   | Ok rec_ ->
     Alcotest.(check (option int)) "tear reported" (Some boundary)
-      rec_.P.Store.tear;
+      rec_.P.Store.b_tear;
     Alcotest.(check int) "state is the pre-tear prefix" s.prefix_digests.(i)
-      (P.Store.digest rec_.P.Store.network);
+      (P.Backend.digest rec_.P.Store.backend);
     (* the tear was truncated: a second recovery is clean *)
-    match P.Store.recover ~wal:torn () with
+    match P.Store.recover_backend ~wal:torn () with
     | Ok rec2 ->
-      Alcotest.(check (option int)) "truncated" None rec2.P.Store.tear;
+      Alcotest.(check (option int)) "truncated" None rec2.P.Store.b_tear;
       Alcotest.(check int) "same state" s.prefix_digests.(i)
-        (P.Store.digest rec2.P.Store.network)
+        (P.Backend.digest rec2.P.Store.backend)
     | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e);
   remove_store_files torn
 
-let cleanup impl () =
-  match List.assoc_opt impl !recorded with
+let cleanup engine () =
+  match List.assoc_opt engine !recorded with
   | Some s -> remove_store_files s.wal
   | None -> ()
 
-let for_impl impl =
-  [
-    Alcotest.test_case "crash at every record boundary" `Slow
-      (test_every_boundary impl);
-    Alcotest.test_case "telemetry counters after recovery" `Quick
-      (test_counters_after_recovery impl);
-    Alcotest.test_case "interior byte flips never diverge" `Quick
-      (test_byte_flips impl);
-    Alcotest.test_case "torn tail truncates to prefix" `Quick
-      (test_torn_tail impl);
-    Alcotest.test_case "cleanup" `Quick (cleanup impl);
-  ]
+(* The continuation and its counters need the multistage engine. *)
+let sweep engine =
+  List.concat
+    [
+      [ Alcotest.test_case "crash at every record boundary" `Slow
+          (test_every_boundary engine) ];
+      (match engine with
+      | Multistage ->
+        [ Alcotest.test_case "telemetry counters after recovery" `Quick
+            test_counters_after_recovery ]
+      | Mesh_engine -> []);
+      [
+        Alcotest.test_case "interior byte flips never diverge" `Quick
+          (test_byte_flips engine);
+        Alcotest.test_case "torn tail truncates to prefix" `Quick
+          (test_torn_tail engine);
+        Alcotest.test_case "cleanup" `Quick (cleanup engine);
+      ];
+    ]
 
 let () =
   Alcotest.run "crash_recovery"
-    [
-      ("bitset", for_impl Network.Bitset);
-      ("reference", for_impl Network.Reference);
-    ]
+    [ ("bitset", sweep Multistage); ("mesh", sweep Mesh_engine) ]

@@ -22,9 +22,9 @@ let conn src dests = Connection.make_exn ~source:src ~destinations:dests
    and must replicate. *)
 let topo = Topology.make_exn ~n:3 ~m:4 ~r:3 ~k:2
 
-let make_net ?telemetry impl =
+let make_net ?telemetry () =
   Network.create
-    ~config:{ Network.Config.default with telemetry; link_impl = Some impl }
+    ~config:{ Network.Config.default with telemetry }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
 
 let socket_path =
@@ -206,13 +206,13 @@ let test_follower_catches_up () =
   let follower_sink = Tel.Sink.create () in
   let leader =
     Srv.Server.start ~telemetry:leader_sink ~digest_every:32
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   let follower =
     Srv.Server.start ~telemetry:follower_sink
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   Alcotest.(check bool) "follower role" true
@@ -279,7 +279,7 @@ let test_slow_follower_eviction () =
   let sink = Tel.Sink.create () in
   let srv =
     Srv.Server.start ~telemetry:sink ~resume_window:8 ~conn_sndbuf:4096
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -354,7 +354,7 @@ let threads_now () =
 let test_follower_thread_budget () =
   let leader_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~net:(make_net Network.Bitset)
+    Srv.Server.start ~telemetry:leader_sink ~net:(make_net ())
       (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
@@ -362,7 +362,7 @@ let test_follower_thread_budget () =
   let follower =
     Srv.Server.start
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   let stopped = ref false in
   Fun.protect
@@ -396,13 +396,13 @@ let test_follower_thread_budget () =
    exited.  The start order and a small head start alternate across
    rounds so both interleavings get hit. *)
 let test_promote_races_stop () =
-  let leader = Srv.Server.start ~net:(make_net Network.Bitset) (sock ()) in
+  let leader = Srv.Server.start ~net:(make_net ()) (sock ()) in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   for round = 1 to 100 do
     let follower =
       Srv.Server.start
         ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-        ~net:(make_net Network.Bitset) (sock ())
+        ~net:(make_net ()) (sock ())
     in
     let promoted = Atomic.make None and stopped = Atomic.make false in
     let head_start = float_of_int (round mod 4) *. 0.0002 in
@@ -459,7 +459,7 @@ let closed_by_peer fd =
 let test_replica_garbage_closes_only_that_link () =
   let sink = Tel.Sink.create () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net:(make_net Network.Bitset) (sock ())
+    Srv.Server.start ~telemetry:sink ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
   let quit = ref false and answered = ref 0 and failure = ref None in
@@ -569,7 +569,7 @@ let test_follower_drops_garbage_link () =
       try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let sink = Tel.Sink.create () in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let digest = P.Store.digest net in
   let follower =
     Srv.Server.start ~telemetry:sink
@@ -664,7 +664,7 @@ let test_store_resume_continues_wal () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let wal = Filename.concat dir "resume.wal" in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let log op =
     ignore (P.Op.apply net op);
@@ -739,7 +739,7 @@ let test_wal_truncate_fsyncs_the_cut () =
 
 let test_failover_preserves_state () =
   (* reference: the same seeded churn, one process, no failover *)
-  let ref_net = make_net Network.Bitset in
+  let ref_net = make_net () in
   let ref_sum = ref 0 in
   let ref_stats =
     run_churn ~sink:(Tel.Sink.create ()) (inproc_sut ref_net ref_sum)
@@ -747,12 +747,12 @@ let test_failover_preserves_state () =
   let ref_digest = P.Store.digest ref_net in
   (* system under test: leader + follower, leader dies mid-run *)
   let leader =
-    Srv.Server.start ~digest_every:16 ~net:(make_net Network.Bitset) (sock ())
+    Srv.Server.start ~digest_every:16 ~net:(make_net ()) (sock ())
   in
   let follower =
     Srv.Server.start
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net Network.Bitset) (sock ())
+      ~net:(make_net ()) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   let rc =
@@ -822,7 +822,7 @@ let test_follower_wal_resume () =
   let wal = Filename.concat dir "follower.wal" in
   let leader_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~net:(make_net Network.Bitset)
+    Srv.Server.start ~telemetry:leader_sink ~net:(make_net ())
       (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
@@ -830,7 +830,7 @@ let test_follower_wal_resume () =
     { Srv.Server.leader = Srv.Server.address leader; wal = Some wal }
   in
   let follower =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net Network.Bitset)
+    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
       (sock ())
   in
   (* phase 1: commit some ops, let the follower persist them *)
@@ -858,7 +858,7 @@ let test_follower_wal_resume () =
      resume, not a snapshot *)
   let snapshots_before = counter_of leader_sink "repl_snapshots_sent_total" in
   let follower2 =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net Network.Bitset)
+    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
       (sock ())
   in
   Fun.protect

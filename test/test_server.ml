@@ -3,7 +3,8 @@
    through a loopback server is indistinguishable from the same seed
    driven in-process: byte-identical routes (hop checksums), the same
    admission/refusal tallies, the same telemetry counters, and the
-   same whole-state digest, on both link-state implementations. *)
+   same whole-state digest, on a one-word (k = 2) and a two-word
+   (k = 96) fabric. *)
 
 open Wdm_core
 open Wdm_multistage
@@ -19,9 +20,9 @@ let conn src dests = Connection.make_exn ~source:src ~destinations:dests
    admissions and refusals — the refusal path must cross the wire too. *)
 let topo = Topology.make_exn ~n:3 ~m:4 ~r:3 ~k:2
 
-let make_net ?telemetry impl =
+let make_net ?telemetry ?(topo = topo) () =
   Network.create
-    ~config:{ Network.Config.default with telemetry; link_impl = Some impl }
+    ~config:{ Network.Config.default with telemetry }
     ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
 
 let socket_path =
@@ -79,7 +80,7 @@ let test_request_roundtrip () =
     ]
 
 let test_response_roundtrip () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let route = Result.get_ok (Network.connect net (conn (ep 1 1) [ ep 4 1 ])) in
   let responses =
     [
@@ -125,7 +126,7 @@ let test_response_roundtrip () =
 (* --- basic served requests ----------------------------------------------- *)
 
 let test_serve_basic () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   with_server net (fun srv ->
       with_client srv (fun c ->
           (* connect, disconnect, double-disconnect: typed results *)
@@ -143,7 +144,7 @@ let test_serve_basic () =
           in
           (* the served route must equal the one the same request yields
              in-process on a twin network *)
-          let twin = make_net Network.Bitset in
+          let twin = make_net () in
           let local =
             Result.get_ok (Network.connect twin (conn (ep 1 1) [ ep 4 1 ]))
           in
@@ -188,7 +189,7 @@ let test_serve_basic () =
           | Error e -> Alcotest.fail (Srv.Client.error_to_string e)))
 
 let test_malformed_frame_closes_connection () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   with_server net (fun srv ->
       let path =
         match Srv.Server.address srv with
@@ -221,7 +222,7 @@ let test_malformed_frame_closes_connection () =
           | _ -> Alcotest.fail "expected EOF after protocol violation"))
 
 let test_silent_client_does_not_block_accept () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   with_server net (fun srv ->
       let path =
         match Srv.Server.address srv with
@@ -246,7 +247,7 @@ let test_silent_client_does_not_block_accept () =
    stuck in a handshake read. *)
 
 let test_client_fails_fast_after_transport_error () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let srv = Srv.Server.start ~net (Srv.Server.Unix_socket (socket_path ())) in
   let c =
     match Srv.Client.connect (Srv.Server.address srv) with
@@ -292,7 +293,7 @@ let raw_connect path =
    client is served as if nothing happened. *)
 let test_half_frame_then_close () =
   let sink = Tel.Sink.create () in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   with_server ~telemetry:sink net (fun srv ->
       let fd = raw_connect (unix_path srv) in
       Fun.protect
@@ -379,7 +380,7 @@ let test_peer_close_mid_request () =
    cycle, while the client sits on its hands before reading.  The
    frame must still arrive whole and decode. *)
 let test_partial_writes_tiny_sndbuf () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let srv =
     Srv.Server.start ~conn_sndbuf:2048 ~net
       (Srv.Server.Unix_socket (socket_path ()))
@@ -445,24 +446,28 @@ let inproc_sut net checksum =
     disconnect = (fun id -> ignore (Network.disconnect net id));
   }
 
-let run_churn ~sink sut =
+(* Two words per link: the same churn on planes wider than one int, on
+   a fabric small enough (n = m = r = 2) that it still draws refusals. *)
+let wide_topo = Topology.make_exn ~n:2 ~m:2 ~r:2 ~k:96
+
+let run_churn ?(topo = topo) ~sink sut =
   Churn.run ~telemetry:sink
     (Random.State.make [| seed |])
     ~spec:(Topology.spec topo) ~model:Model.MSW
     ~fanout:(Wdm_traffic.Fanout.Zipf { max = 6; s = 1.0 })
     ~steps:churn_steps ~teardown_bias:0.3 sut
 
-let test_loopback_equivalence impl () =
+let test_loopback_equivalence topo () =
   (* in-process reference run *)
   let net_sink_a = Tel.Sink.create () in
   let churn_sink_a = Tel.Sink.create () in
-  let net_a = make_net ~telemetry:net_sink_a impl in
+  let net_a = make_net ~telemetry:net_sink_a ~topo () in
   let sum_a = ref 0 in
-  let stats_a = run_churn ~sink:churn_sink_a (inproc_sut net_a sum_a) in
+  let stats_a = run_churn ~topo ~sink:churn_sink_a (inproc_sut net_a sum_a) in
   (* same seed, served over the loopback socket *)
   let net_sink_b = Tel.Sink.create () in
   let churn_sink_b = Tel.Sink.create () in
-  let net_b = make_net ~telemetry:net_sink_b impl in
+  let net_b = make_net ~telemetry:net_sink_b ~topo () in
   let sum_b = ref 0 in
   let stats_b, digest_b =
     with_server ~telemetry:net_sink_b net_b (fun srv ->
@@ -473,7 +478,7 @@ let test_loopback_equivalence impl () =
                   sum_b := P.Op.route_checksum !sum_b route)
                 c
             in
-            let stats = run_churn ~sink:churn_sink_b sut in
+            let stats = run_churn ~topo ~sink:churn_sink_b sut in
             let digest =
               match Srv.Client.digest c with
               | Ok d -> d
@@ -516,7 +521,7 @@ let test_loopback_equivalence impl () =
 let test_pipelined_equivalence () =
   let serve ~pipelined =
     let sink = Tel.Sink.create () in
-    let net = make_net ~telemetry:sink Network.Bitset in
+    let net = make_net ~telemetry:sink () in
     let sum = ref 0 in
     let on_admit route = sum := P.Op.route_checksum !sum route in
     let srv =
@@ -587,7 +592,7 @@ let test_eintr_storm () =
       Sys.remove dir;
       Unix.mkdir dir 0o700;
       let wal = Filename.concat dir "eintr.wal" in
-      let net = make_net Network.Bitset in
+      let net = make_net () in
       let store = P.Store.start ~wal net in
       let digest =
         with_server ~store net (fun srv ->
@@ -600,7 +605,7 @@ let test_eintr_storm () =
       in
       P.Store.close store;
       (* same seed in-process: the storm changed nothing *)
-      let twin = make_net Network.Bitset in
+      let twin = make_net () in
       ignore (run_churn ~sink:(Tel.Sink.create ()) (inproc_sut twin (ref 0)));
       Alcotest.(check int) "digest through the storm" (P.Store.digest twin)
         digest;
@@ -643,7 +648,7 @@ let test_idle_connection_soak () =
       if limit < 0 then 1024 else max 64 (min want ((limit - 256) / 2))
   in
   let baseline = threads_now () in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   with_server net (fun srv ->
       let path = unix_path srv in
       let idle = ref [] in
@@ -683,7 +688,7 @@ let test_served_session_recovers () =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let wal = Filename.concat dir "serve.wal" in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let final_digest =
     with_server ~store net (fun srv ->
@@ -720,7 +725,7 @@ let test_response_never_overtakes_fsync ~traced () =
   let fsyncs =
     Tel.Metrics.histogram sink.Tel.Sink.metrics "persist_fsync_latency_seconds"
   in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let store =
     P.Store.start ~telemetry:sink ~policy:(P.Wal.Fsync_every 1) ~wal net
   in
@@ -764,7 +769,7 @@ let test_failed_ops_do_not_poison_wal () =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let wal = Filename.concat dir "serve.wal" in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let store = P.Store.start ~wal net in
   let final_digest =
     with_server ~store net (fun srv ->
@@ -815,7 +820,7 @@ let test_failed_ops_do_not_poison_wal () =
 
 let test_server_instruments () =
   let sink = Tel.Sink.create () in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let srv =
     Srv.Server.start ~telemetry:sink ~net
       (Srv.Server.Unix_socket (socket_path ()))
@@ -877,7 +882,7 @@ let check_contains what hay needle =
    zero), no span trailer on requests — the request must decode and be
    answered exactly as before the extension existed. *)
 let test_old_client_new_server () =
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   with_server ~telemetry:(Tel.Sink.create ()) net (fun srv ->
       let path =
         match Srv.Server.address srv with
@@ -969,7 +974,7 @@ let test_new_client_old_server () =
    out in pipeline order, and the Chrome export parses. *)
 let test_span_ring_and_chrome () =
   let sink = Tel.Sink.create () in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let srv =
     Srv.Server.start ~telemetry:sink ~net
       (Srv.Server.Unix_socket (socket_path ()))
@@ -1050,7 +1055,7 @@ let http_get addr path =
    in-process snapshot taken while the server is quiescent. *)
 let test_http_plane () =
   let sink = Tel.Sink.create () in
-  let net = make_net Network.Bitset in
+  let net = make_net () in
   let srv =
     Srv.Server.start ~telemetry:sink ~net
       ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
@@ -1104,7 +1109,7 @@ let test_http_plane () =
    behind when the leader disappears, ready again after promotion. *)
 let test_readyz_follows_role () =
   let leader =
-    Srv.Server.start ~net:(make_net Network.Bitset)
+    Srv.Server.start ~net:(make_net ())
       (Srv.Server.Unix_socket (socket_path ()))
   in
   let leader_stopped = ref false in
@@ -1120,7 +1125,7 @@ let test_readyz_follows_role () =
       done);
   let follower =
     Srv.Server.start
-      ~net:(make_net Network.Bitset)
+      ~net:(make_net ())
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
       ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
       (Srv.Server.Unix_socket (socket_path ()))
@@ -1164,7 +1169,7 @@ let test_slow_log () =
   let run ~slow_ms ~requests =
     let path = Filename.temp_file "wdmnet_slow" ".jsonl" in
     let sink = Tel.Sink.create () in
-    let net = make_net Network.Bitset in
+    let net = make_net () in
     let srv =
       Srv.Server.start ~telemetry:sink ~slow_ms ~slow_log:path ~net
         (Srv.Server.Unix_socket (socket_path ()))
@@ -1257,9 +1262,9 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "loopback churn (bitset)" `Quick
-            (test_loopback_equivalence Network.Bitset);
-          Alcotest.test_case "loopback churn (reference)" `Quick
-            (test_loopback_equivalence Network.Reference);
+            (test_loopback_equivalence topo);
+          Alcotest.test_case "loopback churn (k=96)" `Quick
+            (test_loopback_equivalence wide_topo);
           Alcotest.test_case "pipelined churn" `Quick test_pipelined_equivalence;
           Alcotest.test_case "served session recovers" `Quick
             test_served_session_recovers;

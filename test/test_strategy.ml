@@ -5,8 +5,8 @@
    The lockstep property is the redesign's acceptance bar: a network
    built with [Named "<builtin>"] must route byte-identically to one
    built with the enum constructor — same routes, same refusals, same
-   persisted digest — over a 600-op mixed setup/teardown workload, on
-   both link implementations.  The codec canonicalizes named built-ins
+   persisted digest — over a 600-op mixed setup/teardown workload.  The
+   codec canonicalizes named built-ins
    onto the enum tags, so digest equality covers the wire format too. *)
 
 open Wdm_core
@@ -29,14 +29,13 @@ let ep p w = Endpoint.make ~port:p ~wl:w
    identically iff their traces and final digests are equal — and
    because the churn generator only diverges after the first differing
    outcome, trace equality really does pin every decision. *)
-let multistage_trace ~strategy ~link_impl ~steps =
+let multistage_trace ~strategy ~steps =
   (* m=5 is below the nonblocking bound, so the workload genuinely
      exercises refusals and the trace equality is not vacuous *)
   let topo = Topology.make_exn ~n:4 ~m:5 ~r:4 ~k:2 in
   let net =
     Network.create
-      ~config:
-        { Network.Config.default with strategy; link_impl = Some link_impl }
+      ~config:{ Network.Config.default with strategy }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
   let trace = Buffer.create 4096 in
@@ -66,37 +65,27 @@ let multistage_trace ~strategy ~link_impl ~steps =
 
 let test_multistage_lockstep () =
   List.iter
-    (fun link_impl ->
-      List.iter
-        (fun (enum, name) ->
-          let tr_enum, dg_enum, st_enum =
-            multistage_trace ~strategy:enum ~link_impl ~steps:600
-          in
-          let tr_named, dg_named, st_named =
-            multistage_trace ~strategy:(Network.Named name) ~link_impl
-              ~steps:600
-          in
-          let label =
-            Printf.sprintf "%s/%s" name
-              (match link_impl with
-              | Network.Bitset -> "bitset"
-              | Network.Reference -> "reference")
-          in
-          Alcotest.(check string) (label ^ " trace") tr_enum tr_named;
-          Alcotest.(check int) (label ^ " digest") dg_enum dg_named;
-          Alcotest.(check int)
-            (label ^ " accepted")
-            st_enum.Churn.accepted st_named.Churn.accepted;
-          (* the undersized fabric must actually exercise refusals,
-             otherwise the equality is vacuous *)
-          Alcotest.(check bool)
-            (label ^ " workload blocks") true
-            (st_enum.Churn.blocked > 0))
-        [
-          (Network.Min_intersection, "min-intersection");
-          (Network.First_fit, "first-fit");
-        ])
-    [ Network.Bitset; Network.Reference ]
+    (fun (enum, label) ->
+      let tr_enum, dg_enum, st_enum =
+        multistage_trace ~strategy:enum ~steps:600
+      in
+      let tr_named, dg_named, st_named =
+        multistage_trace ~strategy:(Network.Named label) ~steps:600
+      in
+      Alcotest.(check string) (label ^ " trace") tr_enum tr_named;
+      Alcotest.(check int) (label ^ " digest") dg_enum dg_named;
+      Alcotest.(check int)
+        (label ^ " accepted")
+        st_enum.Churn.accepted st_named.Churn.accepted;
+      (* the undersized fabric must actually exercise refusals,
+         otherwise the equality is vacuous *)
+      Alcotest.(check bool)
+        (label ^ " workload blocks") true
+        (st_enum.Churn.blocked > 0))
+    [
+      (Network.Min_intersection, "min-intersection");
+      (Network.First_fit, "first-fit");
+    ]
 
 (* ----- mesh lockstep --------------------------------------------------- *)
 
@@ -222,10 +211,8 @@ let test_named_roundtrip () =
    rebuilding the network and replaying the same ops reproduces routes
    exactly — the WAL-replay contract. *)
 let test_annealed_deterministic () =
-  let tr1, dg1, _ = multistage_trace ~strategy:(Network.Named "annealed")
-      ~link_impl:Network.Bitset ~steps:400 in
-  let tr2, dg2, _ = multistage_trace ~strategy:(Network.Named "annealed")
-      ~link_impl:Network.Bitset ~steps:400 in
+  let tr1, dg1, _ = multistage_trace ~strategy:(Network.Named "annealed") ~steps:400 in
+  let tr2, dg2, _ = multistage_trace ~strategy:(Network.Named "annealed") ~steps:400 in
   Alcotest.(check string) "trace" tr1 tr2;
   Alcotest.(check int) "digest" dg1 dg2;
   let mtr1, mdg1, _ = mesh_trace ~strategy:(Assign.Named "annealed") ~arrivals:400 in
@@ -238,12 +225,10 @@ let test_annealed_deterministic () =
    better. *)
 let test_crosstalk_decorator () =
   let _, _, base =
-    multistage_trace ~strategy:(Network.Named "min-intersection")
-      ~link_impl:Network.Bitset ~steps:600
+    multistage_trace ~strategy:(Network.Named "min-intersection") ~steps:600
   in
   let _, _, gated =
-    multistage_trace ~strategy:(Network.Named "crosstalk:min-intersection:25")
-      ~link_impl:Network.Bitset ~steps:600
+    multistage_trace ~strategy:(Network.Named "crosstalk:min-intersection:25") ~steps:600
   in
   Alcotest.(check bool) "tighter budget blocks at least as much" true
     (gated.Churn.blocked >= base.Churn.blocked)
