@@ -3,6 +3,11 @@
    bits on 64-bit platforms — enough for one wavelength plane (k <= 62)
    or one word of a larger bitset. *)
 
+let word_bits = 62
+let words_for n = (n + word_bits - 1) / word_bits
+let word_of i = i / word_bits
+let bit_of i = 1 lsl (i mod word_bits)
+
 (* SWAR popcount (Hacker's Delight, fig. 5-2), widened to OCaml's
    63-bit ints.  The final multiply gathers the per-byte sums into the
    top byte; shifting by 56 works because a 63-bit int holds at most 63
@@ -14,9 +19,9 @@ let popcount x =
   (x * 0x0101010101010101) lsr 56
 
 (* Index of the least-significant set bit, by binary search on halves.
-   Undefined on 0 (returns 62); callers guard. *)
+   Undefined on 0 (returns [word_bits]); callers guard. *)
 let ctz x =
-  if x = 0 then 62
+  if x = 0 then word_bits
   else begin
     let n = ref 0 in
     let x = ref x in
@@ -45,7 +50,8 @@ let ctz x =
   end
 
 let mask ~width =
-  if width < 0 || width > 62 then invalid_arg "Bitops.mask: width must be in [0, 62]";
+  if width < 0 || width > word_bits then
+    invalid_arg "Bitops.mask: width must be in [0, 62]";
   (1 lsl width) - 1
 
 (* First clear bit position (0-based) among the low [width] bits of

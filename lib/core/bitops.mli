@@ -5,6 +5,21 @@
     wavelength plane needs [k <= 62] bits; larger universes use arrays
     of words). *)
 
+val word_bits : int
+(** Usable bits per word: 62. *)
+
+val words_for : int -> int
+(** [words_for n] is the number of words, [ceil (n / word_bits)], that
+    hold an [n]-bit set. *)
+
+val word_of : int -> int
+(** [word_of i] is the word of a multi-word set holding bit [i]
+    (0-based): [i / word_bits]. *)
+
+val bit_of : int -> int
+(** [bit_of i] is bit [i]'s mask within that word:
+    [1 lsl (i mod word_bits)]. *)
+
 val popcount : int -> int
 (** Number of set bits (SWAR, no lookup table, no branches). *)
 

@@ -7,12 +7,10 @@ open Wdm_core
    order) depend on that list, and seeded replay identity depends on
    the draws. *)
 
-let word_bits = 62
-
 type t = {
   items : Endpoint.t array;
   pos : (Endpoint.t, int) Hashtbl.t;
-  words : int array;  (* bit [i mod 62] of word [i / 62]: items.(i) free *)
+  words : int array;  (* bit [i] of the bitset: items.(i) free *)
   mutable free_count : int;
 }
 
@@ -23,9 +21,10 @@ let create universe =
   Array.iteri (fun i e -> Hashtbl.replace pos e i) items;
   if Hashtbl.length pos <> n then
     invalid_arg "Free_pool.create: universe has duplicates";
-  let words = Array.make (max 1 ((n + word_bits - 1) / word_bits)) 0 in
+  let words = Array.make (max 1 (Bitops.words_for n)) 0 in
   for i = 0 to n - 1 do
-    words.(i / word_bits) <- words.(i / word_bits) lor (1 lsl (i mod word_bits))
+    let w = Bitops.word_of i in
+    words.(w) <- words.(w) lor Bitops.bit_of i
   done;
   { items; pos; words; free_count = n }
 
@@ -36,11 +35,11 @@ let index t e =
 
 let is_free t e =
   let i = index t e in
-  t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
+  t.words.(Bitops.word_of i) land Bitops.bit_of i <> 0
 
 let remove t e =
   let i = index t e in
-  let w = i / word_bits and b = 1 lsl (i mod word_bits) in
+  let w = Bitops.word_of i and b = Bitops.bit_of i in
   if t.words.(w) land b <> 0 then begin
     t.words.(w) <- t.words.(w) land lnot b;
     t.free_count <- t.free_count - 1
@@ -48,7 +47,7 @@ let remove t e =
 
 let add t e =
   let i = index t e in
-  let w = i / word_bits and b = 1 lsl (i mod word_bits) in
+  let w = Bitops.word_of i and b = Bitops.bit_of i in
   if t.words.(w) land b = 0 then begin
     t.words.(w) <- t.words.(w) lor b;
     t.free_count <- t.free_count + 1
@@ -59,8 +58,8 @@ let free_count t = t.free_count
 let to_list t =
   let acc = ref [] in
   for w = 0 to Array.length t.words - 1 do
-    Bitops.iter_set ~width:word_bits
-      (fun b -> acc := t.items.((w * word_bits) + b) :: !acc)
+    Bitops.iter_set ~width:Bitops.word_bits
+      (fun b -> acc := t.items.((w * Bitops.word_bits) + b) :: !acc)
       t.words.(w)
   done;
   List.rev !acc
