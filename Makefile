@@ -8,15 +8,19 @@ build:
 test:
 	dune runtest
 
+# the bench runs on the build that serves: the release profile and the
+# build directory perfbench/run.py uses
+BENCH = dune exec --profile release --build-dir .bench_build bench/main.exe
+
 bench:
-	dune exec bench/main.exe
+	$(BENCH)
 
 # the CI profile: trimmed iteration counts, then schema-check the
 # BENCH_results.json it wrote (routing throughput, WAL overhead,
 # snapshot/restore timings, recovery digest check)
 bench-quick:
-	dune exec bench/main.exe -- --quick
-	dune exec bench/main.exe -- --validate BENCH_results.json
+	$(BENCH) -- --quick
+	$(BENCH) -- --validate BENCH_results.json
 
 # @fmt needs ocamlformat, which the sealed build environment may lack;
 # skip gracefully rather than failing the whole check.

@@ -107,10 +107,10 @@ let logged_fsut store (fsut : (int, 'err, _) Wdm_traffic.Churn.faulty_sut) =
         outcome);
   }
 
-let persist_hook store net ~snapshot_every =
+let persist_hook store backend ~snapshot_every =
   {
     Wdm_traffic.Churn.policy = Wdm_traffic.Churn.Every_n_ops snapshot_every;
-    checkpoint = (fun ~ops:_ -> Persist.Store.checkpoint store net);
+    checkpoint = (fun ~ops:_ -> Persist.Store.checkpoint_backend store backend);
   }
 
 (* Final checkpoint + digest line; the digest is what `recover
@@ -119,8 +119,6 @@ let finish_store_backend store backend =
   Persist.Store.checkpoint_backend store backend;
   Printf.printf "state digest: %d\n" (Persist.Backend.digest backend);
   Persist.Store.close store
-
-let finish_store store net = finish_store_backend store (Persist.Backend.Net net)
 
 let n_arg =
   Arg.(value & opt int 16 & info [ "n"; "ports" ] ~docv:"N" ~doc:"Ports per side.")
@@ -331,10 +329,15 @@ let simulate_cmd =
         disconnect = (fun id -> ignore (Network.disconnect net id));
       }
     in
-    let store = Option.map (fun wal -> Persist.Store.start ?telemetry ~wal net) wal in
+    let backend = Persist.Backend.Net net in
+    let store =
+      Option.map
+        (fun wal -> Persist.Store.start_backend ?telemetry ~wal backend)
+        wal
+    in
     let sut = match store with None -> sut | Some st -> logged_sut st sut in
     let persist =
-      Option.map (fun st -> persist_hook st net ~snapshot_every) store
+      Option.map (fun st -> persist_hook st backend ~snapshot_every) store
     in
     let stats =
       Wdm_traffic.Churn.run ?telemetry ?persist
@@ -345,7 +348,7 @@ let simulate_cmd =
     in
     Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats;
     Format.printf "final utilization: %.1f%%\n" (100. *. Network.utilization net);
-    Option.iter (fun st -> finish_store st net) store;
+    Option.iter (fun st -> finish_store_backend st backend) store;
     (match (telemetry, stats_json) with
     | Some sink, Some file ->
       write_file file
@@ -495,17 +498,18 @@ let faults_cmd =
       in
       (* each slack row is an independent run, so it records into its
          own WAL (and snapshot chain) under a .fN suffix *)
+      let backend = Persist.Backend.Net net in
       let store =
         Option.map
           (fun wal ->
-            Persist.Store.start ~telemetry:sink
+            Persist.Store.start_backend ~telemetry:sink
               ~wal:(Printf.sprintf "%s.f%d" wal f)
-              net)
+              backend)
           wal
       in
       let fsut = match store with None -> fsut | Some st -> logged_fsut st fsut in
       let persist =
-        Option.map (fun st -> persist_hook st net ~snapshot_every) store
+        Option.map (fun st -> persist_hook st backend ~snapshot_every) store
       in
       let (_ : Wdm_traffic.Churn.fault_stats) =
         Wdm_traffic.Churn.run_with_faults ~telemetry:sink ?persist
@@ -514,7 +518,7 @@ let faults_cmd =
           ~fanout:(Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 })
           ~steps ~teardown_bias:0.35 ~schedule fsut
       in
-      Option.iter (fun st -> finish_store st net) store;
+      Option.iter (fun st -> finish_store_backend st backend) store;
       (* The row is read back from the metrics snapshot: the driver's
          tallies ARE the telemetry counters, so there is no second set
          of books to keep in sync. *)
@@ -748,7 +752,8 @@ let record_cmd =
     let topo = Topology.make_exn ~n ~m ~r ~k in
     Format.printf "topology: %a, recording to %s\n" Topology.pp topo wal;
     let net = Network.create ~construction ~output_model:model topo in
-    let store = Persist.Store.start ?policy ~wal net in
+    let backend = Persist.Backend.Net net in
+    let store = Persist.Store.start_backend ?policy ~wal backend in
     let sut =
       logged_sut store
         {
@@ -760,7 +765,7 @@ let record_cmd =
           disconnect = (fun id -> ignore (Network.disconnect net id));
         }
     in
-    let persist = Some (persist_hook store net ~snapshot_every) in
+    let persist = Some (persist_hook store backend ~snapshot_every) in
     let fanout = Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 } in
     let rng = Random.State.make [| seed |] in
     (if with_faults then begin
@@ -814,7 +819,7 @@ let record_cmd =
     Printf.printf "wal: %d records, %d bytes\n"
       (Persist.Store.wal_records store)
       (Persist.Store.wal_offset store);
-    finish_store store net
+    finish_store_backend store backend
   in
   Cmd.v
     (Cmd.info "record"

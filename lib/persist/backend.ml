@@ -380,30 +380,6 @@ let digest = function
   | Net net -> Network.digest net
   | Mesh net -> Mesh.digest net
 
-(* ----- replay ---------------------------------------------------------- *)
-
-let mesh_disconnect_to_string = function
-  | Mesh.Unknown_route id -> Printf.sprintf "unknown route %d" id
-  | Mesh.Already_released id -> Printf.sprintf "route %d already released" id
-
-let apply t op =
-  match t with
-  | Net net -> (
-    match Op.apply net op with Ok _ -> Ok () | Error _ as e -> e)
-  | Mesh net -> (
-    match (op : Op.t) with
-    | Op.Connect c | Op.Repair { connection = c; _ } -> (
-      (* like Op.apply: a refused admission replays as a no-op *)
-      match Mesh.connect net c with Ok _ | Error _ -> Ok ())
-    | Op.Disconnect id -> (
-      match Mesh.disconnect net id with
-      | Ok _ -> Ok ()
-      | Error e -> Error (mesh_disconnect_to_string e))
-    | Op.Inject_fault _ | Op.Clear_fault _ ->
-      (* never WAL-committed for a mesh: the server answers them with
-         Server_error, which committed_op excludes *)
-      Error "mesh backend does not support fault ops")
-
 (* ----- mesh-to-wire adapters ------------------------------------------- *)
 
 let net_route_of_mesh (r : Mesh.route) : Network.route =

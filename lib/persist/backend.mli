@@ -8,9 +8,11 @@
     pre-mesh snapshot and WAL on disk decodes exactly as before and a
     mesh snapshot can never be misread as a fabric.
 
-    The multistage state codec lives here (moved from {!Store}, which
-    re-exports it) so the dispatching functions sit below {!Store} in
-    the module order and recovery can restore either kind. *)
+    The state and route codecs live here, below {!Resp} and {!Store}
+    in the module order, so recovery can restore either kind and the
+    response codec can write routes without depending on {!Store}.
+    An op reaches a backend only through {!Resp.execute_backend}
+    (replay: {!Resp.replay}). *)
 
 module Network = Wdm_multistage.Network
 module Mesh = Wdm_mesh.Mesh_network
@@ -43,6 +45,10 @@ val decode_net_state : string -> (Network.snapshot, string) result
 
 val encode_route : Buffer.t -> Network.route -> unit
 val decode_route : Wire.reader -> Network.route
+(** The allocated-route sub-codec of the multistage state, also used
+    by {!Resp} for wire responses, so a route serializes identically
+    in a snapshot file and on a control-plane socket.
+    [decode_route] @raise Wire.Decode_error on malformed input. *)
 
 (** {1 Mesh state codec} *)
 
@@ -62,13 +68,6 @@ val encode_state : t -> string
 val restore :
   ?telemetry:Wdm_telemetry.Sink.t -> string -> (t, string) result
 (** Decode an {!encode_state} string and rebuild a live backend. *)
-
-val apply : t -> Op.t -> (unit, string) result
-(** Replay one op with {!Op.apply} semantics: refusals of [Connect] /
-    [Repair] are [Ok] (the WAL records refused admissions too), a
-    failed [Disconnect] or fault op is [Error].  Mesh backends refuse
-    fault ops as [Error] — they cannot appear in a mesh WAL because
-    the service layer never commits their [Server_error] responses. *)
 
 val digest : t -> int
 (** The engine's own state digest ({!Network.digest} or

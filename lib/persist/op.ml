@@ -158,30 +158,6 @@ let decode_string s =
   | exception Wire.Decode_error { offset; reason } ->
     Error (Printf.sprintf "%s at payload offset %d" reason offset)
 
-(* ----- replay ---------------------------------------------------------- *)
-
-let apply net = function
-  | Connect c -> (
-    match Network.connect net c with
-    | Ok route -> Ok (Some route)
-    | Error _ -> Ok None)
-  | Disconnect id -> (
-    match Network.disconnect net id with
-    | Ok _ -> Ok None
-    | Error e -> Error (Network.Error.disconnect_to_string e))
-  | Inject_fault f -> (
-    match Network.inject_fault net f with
-    | _victims -> Ok None
-    | exception Invalid_argument e -> Error e)
-  | Clear_fault f -> (
-    match Network.clear_fault net f with
-    | () -> Ok None
-    | exception Invalid_argument e -> Error e)
-  | Repair { connection; rehomed = _ } -> (
-    match Network.connect_rearrangeable net connection with
-    | Ok (route, _) -> Ok (Some route)
-    | Error _ -> Ok None)
-
 let route_checksum acc (route : Network.route) =
   List.fold_left
     (fun acc (h : Network.hop) ->

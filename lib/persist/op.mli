@@ -1,17 +1,19 @@
 (** The network operation vocabulary and its binary codec.
 
     One value of {!t} is one state-changing (or deliberately refused)
-    call against a {!Wdm_multistage.Network}: the bench harness records
+    call against an engine ({!Backend.t}): the bench harness records
     them to measure routing throughput, the WAL persists them for crash
     recovery, and the tests replay them to pin down determinism.  All
     three share this codec, so a trace recorded anywhere replays
     anywhere.
 
-    Replay correctness rests on the network's determinism contract
+    Replay correctness rests on the engines' determinism contract
     (DESIGN.md §6): connects are recorded as *requests*, not results —
     re-executing the same request sequence against the same starting
-    state reallocates byte-identical routes and ids, which {!apply}
-    relies on and {!route_checksum} verifies. *)
+    state reallocates byte-identical routes and ids, which
+    {!Resp.replay} relies on and {!route_checksum} verifies.  This
+    module only names and encodes ops; {!Resp.execute_backend} is the
+    one place an op reaches an engine. *)
 
 open Wdm_core
 module Network = Wdm_multistage.Network
@@ -27,7 +29,8 @@ type t =
   | Repair of { connection : Connection.t; rehomed : bool }
       (** a repair attempt for a fault victim via
           [Network.connect_rearrangeable]; [rehomed] records the
-          original outcome so replay divergence is detectable *)
+          original outcome, and {!Resp.replay} refuses a replay that
+          produces the other one *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -58,16 +61,6 @@ val decode : Wire.reader -> t
 
 val decode_string : string -> (t, string) result
 (** Decodes a whole payload; trailing bytes are an error. *)
-
-(** {1 Replay} *)
-
-val apply : Network.t -> t -> (Network.route option, string) result
-(** Applies one op with the semantics the recorders use: [Connect] via
-    [Network.connect] ([Ok None] when refused — a refusal is a valid
-    recorded outcome), [Repair] via [Network.connect_rearrangeable],
-    [Disconnect] of an unknown id is an [Error] (the trace is
-    inconsistent with the state).  Returns the route a connect-like op
-    admitted, for checksumming. *)
 
 val route_checksum : int -> Network.route -> int
 (** Folds one admitted route into a running hop checksum (the bench

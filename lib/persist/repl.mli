@@ -34,7 +34,7 @@ val pp_to_leader : Format.formatter -> to_leader -> unit
 
 type to_follower =
   | Init_snapshot of { epoch : int; seq : int; state : string }
-      (** Full state ({!Store.encode_state} bytes) as of op [seq];
+      (** Full state ({!Backend.encode_state} bytes) as of op [seq];
           the stream continues from [seq + 1]. *)
   | Init_resume of { epoch : int; seq : int }
       (** The follower's [last_seq] was honoured; the stream continues

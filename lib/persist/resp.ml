@@ -182,13 +182,13 @@ let rec encode b = function
   | Admitted { route; moved } ->
     Wire.put_u8 b 1;
     Wire.put_u32 b moved;
-    Store.encode_route b route
+    Backend.encode_route b route
   | Refused e ->
     Wire.put_u8 b 2;
     put_error b e
   | Released route ->
     Wire.put_u8 b 3;
-    Store.encode_route b route
+    Backend.encode_route b route
   | Release_failed e ->
     Wire.put_u8 b 4;
     (match e with
@@ -230,10 +230,10 @@ let rec decode_at ~depth r =
   match Wire.get_u8 r with
   | 1 ->
     let moved = Wire.get_u32 r in
-    let route = Store.decode_route r in
+    let route = Backend.decode_route r in
     Admitted { route; moved }
   | 2 -> Refused (get_error r)
-  | 3 -> Released (Store.decode_route r)
+  | 3 -> Released (Backend.decode_route r)
   | 4 -> (
     match Wire.get_u8 r with
     | 0 -> Release_failed (Network.Unknown_route (Wire.get_int r))
@@ -306,25 +306,6 @@ let rec pp ppf = function
 
 (* ----- execution ------------------------------------------------------- *)
 
-let execute_mesh net = function
-  | Op.Connect c -> (
-    match Backend.Mesh.connect net c with
-    | Ok route -> Admitted { route = Backend.net_route_of_mesh route; moved = 0 }
-    | Error e -> Refused (Backend.net_error_of_mesh e))
-  | Op.Disconnect id -> (
-    match Backend.Mesh.disconnect net id with
-    | Ok route -> Released (Backend.net_route_of_mesh route)
-    | Error e -> Release_failed (Backend.net_disconnect_error_of_mesh e))
-  | Op.Inject_fault _ | Op.Clear_fault _ ->
-    (* answered but never WAL-committed: committed_op drops
-       Server_error responses, so a mesh WAL stays replayable *)
-    Server_error "mesh backend does not support fault ops"
-  | Op.Repair { connection; rehomed = _ } -> (
-    (* no rearrangement pass on a mesh: a repair is a fresh admit *)
-    match Backend.Mesh.connect net connection with
-    | Ok route -> Admitted { route = Backend.net_route_of_mesh route; moved = 0 }
-    | Error e -> Refused (Backend.net_error_of_mesh e))
-
 let rec execute_backend ?(stats = fun () -> "{}") backend = function
   | Batch reqs -> Batch_reply (List.map (execute_backend ~stats backend) reqs)
   | Get_digest -> Digest_is (Backend.digest backend)
@@ -333,31 +314,64 @@ let rec execute_backend ?(stats = fun () -> "{}") backend = function
      change, and the server intercepts the request before execute. *)
   | Promote -> Server_error "promotion is handled by the server"
   | Admit op -> (
-    match backend with
-    | Backend.Mesh net -> execute_mesh net op
-    | Backend.Net net -> execute_net net op)
-
-and execute_net net op =
-  (match op with
-    | Op.Connect c -> (
+    match (backend, op) with
+    | Backend.Net net, Op.Connect c -> (
       match Network.connect net c with
       | Ok route -> Admitted { route; moved = 0 }
       | Error e -> Refused e)
-    | Op.Disconnect id -> (
+    | Backend.Net net, Op.Repair { connection; rehomed = _ } -> (
+      match Network.connect_rearrangeable net connection with
+      | Ok (route, moved) -> Admitted { route; moved }
+      | Error e -> Refused e)
+    | Backend.Net net, Op.Disconnect id -> (
       match Network.disconnect net id with
       | Ok route -> Released route
       | Error e -> Release_failed e)
-    | Op.Inject_fault f -> (
+    | Backend.Net net, Op.Inject_fault f -> (
       match Network.inject_fault net f with
       | victims -> Fault_applied { torn_down = List.length victims }
       | exception Invalid_argument e -> Server_error e)
-    | Op.Clear_fault f -> (
+    | Backend.Net net, Op.Clear_fault f -> (
       match Network.clear_fault net f with
       | () -> Fault_cleared
       | exception Invalid_argument e -> Server_error e)
-    | Op.Repair { connection; rehomed = _ } -> (
-      match Network.connect_rearrangeable net connection with
-      | Ok (route, moved) -> Admitted { route; moved }
-      | Error e -> Refused e))
+    (* no rearrangement pass on a mesh: a repair is a fresh admit *)
+    | Backend.Mesh net, (Op.Connect connection | Op.Repair { connection; _ })
+      -> (
+      match Backend.Mesh.connect net connection with
+      | Ok route ->
+        Admitted { route = Backend.net_route_of_mesh route; moved = 0 }
+      | Error e -> Refused (Backend.net_error_of_mesh e))
+    | Backend.Mesh net, Op.Disconnect id -> (
+      match Backend.Mesh.disconnect net id with
+      | Ok route -> Released (Backend.net_route_of_mesh route)
+      | Error e -> Release_failed (Backend.net_disconnect_error_of_mesh e))
+    | Backend.Mesh _, (Op.Inject_fault _ | Op.Clear_fault _) ->
+      (* answered but never committed, so a mesh WAL stays replayable *)
+      Server_error "mesh backend does not support fault ops")
 
-let execute ?stats net req = execute_backend ?stats (Backend.Net net) req
+let committed req resp =
+  match (req, resp) with
+  | Admit (Op.Repair { connection; _ }), (Admitted _ | Refused _) ->
+    let rehomed = match resp with Admitted _ -> true | _ -> false in
+    Some (Op.Repair { connection; rehomed })
+  | ( Admit op,
+      (Admitted _ | Refused _ | Released _ | Fault_applied _ | Fault_cleared) )
+    ->
+    Some op
+  | _ -> None
+
+let replay backend op =
+  let resp = execute_backend backend (Admit op) in
+  match committed (Admit op) resp with
+  | Some replayed when Op.equal replayed op -> Ok ()
+  | Some replayed ->
+    Error
+      (Format.asprintf "replay diverged: recorded %a, replayed %a" Op.pp op
+         Op.pp replayed)
+  | None ->
+    Error
+      (match resp with
+      | Release_failed e -> Network.Error.disconnect_to_string e
+      | Server_error e -> e
+      | resp -> Format.asprintf "%a" pp resp)

@@ -3,7 +3,7 @@
     The server speaks the persistence layer's language: a request is
     one CRC32-framed {!Op} payload (plus two read-only control
     requests in a reserved tag range), a response is one framed value
-    of {!t}.  Reusing the {!Op} and {!Store} sub-codecs means a bench
+    of {!t}.  Reusing the {!Op} and {!Backend} sub-codecs means a bench
     trace, a WAL record and a network request are interchangeable
     byte strings — anything that can replay a WAL can drive a server,
     and vice versa.
@@ -20,8 +20,8 @@ type request =
       (** a state-changing op, encoded exactly as in the WAL
           (tags 1-5) *)
   | Get_digest
-      (** whole-state fingerprint ({!Store.digest}) of the live
-          network — tag [0xF1] *)
+      (** whole-state fingerprint ({!Backend.digest}) of the live
+          state — tag [0xF1] *)
   | Get_stats
       (** server-side telemetry snapshot as JSON — tag [0xF2] *)
   | Promote
@@ -90,27 +90,45 @@ val decode_string : string -> (t, string) result
 
 val execute_backend :
   ?stats:(unit -> string) -> Backend.t -> request -> t
-(** {!execute} over either state kind.  A mesh backend answers
-    [Connect] / [Repair] / [Disconnect] through the mesh engine with
-    results mapped onto the multistage route vocabulary
-    ({!Backend.net_route_of_mesh}); fault ops answer [Server_error] —
-    a mesh has no switch fabric to fault — and the server never
-    commits [Server_error] responses, so they cannot reach a WAL. *)
-
-val execute : ?stats:(unit -> string) -> Network.t -> request -> t
-(** The one place request semantics live, shared by the server's
-    admission loop and the loopback equivalence tests: [Connect] and
-    [Repair] map to {!Network.connect} / {!Network.connect_rearrangeable}
-    and answer [Admitted]/[Refused]; [Disconnect] answers
-    [Released]/[Release_failed]; fault ops answer
-    [Fault_applied]/[Fault_cleared]; [Get_digest] answers with
-    {!Store.digest}.  [Get_stats] answers with [stats ()] (default:
-    ["{}"] — the server passes its metrics renderer).
-    [Invalid_argument] from fault validation is caught and answered as
-    [Server_error] — a bad request must not take the server down.
-    [Promote] answers [Server_error]: promotion changes a server's
-    role, not network state, so the server intercepts it before this
-    function ever sees it.  [Batch] maps [execute] over its requests
-    and answers [Batch_reply] — the server instead unrolls batches
-    itself so each sub-op hits the WAL and replication stream
+(** The one place request semantics live, and the one path by which an
+    op reaches an engine: a leader executes through it, and a follower
+    and crash recovery replay through it ({!replay}).  On the
+    multistage fabric, [Connect] and [Repair] map to {!Network.connect}
+    / {!Network.connect_rearrangeable} and answer [Admitted]/[Refused];
+    [Disconnect] answers [Released]/[Release_failed]; fault ops answer
+    [Fault_applied]/[Fault_cleared].  A mesh backend answers [Connect],
+    [Repair] (a fresh admit: no rearrangement pass) and [Disconnect]
+    through the mesh engine, with results mapped onto the multistage
+    route vocabulary ({!Backend.net_route_of_mesh}); its fault ops
+    answer [Server_error], since a mesh has no switch fabric to fault.
+    [Get_digest] answers {!Backend.digest}.  [Get_stats] answers with
+    [stats ()] (default: ["{}"] — the server passes its metrics
+    renderer).  [Invalid_argument] from fault validation is caught and
+    answered as [Server_error] — a bad request must not take the server
+    down.  [Promote] answers [Server_error]: promotion changes a
+    server's role, not state, so the server intercepts it before this
+    function ever sees it.  [Batch] maps [execute_backend] over its
+    requests and answers [Batch_reply] — the server instead unrolls
+    batches itself so each sub-op hits the WAL and replication stream
     individually. *)
+
+val committed : request -> t -> Op.t option
+(** The op an executed request commits, if any: the one rule for what
+    the WAL and the replication stream record.  An [Admit] answered
+    [Admitted], [Refused], [Released], [Fault_applied] or
+    [Fault_cleared] commits its op, a [Repair] with [rehomed] set to
+    the outcome this execution produced ([true] exactly when
+    [Admitted]).  Everything else commits nothing: a [Release_failed]
+    or [Server_error] op failed to execute, and replaying it would fail
+    again and read as corruption — one such client request would poison
+    the WAL for good.  A refused connect is committed; it replays as the
+    same refusal.  Control requests and whole batches commit nothing
+    (the server commits a batch sub-op by sub-op). *)
+
+val replay : Backend.t -> Op.t -> (unit, string) result
+(** Re-executes one recorded op through {!execute_backend}.  [Ok]
+    exactly when {!committed} returns the op that was recorded: the op
+    executed, and a [Repair] reproduced its recorded outcome.  Crash
+    recovery and a follower's stream apply both replay through it, so
+    a recorded op that fails to execute or diverges is an [Error]
+    naming why — never a silent divergence. *)

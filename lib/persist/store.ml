@@ -1,17 +1,4 @@
 module Tel = Wdm_telemetry
-module Network = Wdm_multistage.Network
-
-(* ----- state codec -----------------------------------------------------
-
-   The codec itself lives in Backend (which dispatches between the
-   multistage fabric and the mesh network); these aliases keep the
-   historical Store API stable. *)
-
-let encode_state = Backend.encode_net_state
-let decode_state = Backend.decode_net_state
-let encode_route = Backend.encode_route
-let decode_route = Backend.decode_route
-let digest net = Backend.digest (Backend.Net net)
 
 let fail (r : Wire.reader) reason =
   raise (Wire.Decode_error { offset = r.Wire.pos; reason })
@@ -33,12 +20,9 @@ let write_state ~path ~seq ~wal_offset state =
       output_string oc (Wire.frame (Buffer.contents b));
       flush oc)
 
-let write_snapshot ~path ~seq ~wal_offset snap =
-  write_state ~path ~seq ~wal_offset (encode_state snap)
-
 (* Reads the framed (seq, wal_offset, state-bytes) triple without
    committing to a state kind — recovery dispatches on the bytes. *)
-let read_snapshot_raw path =
+let read_snapshot path =
   let contents =
     try
       let ic = open_in_bin path in
@@ -75,14 +59,6 @@ let read_snapshot_raw path =
           | triple -> Ok triple
           | exception Wire.Decode_error { offset; reason } ->
             Error (Printf.sprintf "%s at payload offset %d" reason offset))))
-
-let read_snapshot path =
-  match read_snapshot_raw path with
-  | Error _ as e -> e
-  | Ok (seq, wal_offset, state) -> (
-    match decode_state state with
-    | Ok snap -> Ok (seq, wal_offset, snap)
-    | Error e -> Error e)
 
 let list_snapshots ~wal =
   let dir = Filename.dirname wal in
@@ -158,7 +134,7 @@ let take_snapshot t backend =
   t.seq <- t.seq + 1
 
 let start_backend ?telemetry ?policy ?(retain = 2) ~wal backend =
-  if retain < 1 then invalid_arg "Store.start: retain must be >= 1";
+  if retain < 1 then invalid_arg "Store.start_backend: retain must be >= 1";
   delete_snapshots ~wal ~keep_above:max_int;
   let writer = Wal.create ?telemetry ?policy wal in
   let t =
@@ -173,26 +149,14 @@ let start_backend ?telemetry ?policy ?(retain = 2) ~wal backend =
   take_snapshot t backend;
   t
 
-let start ?telemetry ?policy ?retain ~wal net =
-  start_backend ?telemetry ?policy ?retain ~wal (Backend.Net net)
-
 let log t op = Wal.append t.writer op
 let checkpoint_backend t backend = take_snapshot t backend
-let checkpoint t net = take_snapshot t (Backend.Net net)
 let wal_records t = Wal.records t.writer
 let wal_offset t = Wal.tell t.writer
 let snapshot_seq t = t.seq
 let close t = Wal.close t.writer
 
 (* ----- recovery -------------------------------------------------------- *)
-
-type recovery = {
-  network : Network.t;
-  snapshot_seq : int;
-  snapshot_offset : int;
-  replayed : int;
-  tear : int option;
-}
 
 type backend_recovery = {
   backend : Backend.t;
@@ -211,40 +175,13 @@ let pp_recovery_error ppf = function
   | Corrupt { path; offset; reason } ->
     Format.fprintf ppf "corrupt state in %s at byte %d: %s" path offset reason
 
-(* Wal.read reports mid-stream corruption as a formatted message; keep
-   the byte offset machine-readable by re-scanning here. *)
-let scan_wal path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error (Corrupt { path; offset = 0; reason = e })
-  in
-  match contents with
-  | Error _ as e -> e
-  | Ok src -> (
-    match Wire.check_header ~kind:'W' src with
-    | Error reason -> Error (Corrupt { path; offset = 0; reason })
-    | Ok () ->
-      let rec scan pos acc =
-        match Wire.read_frame src ~pos with
-        | Wire.End -> Ok (List.rev acc, None, pos)
-        | Wire.Torn at -> Ok (List.rev acc, Some at, at)
-        | Wire.Corrupt { offset; reason } ->
-          Error (Corrupt { path; offset; reason })
-        | Wire.Frame { payload; next } -> (
-          match Op.decode_string payload with
-          | Ok op -> scan next ((pos, op) :: acc)
-          | Error reason -> Error (Corrupt { path; offset = pos; reason }))
-      in
-      scan Wire.header_len [])
-
-let recover_backend ?telemetry ?(truncate = true) ~wal () =
-  match scan_wal wal with
-  | Error _ as e -> e
-  | Ok (ops, tear, valid_end) ->
+(* Recovery, plus the number of records in the WAL's valid prefix, which
+   [resume_backend] seeds its writer with. *)
+let recover_counted ?telemetry ~truncate ~wal () =
+  match Wal.read wal with
+  | Error { Wal.offset; reason } ->
+    Error (Corrupt { path = wal; offset; reason })
+  | Ok { Wal.ops; tear; valid_end } ->
     (* A snapshot is usable only if its WAL offset is a record boundary
        of the valid prefix — otherwise it describes a different file. *)
     let boundary off =
@@ -260,7 +197,7 @@ let recover_backend ?telemetry ?(truncate = true) ~wal () =
              | Some e -> e
              | None -> "no snapshot files found"))
       | (seq, path) :: rest -> (
-        match read_snapshot_raw path with
+        match read_snapshot path with
         | Error e -> pick (Some (Printf.sprintf "%s: %s" path e)) rest
         | Ok (file_seq, wal_off, state) ->
           if file_seq <> seq then
@@ -297,7 +234,7 @@ let recover_backend ?telemetry ?(truncate = true) ~wal () =
         let rec replay count = function
           | [] -> Ok count
           | (pos, op) :: rest -> (
-            match Backend.apply backend op with
+            match Resp.replay backend op with
             | Ok () -> replay (count + 1) rest
             | Error reason -> Error (Corrupt { path = wal; offset = pos; reason })
             | exception Invalid_argument reason ->
@@ -322,51 +259,31 @@ let recover_backend ?telemetry ?(truncate = true) ~wal () =
               (Tel.Sink.now sink -. t0)
           | _ -> ());
           Ok
-            {
-              backend;
-              b_snapshot_seq;
-              b_snapshot_offset;
-              b_replayed;
-              b_tear = tear;
-            })))
+            ( {
+                backend;
+                b_snapshot_seq;
+                b_snapshot_offset;
+                b_replayed;
+                b_tear = tear;
+              },
+              List.length ops ))))
 
-let recover ?telemetry ?truncate ~wal () =
-  match recover_backend ?telemetry ?truncate ~wal () with
-  | Error _ as e -> e
-  | Ok r -> (
-    match r.backend with
-    | Backend.Net network ->
-      Ok
-        {
-          network;
-          snapshot_seq = r.b_snapshot_seq;
-          snapshot_offset = r.b_snapshot_offset;
-          replayed = r.b_replayed;
-          tear = r.b_tear;
-        }
-    | Backend.Mesh _ ->
-      Error
-        (No_snapshot
-           "the WAL holds a mesh session; recover it with recover_backend"))
+let recover_backend ?telemetry ?(truncate = true) ~wal () =
+  Result.map fst (recover_counted ?telemetry ~truncate ~wal ())
 
 (* ----- resume ---------------------------------------------------------- *)
 
 (* Recover, then continue the same WAL instead of truncating it: the
-   writer reopens in append mode, the snapshot sequence carries on past
-   the newest file on disk, and an immediate checkpoint pins the
-   recovered state at the current offset (also healing the case where
-   the newest snapshot had become inconsistent with the truncated
-   WAL). *)
+   writer reopens in append mode with the record count the recovery
+   scan found, the snapshot sequence carries on past the newest file on
+   disk, and an immediate checkpoint pins the recovered state at the
+   current offset (also healing the case where the newest snapshot had
+   become inconsistent with the truncated WAL). *)
 let resume_backend ?telemetry ?policy ?(retain = 2) ~wal () =
-  if retain < 1 then invalid_arg "Store.resume: retain must be >= 1";
-  match recover_backend ?telemetry ~truncate:true ~wal () with
-  | Error _ as e -> e
-  | Ok recovery ->
-    let records =
-      match Wal.read wal with
-      | Ok { Wal.ops; _ } -> List.length ops
-      | Error _ -> 0
-    in
+  if retain < 1 then invalid_arg "Store.resume_backend: retain must be >= 1";
+  match recover_counted ?telemetry ~truncate:true ~wal () with
+  | Error e -> Error e
+  | Ok (recovery, records) ->
     let writer = Wal.open_append ?telemetry ?policy ~records wal in
     let seq =
       match list_snapshots ~wal with (s, _) :: _ -> s + 1 | [] -> 0
@@ -382,24 +299,3 @@ let resume_backend ?telemetry ?policy ?(retain = 2) ~wal () =
     in
     take_snapshot t recovery.backend;
     Ok (t, recovery)
-
-let resume ?telemetry ?policy ?retain ~wal () =
-  match resume_backend ?telemetry ?policy ?retain ~wal () with
-  | Error _ as e -> e
-  | Ok (t, r) -> (
-    match r.backend with
-    | Backend.Net network ->
-      Ok
-        ( t,
-          {
-            network;
-            snapshot_seq = r.b_snapshot_seq;
-            snapshot_offset = r.b_snapshot_offset;
-            replayed = r.b_replayed;
-            tear = r.b_tear;
-          } )
-    | Backend.Mesh _ ->
-      close t;
-      Error
-        (No_snapshot
-           "the WAL holds a mesh session; resume it with resume_backend"))

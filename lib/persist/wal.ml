@@ -137,7 +137,13 @@ let close w =
 
 (* ----- reading --------------------------------------------------------- *)
 
-type read_outcome = { ops : (int * Op.t) list; tear : int option }
+type read_outcome = {
+  ops : (int * Op.t) list;
+  tear : int option;
+  valid_end : int;
+}
+
+type read_error = { offset : int; reason : string }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -147,22 +153,21 @@ let read_file path =
 
 let read path =
   match read_file path with
-  | exception Sys_error e -> Error (Printf.sprintf "cannot read WAL: %s" e)
+  | exception Sys_error reason -> Error { offset = 0; reason }
   | src -> (
     match Wire.check_header ~kind:'W' src with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
+    | Error reason -> Error { offset = 0; reason }
     | Ok () ->
       let rec scan pos acc =
         match Wire.read_frame src ~pos with
-        | Wire.End -> Ok { ops = List.rev acc; tear = None }
-        | Wire.Torn at -> Ok { ops = List.rev acc; tear = Some at }
-        | Wire.Corrupt { offset; reason } ->
-          Error (Printf.sprintf "%s: %s at byte %d" path reason offset)
+        | Wire.End -> Ok { ops = List.rev acc; tear = None; valid_end = pos }
+        | Wire.Torn at ->
+          Ok { ops = List.rev acc; tear = Some at; valid_end = at }
+        | Wire.Corrupt { offset; reason } -> Error { offset; reason }
         | Wire.Frame { payload; next } -> (
           match Op.decode_string payload with
           | Ok op -> scan next ((pos, op) :: acc)
-          | Error e ->
-            Error (Printf.sprintf "%s: undecodable op at byte %d: %s" path pos e))
+          | Error reason -> Error { offset = pos; reason })
       in
       scan Wire.header_len [])
 

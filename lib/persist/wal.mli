@@ -2,8 +2,8 @@
 
     A WAL file is the {!Wire} header (kind ['W']) followed by one
     CRC32-framed {!Op} record per operation, appended in execution
-    order.  Recovery ({!Store.recover}) replays the tail past the
-    newest snapshot; this module only reads and writes the file.
+    order.  Recovery ({!Store.recover_backend}) replays the tail past
+    the newest snapshot; this module only reads and writes the file.
 
     Durability is the caller's trade to make, so flushing is a
     pluggable {!flush_policy}: a simulation recording a trace wants
@@ -33,9 +33,9 @@ val open_append :
   string ->
   writer
 (** Reopens an existing WAL for appending (header verified, channel
-    positioned at end-of-file) — what {!Store.resume} uses to continue
-    a recovered session instead of truncating its history.  [records]
-    seeds the writer's record count, so {!records} and the
+    positioned at end-of-file) — what {!Store.resume_backend} uses to
+    continue a recovered session instead of truncating its history.
+    [records] seeds the writer's record count, so {!records} and the
     [Flush_every] cadence continue where the previous session left
     off.  @raise Invalid_argument when [path] is not a WAL (missing or
     bad header) or on a non-positive policy interval. *)
@@ -60,12 +60,24 @@ type read_outcome = {
   ops : (int * Op.t) list;  (** (byte offset of the record, op) *)
   tear : int option;
       (** byte offset of an incomplete trailing record, if any *)
+  valid_end : int;
+      (** end of the valid prefix: the tear offset, or the file's
+          length *)
 }
 
-val read : string -> (read_outcome, string) result
-(** Reads a whole WAL.  A torn trailing record is reported, not an
-    error; a bad header, an implausible length or a CRC mismatch on a
-    complete record is an [Error] naming the byte offset. *)
+type read_error = {
+  offset : int;
+      (** byte offset of the damage: [0] for an unreadable file or a
+          bad header, else the start of the failing record *)
+  reason : string;
+}
+
+val read : string -> (read_outcome, read_error) result
+(** Reads a whole WAL: the one WAL scanner, which recovery
+    ({!Store.recover_backend}) and the tests share.  A torn trailing
+    record is reported, not an error; a bad header, an implausible
+    length, a CRC mismatch on a complete record or an undecodable op is
+    an [Error] at the failing byte offset.  Never raises. *)
 
 val truncate_at : string -> int -> unit
 (** Cuts the file at a tear offset so a recovered process can append.

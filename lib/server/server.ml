@@ -1,4 +1,3 @@
-module Network = Wdm_multistage.Network
 module P = Wdm_persist
 module Tel = Wdm_telemetry
 
@@ -516,8 +515,8 @@ let handle_repl t link msg =
          | P.Repl.Rep_op { seq; op } -> (
            if seq <> t.rep_seq + 1 then resync t
            else
-             match P.Backend.apply t.backend op with
-             | Ok _ ->
+             match P.Resp.replay t.backend op with
+             | Ok () ->
                t.rep_seq <- seq;
                inc t (fun i -> i.r_applied);
                Option.iter (fun s -> P.Store.log s op) t.store;
@@ -682,35 +681,6 @@ let record_span t i sr =
     | None -> ())
   | _ -> ()
 
-(* The op this request committed, if any — what the WAL records and
-   the replication stream carries.  Ops that failed to execute are
-   excluded: [Store.recover] treats a failing [Op.apply] as
-   corruption, and replaying a refused Disconnect or an out-of-range
-   fault fails again — one such client request would poison the WAL
-   permanently.  (Refused Connect and Repair are still committed;
-   replay tolerates those.)  A [Repair] record carries the outcome
-   this server actually produced, keeping divergence detection
-   honest. *)
-let committed_op req resp =
-  match (req : P.Resp.request) with
-  | P.Resp.Get_digest | P.Resp.Get_stats | P.Resp.Promote -> None
-  (* batches are unrolled sub-op by sub-op before commit; a whole
-     batch never reaches the WAL as one record *)
-  | P.Resp.Batch _ -> None
-  | P.Resp.Admit op -> (
-    match (resp : P.Resp.t) with
-    | P.Resp.Release_failed _ | P.Resp.Server_error _ -> None
-    | P.Resp.Admitted _ -> (
-      match op with
-      | P.Op.Repair { connection; _ } ->
-        Some (P.Op.Repair { connection; rehomed = true })
-      | _ -> Some op)
-    | _ -> (
-      match op with
-      | P.Op.Repair { connection; _ } ->
-        Some (P.Op.Repair { connection; rehomed = false })
-      | _ -> Some op))
-
 (* Promotion, on the loop: cut the replication link, take a fresh
    epoch, start leading.  The store and network continue as they are —
    the newest boundary-consistent state this follower reached is
@@ -745,7 +715,7 @@ let execute_request t req =
    see exactly the records a sequential client would have produced. *)
 let commit t req resp =
   if t.role = Leader then
-    match committed_op req resp with
+    match P.Resp.committed req resp with
     | None -> ()
     | Some op ->
       Option.iter (fun s -> P.Store.log s op) t.store;
@@ -789,7 +759,7 @@ let handle_request t client req ~decoded ~span ~decode =
     let wal_acc = ref 0. and repl_acc = ref 0. in
     let commit_timed sub r =
       if t.role = Leader then
-        match committed_op sub r with
+        match P.Resp.committed sub r with
         | None -> ()
         | Some op ->
           let t0 = now t in
@@ -1540,18 +1510,18 @@ let bind_listen addr =
 let start_backend ?telemetry ?store ?(digest_every = 64)
     ?(resume_window = 1024) ?follower ?http ?(ready_lag = 64) ?slow_ms
     ?slow_log ?(span_buffer = 1024) ?max_conns ?conn_sndbuf ~backend addr =
+  let invalid what = invalid_arg ("Server.start_backend: " ^ what) in
   (match max_conns with
-  | Some m when m < 1 -> invalid_arg "Server.start: max_conns must be >= 1"
+  | Some m when m < 1 -> invalid "max_conns must be >= 1"
   | _ -> ());
-  if digest_every < 1 then invalid_arg "Server.start: digest_every must be >= 1";
-  if resume_window < 1 then
-    invalid_arg "Server.start: resume_window must be >= 1";
+  if digest_every < 1 then invalid "digest_every must be >= 1";
+  if resume_window < 1 then invalid "resume_window must be >= 1";
   if follower <> None && store <> None then
-    invalid_arg "Server.start: a follower manages its own store";
-  if ready_lag < 0 then invalid_arg "Server.start: ready_lag must be >= 0";
-  if span_buffer < 1 then invalid_arg "Server.start: span_buffer must be >= 1";
+    invalid "a follower manages its own store";
+  if ready_lag < 0 then invalid "ready_lag must be >= 0";
+  if span_buffer < 1 then invalid "span_buffer must be >= 1";
   (match slow_ms with
-  | Some ms when ms < 0. -> invalid_arg "Server.start: slow_ms must be >= 0"
+  | Some ms when ms < 0. -> invalid "slow_ms must be >= 0"
   | _ -> ());
   (* a peer that vanishes mid-response must surface as EPIPE on the
      write, not as a process-killing signal *)
@@ -1645,23 +1615,11 @@ let start_backend ?telemetry ?store ?(digest_every = 64)
   t.loop_thread <- Some (Thread.create (fun () -> loop_run t) ());
   t
 
-let start ?telemetry ?store ?digest_every ?resume_window ?follower ?http
-    ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns ?conn_sndbuf ~net
-    addr =
-  start_backend ?telemetry ?store ?digest_every ?resume_window ?follower ?http
-    ?ready_lag ?slow_ms ?slow_log ?span_buffer ?max_conns ?conn_sndbuf
-    ~backend:(P.Backend.Net net) addr
-
 let address t = t.bound
 let http_address t = t.http_bound
 let role t = t.role
 let applied t = t.rep_seq
 let backend t = t.backend
-
-let network t =
-  match t.backend with
-  | P.Backend.Net net -> net
-  | P.Backend.Mesh _ -> invalid_arg "Server.network: this server runs a mesh backend"
 
 let current_store t = t.store
 

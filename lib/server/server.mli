@@ -1,6 +1,6 @@
-(** The control-plane service: a live {!Wdm_multistage.Network}
-    behind a TCP or Unix-domain socket, optionally replicated to
-    follower nodes.
+(** The control-plane service: a live {!Wdm_persist.Backend.t} (the
+    multistage fabric or a mesh network) behind a TCP or Unix-domain
+    socket, optionally replicated to follower nodes.
 
     Concurrency model — one thread (DESIGN.md §12): a single event-loop
     thread owns every socket, in either role — clients, scrapers,
@@ -33,10 +33,12 @@
     WAL after it executes (a refused connect is still recorded — WAL
     semantics record requests, replay re-derives outcomes), so a served
     session crash-recovers exactly like a recorded in-process run.
-    Requests that failed to execute at all — a disconnect of an unknown
-    or already-released route, a fault op with out-of-range indices —
-    are answered but never logged: replaying them would fail and read
-    as WAL corruption on recovery.
+    What is recorded — and replicated — is {!Wdm_persist.Resp.committed}
+    of the request and its response: requests that failed to execute
+    at all (a disconnect of an unknown or already-released route, a
+    fault op with out-of-range indices) are answered but never logged,
+    since replaying them would fail and read as WAL corruption on
+    recovery.
 
     {b Replication} (DESIGN.md §10): a peer greeting with the ['F']
     hello subscribes to the committed-op stream.  The leader answers
@@ -50,8 +52,11 @@
     more than [resume_window] frames queued unwritten is {e evicted}
     (closed), never allowed to stall the leader.  A node started with
     [follower] has its loop dial the leader without blocking, applies
-    each message of the stream as its loop decodes it (the
-    single-writer invariant holds on both roles), persists to its own
+    each message of the stream as its loop decodes it, each op through
+    {!Wdm_persist.Resp.replay} — the leader's execute path, so an op
+    that fails or diverges from its record resyncs the follower by
+    snapshot (the single-writer invariant holds on both roles),
+    persists to its own
     WAL when [follower.wal] is set, serves read-only requests, refuses
     mutations with [Not_leader], and redials with capped exponential
     backoff (50 ms doubling to 2 s) when the link drops.
@@ -92,8 +97,6 @@
     or stderr) carrying the span id and the per-stage breakdown of
     every request at or over the threshold. *)
 
-module Network = Wdm_multistage.Network
-
 type address =
   | Tcp of string * int  (** host, port; port [0] binds an ephemeral *)
   | Unix_socket of string  (** path; unlinked stale socket on bind *)
@@ -113,51 +116,6 @@ type follower_config = {
 
 type t
 
-val start :
-  ?telemetry:Wdm_telemetry.Sink.t ->
-  ?store:Wdm_persist.Store.t ->
-  ?digest_every:int ->
-  ?resume_window:int ->
-  ?follower:follower_config ->
-  ?http:address ->
-  ?ready_lag:int ->
-  ?slow_ms:float ->
-  ?slow_log:string ->
-  ?span_buffer:int ->
-  ?max_conns:int ->
-  ?conn_sndbuf:int ->
-  net:Network.t ->
-  address ->
-  t
-(** {!start_backend} specialized to the multistage fabric.
-
-    Binds, listens and spawns the event-loop thread (with [follower],
-    the loop also dials the leader).  [max_conns] caps concurrently open request-plane connections: past
-    it, accepted fds are closed immediately (counted in
-    [server_accept_errors_total]); the observability plane is exempt
-    so health stays scrapable at the cap.  [conn_sndbuf] sets
-    [SO_SNDBUF] on accepted connections, follower subscriptions
-    included (tests use a tiny value to exercise the loop's
-    partial-write path and to make a slow follower deterministic).
-    [digest_every] (default 64) is the committed-op interval between
-    replicated state digests; [resume_window] (default 1024) how many
-    recent ops the leader keeps for follower resume, and how many
-    frames a follower may have queued unwritten before it is evicted
-    — one that far behind needs a snapshot on reconnect anyway.  The
-    caller keeps ownership of [store] (close it
-    after {!stop}); a [follower] node instead manages its own store
-    for [follower.wal] — read it back with {!current_store}.
-
-    Observability: [http] binds a second listener for the [/metrics],
-    [/healthz], [/readyz], [/spans] plane; [ready_lag] (default 64) is
-    the apply-lag bound within which a follower reports ready;
-    [slow_ms] (with optional [slow_log] path) enables the slow-request
-    JSONL log; [span_buffer] (default 1024) bounds the span ring.
-    @raise Invalid_argument when a numeric option is [< 1]
-    ([ready_lag]/[slow_ms]: [< 0]), or when both [store] and
-    [follower] are given.
-    @raise Unix.Unix_error when an address cannot be bound. *)
-
 val start_backend :
   ?telemetry:Wdm_telemetry.Sink.t ->
   ?store:Wdm_persist.Store.t ->
@@ -174,9 +132,38 @@ val start_backend :
   backend:Wdm_persist.Backend.t ->
   address ->
   t
-(** {!start} for either state kind — a mesh backend serves the same
+(** Serves [backend], either state kind: a mesh backend serves the same
     wire protocol (mesh results are mapped onto the multistage route
-    vocabulary; fault ops are refused with [Server_error]). *)
+    vocabulary; fault ops are refused with [Server_error]).
+
+    Binds, listens and spawns the event-loop thread (with [follower],
+    the loop also dials the leader).  [max_conns] caps concurrently
+    open request-plane connections: past it, accepted fds are closed
+    immediately (counted in [server_accept_errors_total]); the
+    observability plane is exempt so health stays scrapable at the
+    cap.  [conn_sndbuf] sets
+    [SO_SNDBUF] on accepted connections, follower subscriptions
+    included (tests use a tiny value to exercise the loop's
+    partial-write path and to make a slow follower deterministic).
+    [digest_every] (default 64) is the committed-op interval between
+    replicated state digests; [resume_window] (default 1024) how many
+    recent ops the leader keeps for follower resume, and how many
+    frames a follower may have queued unwritten before it is evicted
+    — one that far behind needs a snapshot on reconnect anyway.  The
+    caller keeps ownership of [store] (close it after {!stop}); a
+    [follower] node instead manages its own store for [follower.wal] —
+    read it back with {!current_store}.
+
+    Observability: [http] binds a second listener for the [/metrics],
+    [/healthz], [/readyz], [/spans] plane; [ready_lag] (default 64) is
+    the apply-lag bound within which a follower reports ready;
+    [slow_ms] (with optional [slow_log] path) enables the slow-request
+    JSONL log; [span_buffer] (default 1024) bounds the span ring.
+    @raise Invalid_argument when a numeric option is [< 1]
+    ([ready_lag]/[slow_ms]: [< 0]), or when both [store] and
+    [follower] are given.
+    @raise Unix.Unix_error when an address cannot be bound. *)
+
 
 val address : t -> address
 (** The actual bound address — with [Tcp (host, 0)] the kernel-chosen
@@ -199,14 +186,10 @@ val backend : t -> Wdm_persist.Backend.t
     in-process is only safe once the server is stopped or known
     quiescent. *)
 
-val network : t -> Network.t
-(** {!backend} for servers started with {!start}.
-    @raise Invalid_argument on a mesh backend. *)
-
 val current_store : t -> Wdm_persist.Store.t option
-(** The store currently in use: the one passed to {!start}, or the one
-    a follower created for its [wal].  After {!stop}, checkpoint and
-    close it here. *)
+(** The store currently in use: the one passed to {!start_backend}, or
+    the one a follower created for its [wal].  After {!stop},
+    checkpoint and close it here. *)
 
 val promote : t -> (int, string) result
 (** Make this follower the leader: cut the replication link, adopt a
@@ -235,10 +218,11 @@ val served : t -> int
 
 val ready : t -> bool
 (** What [/readyz] answers.  A leader is ready as soon as it serves
-    (WAL recovery, when any, completed before {!start} returned).  A
-    follower is ready while its replication link is live, it has
-    synced to a leader generation, and its apply lag — the newest seq
-    the leader has shown minus {!applied} — is within [ready_lag].
+    (WAL recovery, when any, completed before {!start_backend}
+    returned).  A follower is ready while its replication link is live,
+    it has synced to a leader generation, and its apply lag — the
+    newest seq the leader has shown minus {!applied} — is within
+    [ready_lag].
     {!promote} flips a follower to ready-as-leader. *)
 
 val spans :

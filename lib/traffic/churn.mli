@@ -41,7 +41,7 @@ type persist = {
   policy : persist_policy;
   checkpoint : ops:int -> unit;
       (** called between steps with the ops applied so far; typically
-          [Wdm_persist.Store.checkpoint] partially applied *)
+          [Wdm_persist.Store.checkpoint_backend] partially applied *)
 }
 
 val run :

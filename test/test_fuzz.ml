@@ -1,13 +1,13 @@
 (* Decoder fuzz: every wire decoder the event loop runs on untrusted
    bytes — the replication codec on both roles, responses, ops, the
    incremental frame reader, and the state restore a follower runs on a
-   leader's snapshot — fed random strings, truncations and
-   single-byte mutations of valid encodings.  Each must answer with its
-   typed Ok/Error (Frame/Need/Bad), never an exception, because an
-   exception there would escape into the one thread that serves every
-   connection.  [Resp.decode_request] is the documented exception: it
-   may raise [Wire.Decode_error], which the loop catches, and nothing
-   else. *)
+   leader's snapshot, and the WAL reader recovery relies on — fed
+   random strings, truncations and single-byte mutations of valid
+   encodings.  Each must answer with its typed Ok/Error
+   (Frame/Need/Bad), never an exception, because an exception there
+   would escape into the one thread that serves every connection.
+   [Resp.decode_request] is the documented exception: it may raise
+   [Wire.Decode_error], which the loop catches, and nothing else. *)
 
 open Wdm_core
 open Wdm_multistage
@@ -142,6 +142,29 @@ let state_corpus =
     legacy;
     mesh ]
 
+(* A recorded WAL file: the header, then one framed record per op, and
+   the record start offsets, then EOF. *)
+let wal_ops = ops @ List.rev ops
+
+let wal_bytes, wal_boundaries =
+  let path = Filename.temp_file "wdm_fuzz" ".wal" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let w = P.Wal.create path in
+  let starts =
+    List.map
+      (fun op ->
+        let at = P.Wal.tell w in
+        P.Wal.append w op;
+        at)
+      wal_ops
+  in
+  let len = P.Wal.tell w in
+  P.Wal.close w;
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (bytes, starts @ [ len ])
+
 (* --- generators ------------------------------------------------------------- *)
 
 (* Random bytes; half of them start with a plausible small tag byte so
@@ -189,6 +212,65 @@ let decode_request_raises_only_decode_error =
       with
       | () | (exception P.Wire.Decode_error _) -> true
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* The one WAL reader, on whole files: random bytes (with and without a
+   valid header), truncations and byte mutations of the recorded WAL.
+   It never raises; an error names an offset inside the file; a valid
+   prefix ends inside the file, at the tear when there is one. *)
+let read_wal s =
+  let path = Filename.temp_file "wdm_fuzz" ".wal" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc;
+  P.Wal.read path
+
+let wal_read_never_raises =
+  let header = P.Wire.header ~kind:'W' in
+  let gen =
+    QCheck.Gen.oneof
+      [ random_bytes; QCheck.Gen.map (fun s -> header ^ s) random_bytes;
+        truncation [ wal_bytes ]; mutation [ wal_bytes ] ]
+  in
+  QCheck.Test.make ~name:"Wal.read never raises" ~count:2000
+    (QCheck.make ~print:String.escaped gen) (fun s ->
+      let len = String.length s in
+      match read_wal s with
+      | Ok { P.Wal.ops; tear; valid_end } ->
+        valid_end <= len
+        && (match tear with None -> valid_end = len | Some at -> at = valid_end)
+        && List.for_all (fun (at, _) -> at < valid_end) ops
+      | Error { P.Wal.offset; _ } -> 0 <= offset && (offset < len || offset = 0)
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* Cut an intact WAL anywhere past its header: exactly the records that
+   end at or before the cut come back, and the tail is torn exactly when
+   the cut falls inside a record, at that record's start. *)
+let wal_read_truncation =
+  QCheck.Test.make ~name:"Wal.read of a cut WAL" ~count:500
+    (QCheck.make ~print:string_of_int
+       (QCheck.Gen.int_range P.Wire.header_len (String.length wal_bytes)))
+    (fun cut ->
+      let rec split kept = function
+        | start :: (next :: _ as rest) when next <= cut ->
+          split (start :: kept) rest
+        | start :: _ when start < cut -> (List.rev kept, Some start)
+        | _ -> (List.rev kept, None)
+      in
+      let starts, tear = split [] wal_boundaries in
+      match read_wal (String.sub wal_bytes 0 cut) with
+      | Ok r ->
+        List.map fst r.P.Wal.ops = starts
+        && List.for_all2
+             (fun (_, op) expected -> P.Op.equal op expected)
+             r.P.Wal.ops
+             (List.filteri
+                (fun i _ -> i < List.length starts)
+                wal_ops)
+        && r.P.Wal.tear = tear
+      | Error { P.Wal.offset; reason } ->
+        QCheck.Test.fail_reportf "error at %d: %s" offset reason)
 
 (* A stream of valid frames, damaged or not, split into random chunks:
    draining the buffer after every chunk must only ever see typed
@@ -252,5 +334,7 @@ let () =
             never_raises "Backend.restore" state_corpus (fun s ->
                 P.Backend.restore s);
             framebuf_never_raises;
+            wal_read_never_raises;
+            wal_read_truncation;
           ] );
     ]

@@ -7,6 +7,7 @@ open Wdm_core
 open Wdm_multistage
 module P = Wdm_persist
 module Fault = Wdm_faults.Fault
+module Mesh = Wdm_mesh.Mesh_network
 
 let ep port wl = Endpoint.make ~port ~wl
 let conn src dests = Connection.make_exn ~source:src ~destinations:dests
@@ -253,7 +254,7 @@ type flavour = Current | Legacy_reference
 let flavour_k = function Current -> 2 | Legacy_reference -> 96
 
 let encode flavour snap =
-  let state = P.Store.encode_state snap in
+  let state = P.Backend.encode_net_state snap in
   match flavour with
   | Current -> state
   | Legacy_reference -> with_link_byte 1 state
@@ -290,7 +291,7 @@ let test_snapshot_restore flavour () =
       | Error e -> Alcotest.fail e)
   in
   Alcotest.(check int)
-    "digest equal" (P.Store.digest net) (P.Store.digest restored);
+    "digest equal" (Network.digest net) (Network.digest restored);
   (* behavioral indistinguishability: the same fresh request must get
      the same answer, route id and hops on both *)
   let probe = conn (ep 3 1) [ ep 6 1 ] in
@@ -376,7 +377,7 @@ let test_restore_refuses_overlapping_copy flavour () =
 let test_restore_refuses_oversized_topology () =
   let net = make_net () in
   populate net;
-  let valid = P.Store.encode_state (Network.snapshot net) in
+  let valid = P.Backend.encode_net_state (Network.snapshot net) in
   let with_dims ~m ~r ~k =
     let b = Bytes.of_string valid in
     Bytes.set_int32_le b 4 (Int32.of_int m);
@@ -459,12 +460,12 @@ let test_state_codec_roundtrip () =
   let net = make_net () in
   populate net;
   let snap = Network.snapshot net in
-  let bytes = P.Store.encode_state snap in
-  match P.Store.decode_state bytes with
+  let bytes = P.Backend.encode_net_state snap in
+  match P.Backend.decode_net_state bytes with
   | Error e -> Alcotest.fail e
   | Ok snap' ->
     Alcotest.(check string) "re-encodes identically" bytes
-      (P.Store.encode_state snap');
+      (P.Backend.encode_net_state snap');
     Alcotest.(check int) "routes survive"
       (List.length snap.Network.s_routes)
       (List.length snap'.Network.s_routes)
@@ -475,7 +476,7 @@ let test_state_codec_roundtrip () =
 let test_legacy_link_byte () =
   let net = make_net ~k:96 () in
   populate net;
-  let current = P.Store.encode_state (Network.snapshot net) in
+  let current = P.Backend.encode_net_state (Network.snapshot net) in
   let restore state =
     match P.Backend.restore state with
     | Ok (P.Backend.Net n) -> n
@@ -490,7 +491,7 @@ let test_legacy_link_byte () =
   Alcotest.(check int) "digest of the live network" (Network.digest net)
     (Network.digest legacy);
   Alcotest.(check string) "re-encodes with byte 0" current
-    (P.Store.encode_state (Network.snapshot legacy));
+    (P.Backend.encode_net_state (Network.snapshot legacy));
   match P.Backend.restore (with_link_byte 2 current) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "link byte 2 restored"
@@ -505,8 +506,8 @@ let test_wal_write_read () =
   let end_off = P.Wal.tell w in
   P.Wal.close w;
   (match P.Wal.read path with
-  | Error e -> Alcotest.fail e
-  | Ok { ops; tear } ->
+  | Error { reason; _ } -> Alcotest.fail reason
+  | Ok { ops; tear; _ } ->
     Alcotest.(check bool) "no tear" true (tear = None);
     Alcotest.(check int) "count" (List.length sample_ops) (List.length ops);
     List.iter2
@@ -525,24 +526,24 @@ let test_wal_write_read () =
   let last_start =
     match P.Wal.read path with
     | Ok { ops; _ } -> fst (List.nth ops (List.length ops - 1))
-    | Error e -> Alcotest.fail e
+    | Error { reason; _ } -> Alcotest.fail reason
   in
   let oc = open_out_bin path in
   output_string oc (String.sub contents 0 (last_start + 3));
   close_out oc;
   (match P.Wal.read path with
-  | Error e -> Alcotest.fail e
-  | Ok { ops; tear } ->
+  | Error { reason; _ } -> Alcotest.fail reason
+  | Ok { ops; tear; _ } ->
     Alcotest.(check int) "one fewer op" (List.length sample_ops - 1)
       (List.length ops);
     Alcotest.(check (option int)) "tear offset" (Some last_start) tear);
   P.Wal.truncate_at path last_start;
   (match P.Wal.read path with
-  | Ok { tear = None; ops } ->
+  | Ok { tear = None; ops; _ } ->
     Alcotest.(check int) "clean after truncate" (List.length sample_ops - 1)
       (List.length ops)
   | Ok _ -> Alcotest.fail "still torn after truncate_at"
-  | Error e -> Alcotest.fail e);
+  | Error { reason; _ } -> Alcotest.fail reason);
   ignore end_off;
   Sys.remove path
 
@@ -564,15 +565,11 @@ let test_wal_detects_corruption () =
   output_bytes oc flipped;
   close_out oc;
   (match P.Wal.read path with
-  | Error e ->
-    let contains_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
+  | Error { offset; reason } ->
     Alcotest.(check bool)
-      (Printf.sprintf "error names an offset: %s" e)
-      true (contains_sub e "at byte")
+      (Printf.sprintf "error names an offset: %s at byte %d" reason offset)
+      true
+      (offset >= P.Wire.header_len && offset <= mid)
   | Ok _ -> Alcotest.fail "flipped byte went undetected");
   Sys.remove path
 
@@ -587,34 +584,34 @@ let test_wal_policy_validation () =
 
 let test_store_session_and_recover () =
   let wal = "test_store_session.wal" in
-  let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let backend = P.Backend.Net (make_net ()) in
+  let store = P.Store.start_backend ~wal backend in
   let log_and_apply op =
     P.Store.log store op;
-    match P.Op.apply net op with
-    | Ok _ -> ()
+    match P.Resp.replay backend op with
+    | Ok () -> ()
     | Error e -> Alcotest.fail e
   in
   log_and_apply (P.Op.Connect (conn (ep 1 1) [ ep 1 1; ep 4 1 ]));
   log_and_apply (P.Op.Connect (conn (ep 2 2) [ ep 5 2 ]));
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store backend;
   log_and_apply (P.Op.Inject_fault (Fault.Middle 1));
   log_and_apply (P.Op.Connect (conn (ep 5 1) [ ep 8 1 ]));
-  let digest = P.Store.digest net in
+  let digest = P.Backend.digest backend in
   P.Store.close store;
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e)
   | Ok r ->
-    Alcotest.(check int) "digest" digest (P.Store.digest r.P.Store.network);
-    Alcotest.(check int) "replayed past checkpoint" 2 r.P.Store.replayed;
-    Alcotest.(check bool) "no tear" true (r.P.Store.tear = None));
+    Alcotest.(check int) "digest" digest (P.Backend.digest r.P.Store.backend);
+    Alcotest.(check int) "replayed past checkpoint" 2 r.P.Store.b_replayed;
+    Alcotest.(check bool) "no tear" true (r.P.Store.b_tear = None));
   (* with every snapshot gone there is nothing to seed recovery from *)
   List.iter
     (fun seq ->
       let p = P.Store.snapshot_path ~wal ~seq in
       if Sys.file_exists p then Sys.remove p)
     [ 0; 1; 2; 3 ];
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Error (P.Store.No_snapshot _) -> ()
   | Error e ->
     Alcotest.fail (Format.asprintf "wrong error: %a" P.Store.pp_recovery_error e)
@@ -623,28 +620,28 @@ let test_store_session_and_recover () =
 
 let test_store_falls_back_to_older_snapshot () =
   let wal = "test_store_fallback.wal" in
-  let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let backend = P.Backend.Net (make_net ()) in
+  let store = P.Store.start_backend ~wal backend in
   let log_and_apply op =
     P.Store.log store op;
-    ignore (P.Op.apply net op)
+    ignore (P.Resp.replay backend op)
   in
   log_and_apply (P.Op.Connect (conn (ep 1 1) [ ep 4 1 ]));
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store backend;
   log_and_apply (P.Op.Connect (conn (ep 2 1) [ ep 5 1 ]));
-  P.Store.checkpoint store net;
-  let digest = P.Store.digest net in
+  P.Store.checkpoint_backend store backend;
+  let digest = P.Backend.digest backend in
   P.Store.close store;
   (* trash the newest snapshot; seq 1 must still carry recovery *)
   let newest = P.Store.snapshot_path ~wal ~seq:2 in
   let oc = open_out_bin newest in
   output_string oc "not a snapshot at all";
   close_out oc;
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e)
   | Ok r ->
-    Alcotest.(check int) "fell back" 1 r.P.Store.snapshot_seq;
-    Alcotest.(check int) "digest" digest (P.Store.digest r.P.Store.network));
+    Alcotest.(check int) "fell back" 1 r.P.Store.b_snapshot_seq;
+    Alcotest.(check int) "digest" digest (P.Backend.digest r.P.Store.backend));
   Sys.remove wal;
   List.iter
     (fun seq ->
@@ -652,7 +649,145 @@ let test_store_falls_back_to_older_snapshot () =
       if Sys.file_exists p then Sys.remove p)
     [ 0; 1; 2 ]
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_op_roundtrip ]
+(* --- commit/replay agreement ---------------------------------------------- *)
+
+(* What a leader executes and commits, a follower or a recovery replays
+   to the same state: each op runs on backend [a] through
+   [Resp.execute_backend], each committed op replays on backend [b]
+   through [Resp.replay], every replay is [Ok], and the digests agree
+   after every step.  The ops mix connects (some out of range or off
+   the model), disconnects of live, released and unknown ids, repairs
+   recorded either way, and faults in and out of range — on the mesh
+   too, where fault ops are refused and never committed. *)
+type step =
+  | Connect of Connection.t
+  | Disconnect_live of int
+  | Disconnect_released of int
+  | Disconnect_unknown of int
+  | Repair of Connection.t * bool
+  | Inject of Fault.t
+  | Clear of Fault.t
+
+let step_gen ~ports ~k ~m ~r =
+  QCheck.Gen.(
+    let port = frequency [ (19, int_range 1 ports); (1, return (ports + 1)) ] in
+    let wl =
+      frequency [ (5, return 1); (4, int_range 1 k); (1, return (k + 1)) ]
+    in
+    let connection =
+      let* src_port = port and* src_wl = wl in
+      let* dest_ports = list_size (int_range 1 3) port in
+      let* same_wl = frequency [ (9, return true); (1, return false) ] in
+      let* dest_wl = if same_wl then return src_wl else wl in
+      let dests =
+        List.map (fun p -> ep p dest_wl) (List.sort_uniq compare dest_ports)
+      in
+      return (conn (ep src_port src_wl) dests)
+    in
+    let fault =
+      oneof
+        [
+          map (fun j -> Fault.Middle j) (int_range 1 (m + 1));
+          map (fun p -> Fault.Output_module p) (int_range 1 (r + 1));
+          map3
+            (fun input middle wl -> Fault.Stage1_laser { input; middle; wl })
+            (int_range 1 r) (int_range 1 m) (int_range 1 (k + 1));
+        ]
+    in
+    frequency
+      [
+        (6, map (fun c -> Connect c) connection);
+        (3, map (fun i -> Disconnect_live i) nat);
+        (1, map (fun i -> Disconnect_released i) nat);
+        (1, map (fun i -> Disconnect_unknown i) nat);
+        (2, map2 (fun c b -> Repair (c, b)) connection bool);
+        (1, map (fun f -> Inject f) fault);
+        (1, map (fun f -> Clear f) fault);
+      ])
+
+let pp_step ppf = function
+  | Connect c -> Format.fprintf ppf "connect %a" Connection.pp c
+  | Disconnect_live i -> Format.fprintf ppf "disconnect live #%d" i
+  | Disconnect_released i -> Format.fprintf ppf "disconnect released #%d" i
+  | Disconnect_unknown i -> Format.fprintf ppf "disconnect unknown %d" i
+  | Repair (c, b) -> Format.fprintf ppf "repair(%b) %a" b Connection.pp c
+  | Inject f -> Format.fprintf ppf "inject %a" Fault.pp f
+  | Clear f -> Format.fprintf ppf "clear %a" Fault.pp f
+
+let live_ids = function
+  | P.Backend.Net n ->
+    List.map (fun (r : Network.route) -> r.Network.id) (Network.active_routes n)
+  | P.Backend.Mesh m ->
+    List.map
+      (fun (r : Mesh.route) -> r.Mesh.id)
+      (Mesh.snapshot m).Mesh.s_routes
+
+let nth_or l i ~default =
+  match l with [] -> default | _ -> List.nth l (i mod List.length l)
+
+let prop_commit_replay_agree ~name ~make ~ports ~k ~m ~r =
+  QCheck.Test.make ~name ~count:200
+    (QCheck.make
+       ~print:(fun steps ->
+         Format.asprintf "@[<v>%a@]" (Format.pp_print_list pp_step) steps)
+       QCheck.Gen.(list_size (int_range 1 100) (step_gen ~ports ~k ~m ~r)))
+    (fun steps ->
+      let a = make () and b = make () in
+      let ever = ref [] in
+      List.iteri
+        (fun i step ->
+          let live = live_ids a in
+          ever := List.sort_uniq compare (live @ !ever);
+          let released = List.filter (fun id -> not (List.mem id live)) !ever in
+          let op =
+            match step with
+            | Connect c -> P.Op.Connect c
+            | Disconnect_live j -> P.Op.Disconnect (nth_or live j ~default:0)
+            | Disconnect_released j ->
+              P.Op.Disconnect (nth_or released j ~default:0)
+            | Disconnect_unknown j -> P.Op.Disconnect (100_000 + j)
+            | Repair (connection, rehomed) ->
+              P.Op.Repair { connection; rehomed }
+            | Inject f -> P.Op.Inject_fault f
+            | Clear f -> P.Op.Clear_fault f
+          in
+          let req = P.Resp.Admit op in
+          let resp = P.Resp.execute_backend a req in
+          (match P.Resp.committed req resp with
+          | None -> ()
+          | Some committed -> (
+            match P.Resp.replay b committed with
+            | Ok () -> ()
+            | Error e ->
+              QCheck.Test.fail_reportf "step %d (%a): replay failed: %s" i
+                P.Op.pp committed e));
+          if P.Backend.digest a <> P.Backend.digest b then
+            QCheck.Test.fail_reportf "step %d (%a -> %a): digests differ" i
+              P.Op.pp op P.Resp.pp resp)
+        steps;
+      true)
+
+let make_mesh () =
+  Result.get_ok
+    (Mesh.create ~config:{ Mesh.Config.default with Mesh.Config.k = 4 } "nsf14")
+
+let props =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_op_roundtrip;
+      (* undersized (m = n = 2, below the Theorem-1 minimum), so
+         connects block and a few repairs rearrange *)
+      prop_commit_replay_agree ~name:"commit/replay agreement (multistage)"
+        ~make:(fun () ->
+          P.Backend.Net
+            (Network.create ~construction:Network.Msw_dominant
+               ~output_model:Model.MSW
+               (Topology.make_exn ~n:2 ~m:2 ~r:4 ~k:1)))
+        ~ports:8 ~k:1 ~m:2 ~r:4;
+      prop_commit_replay_agree ~name:"commit/replay agreement (mesh)"
+        ~make:(fun () -> P.Backend.Mesh (make_mesh ()))
+        ~ports:14 ~k:4 ~m:3 ~r:3;
+    ]
 
 let () =
   Alcotest.run "wdm_persist"

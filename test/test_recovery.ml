@@ -9,8 +9,10 @@
    1000 ops of a deterministic continuation must also produce identical
    hop checksums and blocked counts on both.  Interior byte flips must
    surface as corruption-with-offset or recover to a legitimate prefix
-   state — never silently diverge.  A cut mid-record is a torn tail.
-   Faults stay multistage-only: the mesh has no fault ops. *)
+   state — never silently diverge.  A cut mid-record is a torn tail,
+   and a repair record whose outcome replay does not reproduce is
+   corruption at that record.  Faults stay multistage-only: the mesh
+   has no fault ops. *)
 
 open Wdm_core
 open Wdm_multistage
@@ -140,12 +142,13 @@ let fault_schedule () =
 
 let record_multistage ~wal =
   let net = make_net () in
-  let store = P.Store.start ~retain:max_int ~wal net in
+  let backend = P.Backend.Net net in
+  let store = P.Store.start_backend ~retain:max_int ~wal backend in
   let fsut = logged_fsut store net in
   let persist =
     {
       Churn.policy = Churn.Every_n_ops 100;
-      checkpoint = (fun ~ops:_ -> P.Store.checkpoint store net);
+      checkpoint = (fun ~ops:_ -> P.Store.checkpoint_backend store backend);
     }
   in
   let topo = Network.topology net in
@@ -156,10 +159,10 @@ let record_multistage ~wal =
       ~fanout:(Wdm_traffic.Fanout.Zipf { max = nports; s = 1.1 })
       ~steps ~teardown_bias:0.35 ~schedule:(fault_schedule ()) fsut
   in
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store backend;
   let records = P.Store.wal_records store in
   P.Store.close store;
-  (P.Backend.Net net, records)
+  (backend, records)
 
 (* A mesh churn over nsf14's 14 nodes (one port each), journalled the
    way a served mesh session is: connects and disconnects only. *)
@@ -272,9 +275,9 @@ let sweep_of engine =
       Alcotest.failf "recorded only %d WAL records, need >= 500" records;
     let ops =
       match P.Wal.read wal with
-      | Ok { ops; tear = None } -> ops
+      | Ok { ops; tear = None; _ } -> ops
       | Ok _ -> Alcotest.fail "freshly recorded WAL reports a tear"
-      | Error e -> Alcotest.fail e
+      | Error { reason; _ } -> Alcotest.fail reason
     in
     let contents = read_file wal in
     let boundaries =
@@ -287,7 +290,7 @@ let sweep_of engine =
     prefix_digests.(0) <- P.Backend.digest replayed;
     List.iteri
       (fun i (_, op) ->
-        (match P.Backend.apply replayed op with
+        (match P.Resp.replay replayed op with
         | Ok () -> ()
         | Error e -> Alcotest.failf "replay of op %d failed: %s" i e);
         prefix_digests.(i + 1) <- P.Backend.digest replayed)
@@ -335,7 +338,7 @@ let test_every_boundary engine () =
         match P.Wire.read_frame s.contents ~pos:boundary with
         | P.Wire.Frame { payload; _ } -> (
           match P.Op.decode_string payload with
-          | Ok op -> ignore (P.Backend.apply uninterrupted op)
+          | Ok op -> ignore (P.Resp.replay uninterrupted op)
           | Error e -> Alcotest.fail e)
         | _ -> Alcotest.fail "boundary does not start a frame")
     s.boundaries;
@@ -351,17 +354,19 @@ let test_counters_after_recovery () =
   write_file trunc s.contents;
   let sink_rec = Tel.Sink.create () in
   let sink_ref = Tel.Sink.create () in
-  (match P.Store.recover ~telemetry:sink_rec ~wal:trunc () with
+  (match P.Store.recover_backend ~telemetry:sink_rec ~wal:trunc () with
   | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e
-  | Ok rec_ ->
+  | Ok { P.Store.backend = P.Backend.Mesh _; _ } ->
+    Alcotest.fail "recovered a mesh"
+  | Ok { P.Store.backend = P.Backend.Net recovered; _ } ->
     (* uninterrupted twin: replay all ops on a fresh instrumented net,
        then strip the replay-phase counters by snapshotting a restored
        clone instead — restore gives a clean-slate instrumented net in
        the same state *)
     let ref_net =
-      Network.restore ~telemetry:sink_ref (Network.snapshot rec_.P.Store.network)
+      Network.restore ~telemetry:sink_ref (Network.snapshot recovered)
     in
-    let cs_rec, bl_rec = continuation rec_.P.Store.network in
+    let cs_rec, bl_rec = continuation recovered in
     let cs_ref, bl_ref = continuation ref_net in
     Alcotest.(check int) "checksum" cs_ref cs_rec;
     Alcotest.(check int) "blocked" bl_ref bl_rec;
@@ -451,6 +456,44 @@ let test_torn_tail engine () =
     | Error e -> Alcotest.failf "%a" P.Store.pp_recovery_error e);
   remove_store_files torn
 
+(* A repair record whose outcome replay does not reproduce is corruption,
+   not a silent divergence: the recorded run's first admitted repair is
+   re-recorded as dropped, only snapshot 0 is kept so recovery must
+   replay it, and recovery stops at that record. *)
+let test_diverged_repair () =
+  let s = sweep_of Multistage in
+  let div = s.wal ^ ".div" in
+  let rec first_rehomed i =
+    if i >= Array.length s.boundaries - 1 then
+      Alcotest.fail "the recorded run admitted no repair"
+    else
+      match P.Wire.read_frame s.contents ~pos:s.boundaries.(i) with
+      | P.Wire.Frame { payload; next } -> (
+        match P.Op.decode_string payload with
+        | Ok (P.Op.Repair { connection; rehomed = true }) ->
+          (s.boundaries.(i), connection, next)
+        | Ok _ -> first_rehomed (i + 1)
+        | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail "boundary does not start a frame"
+  in
+  let at, connection, next = first_rehomed 0 in
+  let b = Buffer.create 64 in
+  P.Op.encode b (P.Op.Repair { connection; rehomed = false });
+  write_file div
+    (String.sub s.contents 0 at
+    ^ P.Wire.frame (Buffer.contents b)
+    ^ String.sub s.contents next (String.length s.contents - next));
+  write_file
+    (P.Store.snapshot_path ~wal:div ~seq:0)
+    (read_file (P.Store.snapshot_path ~wal:s.wal ~seq:0));
+  (match P.Store.recover_backend ~wal:div () with
+  | Error (P.Store.Corrupt { path; offset; _ }) ->
+    Alcotest.(check string) "names the WAL" div path;
+    Alcotest.(check int) "at the diverged record" at offset
+  | Error e -> Alcotest.failf "wrong error: %a" P.Store.pp_recovery_error e
+  | Ok _ -> Alcotest.fail "a diverged repair replayed silently");
+  remove_store_files div
+
 let cleanup engine () =
   match List.assoc_opt engine !recorded with
   | Some s -> remove_store_files s.wal
@@ -465,7 +508,9 @@ let sweep engine =
       (match engine with
       | Multistage ->
         [ Alcotest.test_case "telemetry counters after recovery" `Quick
-            test_counters_after_recovery ]
+            test_counters_after_recovery;
+          Alcotest.test_case "diverged repair outcome is corrupt" `Quick
+            test_diverged_repair ]
       | Mesh_engine -> []);
       [
         Alcotest.test_case "interior byte flips never diverge" `Quick

@@ -205,14 +205,14 @@ let test_follower_catches_up () =
   let leader_sink = Tel.Sink.create () in
   let follower_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~digest_every:32
-      ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~telemetry:leader_sink ~digest_every:32
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   let follower =
-    Srv.Server.start ~telemetry:follower_sink
+    Srv.Server.start_backend ~telemetry:follower_sink
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   Alcotest.(check bool) "follower role" true
@@ -278,8 +278,8 @@ let test_follower_catches_up () =
 let test_slow_follower_eviction () =
   let sink = Tel.Sink.create () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~resume_window:8 ~conn_sndbuf:4096
-      ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~telemetry:sink ~resume_window:8 ~conn_sndbuf:4096
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -354,15 +354,16 @@ let threads_now () =
 let test_follower_thread_budget () =
   let leader_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~net:(make_net ())
+    Srv.Server.start_backend ~telemetry:leader_sink
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   let before = threads_now () in
   let follower =
-    Srv.Server.start
+    Srv.Server.start_backend
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   let stopped = ref false in
   Fun.protect
@@ -396,13 +397,15 @@ let test_follower_thread_budget () =
    exited.  The start order and a small head start alternate across
    rounds so both interleavings get hit. *)
 let test_promote_races_stop () =
-  let leader = Srv.Server.start ~net:(make_net ()) (sock ()) in
+  let leader =
+    Srv.Server.start_backend ~backend:(P.Backend.Net (make_net ())) (sock ())
+  in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
   for round = 1 to 100 do
     let follower =
-      Srv.Server.start
+      Srv.Server.start_backend
         ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-        ~net:(make_net ()) (sock ())
+        ~backend:(P.Backend.Net (make_net ())) (sock ())
     in
     let promoted = Atomic.make None and stopped = Atomic.make false in
     let head_start = float_of_int (round mod 4) *. 0.0002 in
@@ -459,7 +462,8 @@ let closed_by_peer fd =
 let test_replica_garbage_closes_only_that_link () =
   let sink = Tel.Sink.create () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~telemetry:sink
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) @@ fun () ->
   let quit = ref false and answered = ref 0 and failure = ref None in
@@ -570,11 +574,11 @@ let test_follower_drops_garbage_link () =
   @@ fun () ->
   let sink = Tel.Sink.create () in
   let net = make_net () in
-  let digest = P.Store.digest net in
+  let digest = Network.digest net in
   let follower =
-    Srv.Server.start ~telemetry:sink
+    Srv.Server.start_backend ~telemetry:sink
       ~follower:{ Srv.Server.leader = Srv.Server.Unix_socket path; wal = None }
-      ~net (sock ())
+      ~backend:(P.Backend.Net net) (sock ())
   in
   let stopped = ref false in
   Fun.protect
@@ -592,6 +596,91 @@ let test_follower_drops_garbage_link () =
   Srv.Server.stop follower;
   stopped := true;
   Alcotest.(check bool) "stops promptly" true (Unix.gettimeofday () -. t0 < 2.0)
+
+(* A follower replays each streamed op through [Resp.replay], as crash
+   recovery does: a [Rep_op] whose repair outcome the follower does not
+   reproduce is a divergence, so it drops the link and resyncs by
+   snapshot instead of applying the op silently. *)
+let test_follower_resyncs_on_diverged_repair () =
+  let path = socket_path () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 8;
+  let fresh = make_net () in
+  let frame msg = P.Wire.frame (repl_payload P.Repl.encode_to_follower msg) in
+  let quit = ref false and links = ref 0 in
+  let serve_link fd =
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    match Srv.Protocol.read_exactly fd P.Wire.header_len with
+    | Srv.Protocol.Exact hello
+      when Result.is_ok (Srv.Protocol.check_follower_hello hello) -> (
+      Srv.Protocol.write_all fd Srv.Protocol.server_hello;
+      match Srv.Protocol.recv_frame fd with
+      | Srv.Protocol.Frame p
+        when (match P.Repl.to_leader_of_string p with
+             | Ok (P.Repl.Subscribe _) -> true
+             | _ -> false) ->
+        incr links;
+        Srv.Protocol.write_all fd
+          (frame
+             (P.Repl.Init_snapshot
+                { epoch = 1; seq = 0;
+                  state = P.Backend.encode_state (P.Backend.Net fresh) }));
+        (* the first link streams an admissible repair recorded as
+           dropped *)
+        if !links = 1 then
+          Srv.Protocol.write_all fd
+            (frame
+               (P.Repl.Rep_op
+                  { seq = 1;
+                    op =
+                      P.Op.Repair
+                        { connection = conn (ep 1 1) [ ep 4 1 ];
+                          rehomed = false } }));
+        (* hold the link, with no read timeout, until the follower
+           hangs up *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.0;
+        ignore (Srv.Protocol.recv_frame fd)
+      | _ -> ())
+    | _ -> ()
+  in
+  let fake =
+    Thread.create
+      (fun () ->
+        while not !quit do
+          match Unix.select [ lfd ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ ->
+            let fd, _ = Unix.accept lfd in
+            (try serve_link fd with Unix.Unix_error _ -> ());
+            Unix.close fd
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      quit := true;
+      Thread.join fake;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let sink = Tel.Sink.create () in
+  let follower =
+    Srv.Server.start_backend ~telemetry:sink
+      ~follower:{ Srv.Server.leader = Srv.Server.Unix_socket path; wal = None }
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
+  in
+  Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
+  Alcotest.(check bool) "resynced by snapshot" true
+    (wait_for (fun () ->
+         counter_of sink "repl_snapshots_received_total" >= 2));
+  Alcotest.(check int) "the diverged op is not applied" 0
+    (Srv.Server.applied follower);
+  with_client follower (fun c ->
+      match Srv.Client.digest c with
+      | Ok d ->
+        Alcotest.(check int) "the leader's state" (Network.digest fresh) d
+      | Error e -> Alcotest.fail (Srv.Client.error_to_string e))
 
 (* --- client deadlines ------------------------------------------------------ *)
 
@@ -664,35 +753,35 @@ let test_store_resume_continues_wal () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let wal = Filename.concat dir "resume.wal" in
-  let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let backend = P.Backend.Net (make_net ()) in
+  let store = P.Store.start_backend ~wal backend in
   let log op =
-    ignore (P.Op.apply net op);
+    ignore (P.Resp.replay backend op);
     P.Store.log store op
   in
   log (P.Op.Connect (conn (ep 1 1) [ ep 4 1 ]));
   log (P.Op.Connect (conn (ep 2 1) [ ep 5 1 ]));
   P.Store.close store;
   (* reopen the same WAL in append mode *)
-  match P.Store.resume ~wal () with
+  match P.Store.resume_backend ~wal () with
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e)
   | Ok (store2, r) ->
-    Alcotest.(check int) "replayed the tail" 2 r.P.Store.replayed;
-    Alcotest.(check int) "same state" (P.Store.digest net)
-      (P.Store.digest r.P.Store.network);
+    Alcotest.(check int) "replayed the tail" 2 r.P.Store.b_replayed;
+    Alcotest.(check int) "same state" (P.Backend.digest backend)
+      (P.Backend.digest r.P.Store.backend);
     Alcotest.(check int) "record count continues" 2
       (P.Store.wal_records store2);
-    let net2 = r.P.Store.network in
-    ignore (P.Op.apply net2 (P.Op.Connect (conn (ep 3 1) [ ep 6 1 ])));
+    let backend2 = r.P.Store.backend in
+    ignore (P.Resp.replay backend2 (P.Op.Connect (conn (ep 3 1) [ ep 6 1 ])));
     P.Store.log store2 (P.Op.Connect (conn (ep 3 1) [ ep 6 1 ]));
     Alcotest.(check int) "appended" 3 (P.Store.wal_records store2);
-    let final = P.Store.digest net2 in
+    let final = P.Backend.digest backend2 in
     P.Store.close store2;
     (* the continued WAL recovers to the continued state *)
-    (match P.Store.recover ~wal () with
+    (match P.Store.recover_backend ~wal () with
     | Ok r2 ->
       Alcotest.(check int) "recovered digest" final
-        (P.Store.digest r2.P.Store.network)
+        (P.Backend.digest r2.P.Store.backend)
     | Error e ->
       Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e))
 
@@ -710,30 +799,30 @@ let test_wal_truncate_fsyncs_the_cut () =
   close_out oc;
   let tear =
     match P.Wal.read path with
-    | Ok { P.Wal.ops; tear = Some off } ->
+    | Ok { P.Wal.ops; tear = Some off; _ } ->
       Alcotest.(check int) "intact records" 2 (List.length ops);
       off
     | Ok { tear = None; _ } -> Alcotest.fail "tear not detected"
-    | Error e -> Alcotest.fail e
+    | Error { reason; _ } -> Alcotest.fail reason
   in
   P.Wal.truncate_at path tear;
   Alcotest.(check int) "file cut at the tear" tear
     (Unix.stat path).Unix.st_size;
   (match P.Wal.read path with
-  | Ok { P.Wal.ops; tear = None } ->
+  | Ok { P.Wal.ops; tear = None; _ } ->
     Alcotest.(check int) "records survive the cut" 2 (List.length ops)
   | Ok { tear = Some _; _ } -> Alcotest.fail "tear survived truncation"
-  | Error e -> Alcotest.fail e);
+  | Error { reason; _ } -> Alcotest.fail reason);
   (* and the truncated WAL accepts appends again *)
   let w2 = P.Wal.open_append ~records:2 path in
   P.Wal.append w2 (P.Op.Disconnect 1);
   Alcotest.(check int) "count seeded" 3 (P.Wal.records w2);
   P.Wal.close w2;
   match P.Wal.read path with
-  | Ok { P.Wal.ops; tear = None } ->
+  | Ok { P.Wal.ops; tear = None; _ } ->
     Alcotest.(check int) "appended past the cut" 3 (List.length ops)
   | Ok { tear = Some _; _ } -> Alcotest.fail "append left a tear"
-  | Error e -> Alcotest.fail e
+  | Error { reason; _ } -> Alcotest.fail reason
 
 (* --- the acceptance test: failover under churn ----------------------------- *)
 
@@ -744,15 +833,16 @@ let test_failover_preserves_state () =
   let ref_stats =
     run_churn ~sink:(Tel.Sink.create ()) (inproc_sut ref_net ref_sum)
   in
-  let ref_digest = P.Store.digest ref_net in
+  let ref_digest = Network.digest ref_net in
   (* system under test: leader + follower, leader dies mid-run *)
   let leader =
-    Srv.Server.start ~digest_every:16 ~net:(make_net ()) (sock ())
+    Srv.Server.start_backend ~digest_every:16
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   let follower =
-    Srv.Server.start
+    Srv.Server.start_backend
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
-      ~net:(make_net ()) (sock ())
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
   let rc =
@@ -822,7 +912,8 @@ let test_follower_wal_resume () =
   let wal = Filename.concat dir "follower.wal" in
   let leader_sink = Tel.Sink.create () in
   let leader =
-    Srv.Server.start ~telemetry:leader_sink ~net:(make_net ())
+    Srv.Server.start_backend ~telemetry:leader_sink
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop leader) @@ fun () ->
@@ -830,7 +921,8 @@ let test_follower_wal_resume () =
     { Srv.Server.leader = Srv.Server.address leader; wal = Some wal }
   in
   let follower =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
+    Srv.Server.start_backend ~follower:follower_cfg
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   (* phase 1: commit some ops, let the follower persist them *)
@@ -858,7 +950,8 @@ let test_follower_wal_resume () =
      resume, not a snapshot *)
   let snapshots_before = counter_of leader_sink "repl_snapshots_sent_total" in
   let follower2 =
-    Srv.Server.start ~follower:follower_cfg ~net:(make_net ())
+    Srv.Server.start_backend ~follower:follower_cfg
+      ~backend:(P.Backend.Net (make_net ()))
       (sock ())
   in
   Fun.protect
@@ -909,6 +1002,8 @@ let () =
             test_replica_garbage_closes_only_that_link;
           Alcotest.test_case "follower drops a garbage link" `Quick
             test_follower_drops_garbage_link;
+          Alcotest.test_case "follower resyncs on a diverged repair" `Quick
+            test_follower_resyncs_on_diverged_repair;
         ] );
       ( "client",
         [

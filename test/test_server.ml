@@ -37,7 +37,8 @@ let socket_path =
 
 let with_server ?telemetry ?store net f =
   let srv =
-    Srv.Server.start ?telemetry ?store ~net (Srv.Server.Unix_socket (socket_path ()))
+    Srv.Server.start_backend ?telemetry ?store ~backend:(P.Backend.Net net)
+      (Srv.Server.Unix_socket (socket_path ()))
   in
   Fun.protect ~finally:(fun () -> Srv.Server.stop srv) (fun () -> f srv)
 
@@ -185,7 +186,7 @@ let test_serve_basic () =
           | _ -> Alcotest.fail "bad fault should be Server_error");
           (* digest matches the live network *)
           match Srv.Client.digest c with
-          | Ok d -> Alcotest.(check int) "digest" (P.Store.digest net) d
+          | Ok d -> Alcotest.(check int) "digest" (Network.digest net) d
           | Error e -> Alcotest.fail (Srv.Client.error_to_string e)))
 
 let test_malformed_frame_closes_connection () =
@@ -240,7 +241,7 @@ let test_silent_client_does_not_block_accept () =
           with_client srv (fun c ->
               match Srv.Client.digest c with
               | Ok d ->
-                Alcotest.(check int) "digest served" (P.Store.digest net) d
+                Alcotest.(check int) "digest served" (Network.digest net) d
               | Error e -> Alcotest.fail (Srv.Client.error_to_string e))))
 (* ... and [with_server]'s finally returning at all is the other half
    of the regression: [stop] must not hang joining an accept thread
@@ -248,7 +249,10 @@ let test_silent_client_does_not_block_accept () =
 
 let test_client_fails_fast_after_transport_error () =
   let net = make_net () in
-  let srv = Srv.Server.start ~net (Srv.Server.Unix_socket (socket_path ())) in
+  let srv =
+    Srv.Server.start_backend ~backend:(P.Backend.Net net)
+      (Srv.Server.Unix_socket (socket_path ()))
+  in
   let c =
     match Srv.Client.connect (Srv.Server.address srv) with
     | Ok c -> c
@@ -315,7 +319,8 @@ let test_half_frame_then_close () =
           (* server is alive and clean for the next client *)
           with_client srv (fun c ->
               match Srv.Client.digest c with
-              | Ok d -> Alcotest.(check int) "still serving" (P.Store.digest net) d
+              | Ok d ->
+                Alcotest.(check int) "still serving" (Network.digest net) d
               | Error e -> Alcotest.fail (Srv.Client.error_to_string e))));
   let snap = Tel.Sink.snapshot sink in
   Alcotest.(check int) "malformed counted" 1
@@ -382,7 +387,7 @@ let test_peer_close_mid_request () =
 let test_partial_writes_tiny_sndbuf () =
   let net = make_net () in
   let srv =
-    Srv.Server.start ~conn_sndbuf:2048 ~net
+    Srv.Server.start_backend ~conn_sndbuf:2048 ~backend:(P.Backend.Net net)
       (Srv.Server.Unix_socket (socket_path ()))
   in
   Fun.protect
@@ -404,7 +409,7 @@ let test_partial_writes_tiny_sndbuf () =
             match P.Resp.decode_string payload with
             | Ok (P.Resp.Batch_reply rs) ->
               Alcotest.(check int) "reply arity" arity (List.length rs);
-              let d = P.Store.digest net in
+              let d = Network.digest net in
               List.iter
                 (function
                   | P.Resp.Digest_is got ->
@@ -495,7 +500,7 @@ let test_loopback_equivalence topo () =
   Alcotest.(check bool) "refusals were exercised" true (stats_a.Churn.blocked > 0);
   Alcotest.(check int) "torn down" stats_a.Churn.torn_down stats_b.Churn.torn_down;
   (* state-level equivalence *)
-  Alcotest.(check int) "digest" (P.Store.digest net_a) digest_b;
+  Alcotest.(check int) "digest" (Network.digest net_a) digest_b;
   (* telemetry equivalence: the network's instruments counted the same
      through the socket as in-process (the server's own server_* series
      live in the same sink; the wdmnet_ prefix selects the network's) *)
@@ -525,7 +530,7 @@ let test_pipelined_equivalence () =
     let sum = ref 0 in
     let on_admit route = sum := P.Op.route_checksum !sum route in
     let srv =
-      Srv.Server.start ~telemetry:sink ~net
+      Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
         (Srv.Server.Unix_socket (socket_path ()))
     in
     let stats, digest =
@@ -593,7 +598,7 @@ let test_eintr_storm () =
       Unix.mkdir dir 0o700;
       let wal = Filename.concat dir "eintr.wal" in
       let net = make_net () in
-      let store = P.Store.start ~wal net in
+      let store = P.Store.start_backend ~wal (P.Backend.Net net) in
       let digest =
         with_server ~store net (fun srv ->
             with_client srv (fun c ->
@@ -607,7 +612,7 @@ let test_eintr_storm () =
       (* same seed in-process: the storm changed nothing *)
       let twin = make_net () in
       ignore (run_churn ~sink:(Tel.Sink.create ()) (inproc_sut twin (ref 0)));
-      Alcotest.(check int) "digest through the storm" (P.Store.digest twin)
+      Alcotest.(check int) "digest through the storm" (Network.digest twin)
         digest;
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
@@ -678,7 +683,7 @@ let test_idle_connection_soak () =
           with_client srv (fun c ->
               match Srv.Client.digest c with
               | Ok d -> Alcotest.(check int) "served through the crowd"
-                          (P.Store.digest net) d
+                          (Network.digest net) d
               | Error e -> Alcotest.fail (Srv.Client.error_to_string e))))
 
 (* --- WAL-backed serving recovers to the served state ---------------------- *)
@@ -689,7 +694,7 @@ let test_served_session_recovers () =
   Unix.mkdir dir 0o700;
   let wal = Filename.concat dir "serve.wal" in
   let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let store = P.Store.start_backend ~wal (P.Backend.Net net) in
   let final_digest =
     with_server ~store net (fun srv ->
         with_client srv (fun c ->
@@ -700,12 +705,12 @@ let test_served_session_recovers () =
             | Error e -> Alcotest.fail (Srv.Client.error_to_string e)))
   in
   (* server stopped: no thread touches the store anymore *)
-  P.Store.checkpoint store net;
+  P.Store.checkpoint_backend store (P.Backend.Net net);
   P.Store.close store;
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Ok r ->
     Alcotest.(check int) "recovered digest" final_digest
-      (P.Store.digest r.P.Store.network)
+      (P.Backend.digest r.P.Store.backend)
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e));
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))
@@ -727,7 +732,8 @@ let test_response_never_overtakes_fsync ~traced () =
   in
   let net = make_net () in
   let store =
-    P.Store.start ~telemetry:sink ~policy:(P.Wal.Fsync_every 1) ~wal net
+    P.Store.start_backend ~telemetry:sink ~policy:(P.Wal.Fsync_every 1) ~wal
+      (P.Backend.Net net)
   in
   let committed = ref 0 and overtaken = ref 0 in
   (* churn connects are all committed (admitted or refused), and churn
@@ -762,7 +768,7 @@ let test_response_never_overtakes_fsync ~traced () =
 
 (* A request that fails to execute (refused disconnect, out-of-range
    fault index) is answered but must never reach the WAL: replaying it
-   fails, and [Store.recover] reads a failing replay as corruption —
+   fails, and [Store.recover_backend] reads a failing replay as corruption —
    one such client request would poison the log permanently. *)
 let test_failed_ops_do_not_poison_wal () =
   let dir = Filename.temp_file "wdmnet_serve_wal" "" in
@@ -770,7 +776,7 @@ let test_failed_ops_do_not_poison_wal () =
   Unix.mkdir dir 0o700;
   let wal = Filename.concat dir "serve.wal" in
   let net = make_net () in
-  let store = P.Store.start ~wal net in
+  let store = P.Store.start_backend ~wal (P.Backend.Net net) in
   let final_digest =
     with_server ~store net (fun srv ->
         with_client srv (fun c ->
@@ -805,11 +811,11 @@ let test_failed_ops_do_not_poison_wal () =
   P.Store.close store;
   (* no checkpoint after serving: recovery must replay the WAL tail,
      which holds only the three ops that executed *)
-  (match P.Store.recover ~wal () with
+  (match P.Store.recover_backend ~wal () with
   | Ok r ->
-    Alcotest.(check int) "replayed only executed ops" 3 r.P.Store.replayed;
+    Alcotest.(check int) "replayed only executed ops" 3 r.P.Store.b_replayed;
     Alcotest.(check int) "recovered digest" final_digest
-      (P.Store.digest r.P.Store.network)
+      (P.Backend.digest r.P.Store.backend)
   | Error e -> Alcotest.fail (Format.asprintf "%a" P.Store.pp_recovery_error e));
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))
@@ -822,7 +828,7 @@ let test_server_instruments () =
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net
+    Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
       (Srv.Server.Unix_socket (socket_path ()))
   in
   Fun.protect
@@ -909,7 +915,7 @@ let test_old_client_new_server () =
             match P.Resp.decode_string payload with
             | Ok (P.Resp.Digest_is d) ->
               Alcotest.(check int) "digest over a span-less connection"
-                (P.Store.digest net) d
+                (Network.digest net) d
             | _ -> Alcotest.fail "expected Digest_is")
           | _ -> Alcotest.fail "expected a response frame"))
 
@@ -976,7 +982,7 @@ let test_span_ring_and_chrome () =
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net
+    Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
       (Srv.Server.Unix_socket (socket_path ()))
   in
   let client_span =
@@ -1057,7 +1063,7 @@ let test_http_plane () =
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let srv =
-    Srv.Server.start ~telemetry:sink ~net
+    Srv.Server.start_backend ~telemetry:sink ~backend:(P.Backend.Net net)
       ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
       (Srv.Server.Unix_socket (socket_path ()))
   in
@@ -1109,7 +1115,7 @@ let test_http_plane () =
    behind when the leader disappears, ready again after promotion. *)
 let test_readyz_follows_role () =
   let leader =
-    Srv.Server.start ~net:(make_net ())
+    Srv.Server.start_backend ~backend:(P.Backend.Net (make_net ()))
       (Srv.Server.Unix_socket (socket_path ()))
   in
   let leader_stopped = ref false in
@@ -1124,8 +1130,8 @@ let test_readyz_follows_role () =
                 (P.Op.Connect (conn (ep i 1) [ ep ((i mod 9) + 1) 1 ]))))
       done);
   let follower =
-    Srv.Server.start
-      ~net:(make_net ())
+    Srv.Server.start_backend
+      ~backend:(P.Backend.Net (make_net ()))
       ~follower:{ Srv.Server.leader = Srv.Server.address leader; wal = None }
       ~http:(Srv.Server.Tcp ("127.0.0.1", 0))
       (Srv.Server.Unix_socket (socket_path ()))
@@ -1171,7 +1177,8 @@ let test_slow_log () =
     let sink = Tel.Sink.create () in
     let net = make_net () in
     let srv =
-      Srv.Server.start ~telemetry:sink ~slow_ms ~slow_log:path ~net
+      Srv.Server.start_backend ~telemetry:sink ~slow_ms ~slow_log:path
+        ~backend:(P.Backend.Net net)
         (Srv.Server.Unix_socket (socket_path ()))
     in
     Fun.protect
