@@ -718,14 +718,19 @@ let routing_throughput ~quick () =
 (* Persistence: WAL overhead, snapshot/restore throughput             *)
 (* ----------------------------------------------------------------- *)
 
-(* Replays the recorded trace once more while logging every op
-   to a live Store session — the difference against the no-persist
-   replay is the WAL's per-op tax.  The final state then prices the
-   snapshot path (a leader's checkpoint: encode + write; decode +
-   restore) and a full record / recover cycle closes the loop: the
-   recovered network must fingerprint identically to the one that
-   never crashed. *)
-let persistence_bench ~topo ~ops ~dt_baseline =
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+let persistence_trials = 5
+
+(* Prices the WAL's per-op tax in pairs: each pair replays the recorded
+   trace twice, each time on a fresh network and executed as the server
+   executes it, once logging every op to a fresh WAL first.
+   Pairs alternate which pass runs first, so a drift in host speed
+   lands on both sides, and the overhead is the median of the pairs'
+   own overheads.  The last pair's state then prices the snapshot path
+   (a leader's checkpoint: encode + write; decode + restore) and a full
+   record / recover cycle closes the loop: the recovered network must
+   fingerprint identically to the one that never crashed. *)
+let persistence_bench ~topo ~ops =
   section "Persistence (WAL overhead, snapshot/restore throughput)";
   let wal = "bench_wal.tmp" in
   let iters = 20 in
@@ -735,10 +740,9 @@ let persistence_bench ~topo ~ops ~dt_baseline =
       (wal :: List.map (fun s -> Store.snapshot_path ~wal ~seq:s)
                 (List.init (iters + 2) Fun.id))
   in
-  cleanup ();
-  (* same sink arrangement as the baseline replay, so the delta is the
-     WAL's tax alone *)
-  let net =
+  (* the routing replay's sink arrangement, so the pair's difference is
+     the WAL's tax alone *)
+  let fresh () =
     Network.create
       ~config:
         {
@@ -747,24 +751,51 @@ let persistence_bench ~topo ~ops ~dt_baseline =
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
+  let pass store net =
+    let backend = Backend.Net net in
+    let t0 = Unix.gettimeofday () in
+    Array.iter
+      (fun op ->
+        Option.iter (fun s -> Store.log s op) store;
+        ignore (Resp.execute_backend backend (Resp.Admit op)))
+      ops;
+    Unix.gettimeofday () -. t0
+  in
+  (* the last logged pass's store and network, kept for the checks *)
+  let last = ref None in
+  let logged () =
+    Option.iter (fun (s, _) -> Store.close s) !last;
+    cleanup ();
+    let net = fresh () in
+    let store = Store.start_backend ~wal (Backend.Net net) in
+    last := Some (store, net);
+    pass (Some store) net
+  in
+  let plain () = pass None (fresh ()) in
+  let pairs =
+    List.init persistence_trials (fun i ->
+        if i mod 2 = 0 then
+          let dt_plain = plain () in
+          (dt_plain, logged ())
+        else
+          let dt_wal = logged () in
+          (plain (), dt_wal))
+  in
+  let store, net = Option.get !last in
   let backend = Backend.Net net in
-  let store = Store.start_backend ~wal backend in
-  let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun op ->
-      Store.log store op;
-      ignore (Resp.execute_backend backend (Resp.Admit op)))
-    ops;
-  let dt_wal = Unix.gettimeofday () -. t0 in
+  let dt_baseline = median (List.map fst pairs) in
+  let dt_wal = median (List.map snd pairs) in
+  let overhead_pct =
+    median (List.map (fun (b, w) -> (w -. b) /. b *. 100.) pairs)
+  in
   Store.checkpoint_backend store backend;
   let records = Store.wal_records store in
   let wal_bytes = Store.wal_offset store in
   let digest_live = Backend.digest backend in
-  let overhead_pct = (dt_wal -. dt_baseline) /. dt_baseline *. 100. in
   Printf.printf
-    "WAL: %d records, %d bytes; replay+log %.3f s vs %.3f s baseline \
-     (%.1f%% overhead)\n"
-    records wal_bytes dt_wal dt_baseline overhead_pct;
+    "WAL: %d records, %d bytes; replay+log %.3f s vs %.3f s without (medians \
+     of %d pairs), %.1f%% overhead (median of the pairs')\n"
+    records wal_bytes dt_wal dt_baseline persistence_trials overhead_pct;
   let state = Backend.encode_state backend in
   let routes = List.length (Network.snapshot net).Network.s_routes in
   let t0 = Unix.gettimeofday () in
@@ -805,6 +836,7 @@ let persistence_bench ~topo ~ops ~dt_baseline =
             [
               ("records", J.Int records);
               ("bytes", J.Int wal_bytes);
+              ("trials", J.Int persistence_trials);
               ("elapsed_s", J.Float dt_wal);
               ("baseline_s", J.Float dt_baseline);
               ("overhead_pct", J.Float overhead_pct);
@@ -1417,33 +1449,58 @@ let mesh_blocking_bench ~quick () =
 
 module Mesh_network = Wdm_mesh.Mesh_network
 
+(* The mesh identity goldens' outcome fold (test/test_mesh.ml): the
+   route id, wavelength, cost bits and arcs, or the refusal's uncovered
+   list.  Kept here rather than taken from the library, so this bench
+   also runs against an older engine and the checksums compare. *)
+let hash_outcome h outcome =
+  let mix = Wdm_core.Strategy.mix in
+  match outcome with
+  | Ok (r : Mesh_network.route) ->
+    let bits = Int64.bits_of_float r.Mesh_network.cost in
+    let h = mix (mix (mix h 1) r.Mesh_network.id) r.Mesh_network.wl in
+    let h =
+      mix
+        (mix h (Int64.to_int (Int64.shift_right_logical bits 32)))
+        (Int64.to_int (Int64.logand bits 0xffffffffL))
+    in
+    List.fold_left
+      (fun h (a, b, e) -> mix (mix (mix h a) b) e)
+      (mix h (List.length r.Mesh_network.arcs))
+      r.Mesh_network.arcs
+  | Error (Mesh_network.Blocked { uncovered }) ->
+    List.fold_left mix (mix (mix h 2) (List.length uncovered)) uncovered
+  | Error _ -> mix h 3
+
+let mesh_connect_trials = 3
+
 (* The mesh engine's connect, timed call by call under the serving
    benchmark's mesh-batch traffic (nsf14, 32 wavelengths, 120 Erlangs,
-   Zipf fanout <= 8), once per registered strategy.  Connects are split
-   by outcome because the three cost very differently: an admitted
-   unicast tries the pair's Yen paths, an admitted multicast builds
-   light-trees until one fits, and a refusal runs out of wavelengths.
-   The first [warmup] arrivals fill the per-pair Yen memo untimed;
-   quantiles are exact order statistics of the timed calls. *)
+   Zipf fanout <= 8), once per registered strategy with every node
+   splitting, and once more first-fit with splitters at the nodes of
+   degree >= 3, where refusals still build.  Connects are split by
+   outcome because the three cost very differently: an admitted unicast
+   tries the pair's Yen paths, an admitted multicast builds a
+   light-tree, and a refusal runs out of wavelengths.  The first
+   [warmup] arrivals fill the per-pair Yen memo untimed; quantiles are
+   exact order statistics of the timed calls.  Each row replays its
+   traffic [mesh_connect_trials] times on a fresh network and reports
+   the median of each class's mean, with its min and max; the trials
+   must agree on the outcome checksum (every outcome, warmup included,
+   folded with [hash_outcome]). *)
 let mesh_connect_bench ~quick () =
   section "Mesh connect cost per strategy (nsf14, 32 wavelengths, 120 Erlangs)";
   let seed = 1 and offered = 120. and fanout_max = 8 and k = 32 in
   let warmup = if quick then 500 else 2_000 in
   let arrivals = if quick then 4_000 else 30_000 in
   let classes = [ "unicast"; "multicast"; "refused" ] in
-  let row name =
-    let strategy =
-      match Assign.strategy_of_string name with
-      | Ok s -> s
-      | Error e -> failwith ("mesh_connect: " ^ e)
-    in
-    let config = { Mesh_network.Config.default with k; strategy } in
+  let trial config =
     let net =
       match Mesh_network.create ~config "nsf14" with
       | Ok net -> net
       | Error e -> failwith ("mesh_connect: " ^ e)
     in
-    let samples = Array.make 3 [] and calls = ref 0 in
+    let samples = Array.make 3 [] and calls = ref 0 and checksum = ref 0 in
     let sut =
       {
         Wdm_traffic.Churn.connect =
@@ -1452,6 +1509,7 @@ let mesh_connect_bench ~quick () =
             let t0 = Monotonic_clock.now () in
             let outcome = Mesh_network.connect net c in
             let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+            checksum := hash_outcome !checksum outcome;
             (if !calls > warmup then
                let cls =
                  match outcome with
@@ -1470,37 +1528,95 @@ let mesh_connect_bench ~quick () =
          ~nodes:(Wdm_mesh.Graph.n (Mesh_network.graph net))
          ~fanout:(Wdm_traffic.Fanout.Zipf { max = fanout_max; s = 1.3 })
          ~offered ~arrivals:(warmup + arrivals) sut);
-    let stats us =
-      let a = Array.of_list us in
-      Array.sort compare a;
-      let n = Array.length a in
-      if n = 0 then (0, 0., 0., 0.)
-      else
-        let q p = a.(min (n - 1) (int_of_float (p *. float_of_int n))) in
-        (n, Array.fold_left ( +. ) 0. a /. float_of_int n, q 0.5, q 0.99)
-    in
-    let per_class = List.mapi (fun i cls -> (cls, stats samples.(i))) classes in
-    List.iter
-      (fun (cls, (n, mean, p50, p99)) ->
-        Printf.printf "%-12s %-9s %6d  mean %7.1f  p50 %7.1f  p99 %7.1f us\n"
-          name cls n mean p50 p99)
-      per_class;
-    J.Obj
-      (("strategy", J.String name)
-      :: ("arrivals", J.Int arrivals)
-      :: List.map
-           (fun (cls, (n, mean, p50, p99)) ->
-             ( cls,
-               J.Obj
-                 [
-                   ("count", J.Int n);
-                   ("mean_us", J.Float mean);
-                   ("p50_us", J.Float p50);
-                   ("p99_us", J.Float p99);
-                 ] ))
-           per_class)
+    (samples, !checksum)
   in
-  let rows = List.map row (Assign.plugin_names ()) in
+  (* count, mean, p50, p99 of one class in one trial *)
+  let stats us =
+    let a = Array.of_list us in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n = 0 then (0, 0., 0., 0.)
+    else
+      let q p = a.(min (n - 1) (int_of_float (p *. float_of_int n))) in
+      (n, Array.fold_left ( +. ) 0. a /. float_of_int n, q 0.5, q 0.99)
+  in
+  let row (name, splitters_name, splitters) =
+    let strategy =
+      match Assign.strategy_of_string name with
+      | Ok s -> s
+      | Error e -> failwith ("mesh_connect: " ^ e)
+    in
+    let config =
+      { Mesh_network.Config.default with k; strategy; splitters }
+    in
+    let trials = List.init mesh_connect_trials (fun _ -> trial config) in
+    let checksum = snd (List.hd trials) in
+    if List.exists (fun (_, c) -> c <> checksum) trials then
+      failwith
+        (Printf.sprintf "mesh_connect: %s trials disagree on the outcomes"
+           name);
+    let total_ms =
+      List.map
+        (fun (samples, _) ->
+          Array.fold_left (List.fold_left ( +. )) 0. samples /. 1e3)
+        trials
+    in
+    let per_class =
+      List.mapi
+        (fun i cls ->
+          let st = List.map (fun (samples, _) -> stats samples.(i)) trials in
+          let pick f = List.map f st in
+          let means = pick (fun (_, mean, _, _) -> mean) in
+          ( cls,
+            List.length (fst (List.hd trials)).(i),
+            median means,
+            List.fold_left min infinity means,
+            List.fold_left max 0. means,
+            median (pick (fun (_, _, p50, _) -> p50)),
+            median (pick (fun (_, _, _, p99) -> p99)) ))
+        classes
+    in
+    List.iter
+      (fun (cls, n, mean, lo, hi, p50, p99) ->
+        Printf.printf
+          "%-12s %-8s %-9s %6d  mean %6.1f [%.1f-%.1f]  p50 %6.1f  p99 %7.1f \
+           us\n"
+          name splitters_name cls n mean lo hi p50 p99)
+      per_class;
+    Printf.printf "%-12s %-8s total %.1f ms (median of %d), outcome checksum %d\n"
+      name splitters_name (median total_ms) mesh_connect_trials checksum;
+    J.Obj
+      ([
+         ("strategy", J.String name);
+         ("splitters", J.String splitters_name);
+         ("arrivals", J.Int arrivals);
+         ("trials", J.Int mesh_connect_trials);
+         ("outcome_checksum", J.Int checksum);
+         ("total_ms", J.Float (median total_ms));
+         ("total_ms_min", J.Float (List.fold_left min infinity total_ms));
+         ("total_ms_max", J.Float (List.fold_left max 0. total_ms));
+       ]
+      @ List.map
+          (fun (cls, n, mean, lo, hi, p50, p99) ->
+            ( cls,
+              J.Obj
+                [
+                  ("count", J.Int n);
+                  ("mean_us", J.Float mean);
+                  ("mean_us_min", J.Float lo);
+                  ("mean_us_max", J.Float hi);
+                  ("p50_us", J.Float p50);
+                  ("p99_us", J.Float p99);
+                ] ))
+          per_class)
+  in
+  let rows =
+    List.map row
+      (List.map
+         (fun name -> (name, "all", Mesh_network.Split_all))
+         (Assign.plugin_names ())
+      @ [ ("first-fit", "degree:3", Mesh_network.Split_degree_ge 3) ])
+  in
   ( "mesh_connect",
     J.Obj
       [
@@ -1555,19 +1671,68 @@ let strategy_compare_bench ~quick () =
                  cells) );
         ] )
 
+(* The first line a shell command prints, when it exits 0. *)
+let command_line cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some l when l <> "" -> Some l
+    | _ -> None)
+
+(* The commit checked out where the bench runs, "-dirty" when the
+   engine's or the bench's source differs from it; "unknown" outside a
+   git checkout. *)
+let commit () =
+  match command_line "git rev-parse --short HEAD" with
+  | None -> "unknown"
+  | Some h ->
+    if Sys.command "git diff --quiet HEAD -- lib bin bench 2>/dev/null" = 0
+    then h
+    else h ^ "-dirty"
+
+(* Online vCPUs, and the CPU model when /proc/cpuinfo is readable. *)
+let host () =
+  let vcpus =
+    Option.value ~default:0
+      (Option.bind (command_line "getconf _NPROCESSORS_ONLN") int_of_string_opt)
+  in
+  let model =
+    match open_in "/proc/cpuinfo" with
+    | exception Sys_error _ -> None
+    | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+          try Scanf.sscanf line "model name : %[^\n]" Option.some
+          with Scanf.Scan_failure _ | End_of_file -> scan ())
+      in
+      let model = scan () in
+      close_in ic;
+      model
+  in
+  J.Obj
+    (("vcpus", J.Int vcpus)
+    :: (match model with Some m -> [ ("model", J.String m) ] | None -> []))
+
 (* The build the numbers came from: the profile decides what the
    compiler inlines across modules, so a dev-profile number is not
-   comparable with a release-profile one. *)
-let build_info =
+   comparable with a release-profile one; the commit and the host say
+   which code ran where. *)
+let build_info () =
   ( "build",
     J.Obj
       [
         ("ocaml", J.String Sys.ocaml_version);
         ("profile", J.String Build_profile.profile);
+        ("commit", J.String (commit ()));
+        ("host", host ());
       ] )
 
 let write_results fragments =
-  let fragments = build_info :: fragments in
+  let fragments = build_info () :: fragments in
   let oc = open_out "BENCH_results.json" in
   output_string oc (J.to_string (J.Obj fragments));
   output_string oc "\n";
@@ -1638,7 +1803,20 @@ let validate_results path =
               match Option.bind (J.member key build) J.to_string_opt with
               | Some v when v <> "" -> Ok ()
               | _ -> fail "build.%s is not a non-empty string" key))
-        (Ok ()) [ "ocaml"; "profile" ]
+        (Ok ()) [ "ocaml"; "profile"; "commit" ]
+    in
+    let* host = require "build.host" (J.member "host" build) in
+    let* () =
+      match Option.bind (J.member "vcpus" host) J.to_int with
+      | Some n when n >= 1 -> Ok ()
+      | Some n -> fail "build.host.vcpus %d: need at least 1" n
+      | None -> fail "build.host.vcpus is not an int"
+    in
+    let* () =
+      match J.member "model" host with
+      | None -> Ok ()
+      | Some m when J.to_string_opt m <> None -> Ok ()
+      | Some _ -> fail "build.host.model is not a string"
     in
     let* benches = require "benchmarks" (J.member "benchmarks" doc) in
     let* benches =
@@ -1719,7 +1897,14 @@ let validate_results path =
               | Some j -> number (Printf.sprintf "persistence.wal.%s" key) j
               | None -> fail "persistence.wal.%s missing" key))
         (Ok ())
-        [ "records"; "bytes"; "elapsed_s"; "baseline_s"; "overhead_pct" ]
+        [ "records"; "bytes"; "trials"; "elapsed_s"; "baseline_s";
+          "overhead_pct" ]
+    in
+    let* () =
+      match Option.bind (J.member "trials" wal) J.to_int with
+      | Some n when n >= 5 -> Ok ()
+      | Some n -> fail "persistence.wal.trials %d: need at least 5 pairs" n
+      | None -> fail "persistence.wal.trials is not an int"
     in
     let* snap = require "persistence.snapshot" (J.member "snapshot" persist) in
     let* () =
@@ -1984,12 +2169,44 @@ let validate_results path =
     let* mc = require "mesh_connect" (J.member "mesh_connect" doc) in
     let* mrows = require "mesh_connect.rows" (J.member "rows" mc) in
     let* mrows = require "mesh_connect.rows as a list" (J.to_list mrows) in
+    (* lo <= mid <= hi, all numbers, all positive unless [zero_ok] *)
+    let spread ctx j ~zero_ok (mid, lo, hi) =
+      let get key =
+        match Option.bind (J.member key j) J.to_float_opt with
+        | Some v when v > 0. || zero_ok -> Ok v
+        | Some v -> fail "%s.%s %.3f is not positive" ctx key v
+        | None -> fail "%s.%s is not a number" ctx key
+      in
+      let* m = get mid in
+      let* l = get lo in
+      let* h = get hi in
+      if l <= m && m <= h then Ok ()
+      else fail "%s.%s %g is outside [%s %g, %s %g]" ctx mid m lo l hi h
+    in
     let check_connect_row i j =
       let ctx = Printf.sprintf "mesh_connect.rows[%d]" i in
       let* () =
-        match Option.bind (J.member "strategy" j) J.to_string_opt with
+        List.fold_left
+          (fun acc key ->
+            let* () = acc in
+            match Option.bind (J.member key j) J.to_string_opt with
+            | Some _ -> Ok ()
+            | None -> fail "%s.%s is not a string" ctx key)
+          (Ok ()) [ "strategy"; "splitters" ]
+      in
+      let* () =
+        match Option.bind (J.member "trials" j) J.to_int with
+        | Some n when n >= 3 -> Ok ()
+        | Some n -> fail "%s.trials %d: need at least 3" ctx n
+        | None -> fail "%s.trials is not an int" ctx
+      in
+      let* () =
+        match Option.bind (J.member "outcome_checksum" j) J.to_int with
         | Some _ -> Ok ()
-        | None -> fail "%s.strategy is not a string" ctx
+        | None -> fail "%s.outcome_checksum is not an int" ctx
+      in
+      let* () =
+        spread ctx j ~zero_ok:false ("total_ms", "total_ms_min", "total_ms_max")
       in
       let* arrivals =
         require (ctx ^ ".arrivals") (Option.bind (J.member "arrivals" j) J.to_int)
@@ -2015,6 +2232,10 @@ let validate_results path =
                 (Ok ())
                 [ "mean_us"; "p50_us"; "p99_us" ]
             in
+            let* () =
+              spread cctx c ~zero_ok:(n = 0)
+                ("mean_us", "mean_us_min", "mean_us_max")
+            in
             Ok (sum + n))
           (Ok 0)
           [ "unicast"; "multicast"; "refused" ]
@@ -2039,6 +2260,17 @@ let validate_results path =
       in
       if List.length names >= 5 then Ok ()
       else fail "mesh_connect must time at least 5 strategies"
+    in
+    let* () =
+      (* both sides of the refusal gate: every node splitting, and not *)
+      let split =
+        List.filter_map
+          (fun j -> Option.bind (J.member "splitters" j) J.to_string_opt)
+          mrows
+      in
+      if List.mem "all" split && List.exists (fun s -> s <> "all") split then
+        Ok ()
+      else fail "mesh_connect must time splitters \"all\" and a sparse set"
     in
     Ok (List.length benches)
   in
@@ -2069,7 +2301,7 @@ let full () =
   exact_frontier ();
   blocking_vs_load ();
   let rt, (topo, ops, dt) = routing_throughput ~quick:false () in
-  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt in
+  let persist = persistence_bench ~topo ~ops in
   let serving = serving_bench ~topo ~ops ~dt_baseline:dt in
   let stages = stage_latency_bench ~topo ~ops in
   let repl = replication_bench ~topo ~ops in
@@ -2085,7 +2317,7 @@ let full () =
    BENCH_results.json that --validate can gate on. *)
 let quick () =
   let rt, (topo, ops, dt) = routing_throughput ~quick:true () in
-  let persist = persistence_bench ~topo ~ops ~dt_baseline:dt in
+  let persist = persistence_bench ~topo ~ops in
   let serving = serving_bench ~topo ~ops ~dt_baseline:dt in
   let stages = stage_latency_bench ~topo ~ops in
   let repl = replication_bench ~topo ~ops in

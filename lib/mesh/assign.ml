@@ -39,6 +39,8 @@ let used t ~edge ~wl =
   check t ~edge ~wl;
   t.mask.(edge) land (1 lsl (wl - 1)) <> 0
 
+let occupancy t ~edge = t.mask.(edge)
+
 let free_on t ~edges ~wl = List.for_all (fun e -> not (used t ~edge:e ~wl)) edges
 
 let occupy t ~edges ~wl =

@@ -50,6 +50,11 @@ val create : k:int -> m:int -> t
 
 val k : t -> int
 val used : t -> edge:int -> wl:int -> bool
+val occupancy : t -> edge:int -> int
+(** The edge's occupancy word: bit [wl - 1] is set when [wl] is in use
+    on it, so its complement within the low [k] bits is the edge's free
+    wavelength set. *)
+
 val free_on : t -> edges:int list -> wl:int -> bool
 (** Free on {e every} listed edge. *)
 

@@ -70,25 +70,3 @@ let build ~mode ~mc ~use_edge g ~src ~dests =
         loop ()
   in
   loop ()
-
-let unreachable ~use_edge g ~src ~dests =
-  let { Graph.off; nbr; eid; _ } = Graph.adjacency g in
-  let seen = Array.make (Graph.n g + 1) false in
-  (* each node is pushed at most once *)
-  let stack = Array.make (Graph.n g) 0 in
-  let top = ref 1 in
-  seen.(src) <- true;
-  stack.(0) <- src;
-  while !top > 0 do
-    decr top;
-    let u = stack.(!top) in
-    for i = off.(u) to off.(u + 1) - 1 do
-      let v = nbr.(i) in
-      if (not seen.(v)) && use_edge eid.(i) then begin
-        seen.(v) <- true;
-        stack.(!top) <- v;
-        incr top
-      end
-    done
-  done;
-  List.fold_left (fun lost d -> if seen.(d) then lost else lost + 1) 0 dests

@@ -46,13 +46,16 @@ val build :
     [mc] is indexed by node (1-based; index 0 unused).  An MI source
     has a single transmitter (out-degree 1 until revisited in
     [Hierarchy] mode).  [Error uncovered] lists the destinations (in
-    ascending order) no further graft could reach. *)
+    ascending order) no further graft could reach.
 
-val unreachable :
-  use_edge:(int -> bool) -> Graph.t -> src:int -> dests:int list -> int
-(** How many of [dests] no path from [src] over [use_edge] edges
-    reaches (one depth-first search).  A lower bound on the length of
-    {!build}'s [Error] list under the same [use_edge], in any mode and
-    with any splitters: every graft runs over usable edges from a node
-    already reached, so the structure never covers an unreachable
-    destination.  When it is positive, [build] fails. *)
+    Every graft runs over usable edges from a node already reached, so
+    a destination no path from [src] over [use_edge] edges reaches is
+    never covered.  When every node is MC, the converse holds too, in
+    both modes: [build] fails exactly when some destination is
+    unreachable, and [uncovered] is then exactly the unreachable
+    destinations.  (Take a usable path to a destination and the last
+    node on it the structure reaches: that node is a source, since it
+    splits, and the rest of the path is neither used by the structure
+    nor reached by it, so {!Shortest.grow} finds a graft.)  Under sparse
+    splitting a reachable destination may stay uncovered: an MI node
+    forwards each arrival once. *)

@@ -56,6 +56,10 @@ type t = {
   topo_name : string;
   cfg : Config.t;
   mc : bool array;
+  all_split : bool;
+      (* every node 1..n multicast-capable, derived from [mc]: then a
+         build fails exactly when a destination is unreachable, and a
+         refusal is read off the reach masks (see [try_multicast]) *)
   assign : Assign.t;
   plugin : Assign.plugin option;
       (* resolved once at build time when cfg.strategy is [Named _];
@@ -138,12 +142,15 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
     match plugin with
     | Error _ as e -> e
     | Ok plugin ->
+      let n = Graph.n graph in
+      let rec all_split v = v > n || (mc.(v) && all_split (v + 1)) in
       Ok
         {
           graph;
           topo_name;
           cfg;
           mc;
+          all_split = all_split 1;
           assign = Assign.create ~k:cfg.k ~m:(Graph.m graph);
           plugin;
           yen = Hashtbl.create 64;
@@ -319,12 +326,18 @@ let path_route g ~src edges =
   in
   go src 0 0.
 
+(* A path's wavelengths are tried from one word: the OR of its edges'
+   occupancy words, whose clear bits are the wavelengths free on every
+   edge. *)
 let try_unicast t ~hash ~src ~dst =
   let order = scan_order t ~hash in
   let pick_for_path edges =
-    let free wl =
-      Array.for_all (fun e -> not (Assign.used t.assign ~edge:e ~wl)) edges
+    let busy =
+      Array.fold_left
+        (fun busy e -> busy lor Assign.occupancy t.assign ~edge:e)
+        0 edges
     in
+    let free wl = busy land (1 lsl (wl - 1)) = 0 in
     let edge_ids = Array.to_list edges in
     match t.cfg.strategy with
     | Assign.Coloring -> (
@@ -352,45 +365,112 @@ let try_unicast t ~hash ~src ~dst =
   in
   first 0
 
+(* Bit [wl - 1] of [reach.(v)] is set when [v] can be reached from
+   [src] over edges free on [wl]: every wavelength's reachability in
+   one worklist pass over the adjacency arrays.  An edge passes the
+   bits its occupancy word leaves clear; a node goes back on the
+   worklist whenever it gains a bit, so the pass ends at the fixpoint,
+   each node popped at most k times. *)
+let reach_masks g a ~src =
+  let { Graph.off; nbr; eid; _ } = Graph.adjacency g in
+  let n = Graph.n g in
+  let reach = Array.make (n + 1) 0 in
+  (* each node is on the stack at most once *)
+  let stack = Array.make n 0 and stacked = Array.make (n + 1) false in
+  reach.(src) <- (1 lsl Assign.k a) - 1;
+  stack.(0) <- src;
+  stacked.(src) <- true;
+  let top = ref 1 in
+  while !top > 0 do
+    decr top;
+    let u = stack.(!top) in
+    stacked.(u) <- false;
+    let ru = reach.(u) in
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(i) in
+      let gain =
+        ru land lnot (Assign.occupancy a ~edge:eid.(i) lor reach.(v))
+      in
+      if gain <> 0 then begin
+        reach.(v) <- reach.(v) lor gain;
+        if not stacked.(v) then begin
+          stacked.(v) <- true;
+          stack.(!top) <- v;
+          incr top
+        end
+      end
+    done
+  done;
+  reach
+
 (* Wavelengths in scan order; the first whose structure builds and is
-   admitted wins.  A refusal reports the shortest uncovered list any
-   wavelength left (the earliest among equals).  Once one is recorded,
-   a wavelength whose free edges leave at least that many destinations
-   unreachable from the source is skipped without a build: its build
-   would fail (see [Light_tree.unreachable]) with an uncovered list no
-   shorter, which changes nothing. *)
+   admitted wins.  A build never covers a destination its wavelength
+   cannot reach, so only the wavelengths in [builds] (the AND of the
+   destinations' reach masks) are built on the way to a winner.
+
+   A refusal reports the shortest uncovered list any wavelength left
+   (the earliest among equals), or every destination when plug-in
+   vetoes were the only failures.  [refuse] walks the scan order for
+   it, skipping a wavelength whose unreachable count is at least the
+   shortest length so far.  A list comes from the build already made,
+   or, outside [builds], off the masks when every node splits (the
+   build would leave exactly the unreachable destinations: DESIGN.md
+   section 15) and from a build under sparse splitting. *)
 let try_multicast t ~hash ~src ~dests =
   let order = scan_order t ~hash in
   let fanout = List.length dests in
-  let rec first worst = function
-    | [] -> Error (match worst with [] -> dests | w -> w)
-    | wl :: rest -> (
-      let use_edge e = not (Assign.used t.assign ~edge:e ~wl) in
-      if
-        worst <> []
-        && Light_tree.unreachable ~use_edge t.graph ~src ~dests
-           >= List.length worst
-      then first worst rest
+  let reach = reach_masks t.graph t.assign ~src in
+  let builds = List.fold_left (fun m d -> m land reach.(d)) (-1) dests in
+  let build wl =
+    let bit = 1 lsl (wl - 1) in
+    Light_tree.build ~mode:t.cfg.mode ~mc:t.mc
+      ~use_edge:(fun e -> Assign.occupancy t.assign ~edge:e land bit = 0)
+      t.graph ~src ~dests
+  in
+  let refuse failed =
+    let uncovered wl =
+      let bit = 1 lsl (wl - 1) in
+      if builds land bit <> 0 then List.assoc_opt wl failed
+      else if t.all_split then
+        Some (List.filter (fun d -> reach.(d) land bit = 0) dests)
       else
-        match
-          Light_tree.build ~mode:t.cfg.mode ~mc:t.mc ~use_edge t.graph ~src
-            ~dests
-        with
-        | Ok s
-          when admits t ~edges:(arc_edge_ids s.Light_tree.arcs) ~wl ~fanout ->
-          Ok (s.Light_tree.arcs, wl, s.Light_tree.cost)
-        | Ok _ ->
-          (* feasible but vetoed by the plug-in's admission predicate:
-             try the next wavelength, reporting nothing uncovered *)
-          first worst rest
-        | Error uncovered ->
-          let worst =
-            match worst with
-            | [] -> uncovered
-            | w when List.length uncovered < List.length w -> uncovered
-            | w -> w
-          in
-          first worst rest)
+        match build wl with
+        | Error uncovered -> Some uncovered
+        | Ok _ -> assert false (* a build covers reachable nodes only *)
+    in
+    let lost wl =
+      let bit = 1 lsl (wl - 1) in
+      List.fold_left
+        (fun lost d -> if reach.(d) land bit = 0 then lost + 1 else lost)
+        0 dests
+    in
+    let worst, _ =
+      List.fold_left
+        (fun ((_, len) as worst) wl ->
+          if len > 0 && lost wl >= len then worst
+          else
+            match uncovered wl with
+            | Some u when len = 0 || List.length u < len -> (u, List.length u)
+            | _ -> worst)
+        ([], 0) order
+    in
+    match worst with [] -> dests | w -> w
+  in
+  let rec first failed = function
+    | [] -> Error (refuse failed)
+    | wl :: rest when builds land (1 lsl (wl - 1)) = 0 -> first failed rest
+    | wl :: rest -> (
+      match build wl with
+      | Ok s
+        when admits t ~edges:(arc_edge_ids s.Light_tree.arcs) ~wl ~fanout ->
+        Ok (s.Light_tree.arcs, wl, s.Light_tree.cost)
+      | Ok _ ->
+        (* feasible but vetoed by the plug-in's admission predicate:
+           try the next wavelength, reporting nothing uncovered *)
+        first failed rest
+      | Error uncovered ->
+        (* only under sparse splitting *)
+        first ((wl, uncovered) :: failed) rest)
   in
   first [] order
 

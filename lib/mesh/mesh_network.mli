@@ -19,14 +19,20 @@
 
     Cost: a unicast tries the pair's [k_paths] Yen paths, memoised per
     (source, destination) on the pair's first unicast (they depend on
-    the pair alone: no edge filter, and the graph never changes).  A
-    multicast tries wavelengths in scan order, building a structure on
-    each until one fits and is admitted; once a build has failed, a
-    wavelength that leaves at least as many destinations unreachable
-    from the source (see {!Light_tree.unreachable}) as the shortest
-    uncovered list so far is skipped unbuilt, which changes no outcome.
-    Neither is part of the state: {!snapshot}, {!digest} and {!restore}
-    are unaffected. *)
+    the pair alone: no edge filter, and the graph never changes); a
+    path's free wavelengths are the clear bits of its edges' ORed
+    {!Assign.occupancy} words.  A multicast first runs {!reach_masks}
+    from its source, and ANDing the destinations' masks gives every
+    wavelength on which each destination is reachable.  Only those are
+    built, in scan order, until one builds and is admitted: a build
+    never covers an unreachable destination, so no other could win.
+    When every node splits, a build on such a wavelength always
+    succeeds, and a refusal's uncovered list (the unreachable
+    destinations of the wavelength that leaves the fewest) is read off
+    the masks with no build; under sparse splitting a refusal also
+    builds the other wavelengths, skipping one whose mask shows it
+    cannot shorten the list.  None of this is part of the state:
+    {!snapshot}, {!digest} and {!restore} are unaffected. *)
 
 module Sink = Wdm_telemetry.Sink
 module Connection = Wdm_core.Connection
@@ -82,6 +88,13 @@ val create :
 
 val connect : t -> Connection.t -> (route, error) result
 val disconnect : t -> int -> (route, disconnect_error) result
+
+val reach_masks : Graph.t -> Assign.t -> src:int -> int array
+(** [reach_masks g a ~src], indexed by node: bit [wl - 1] of entry [v]
+    is set when a path from [src] to [v] runs over edges all free on
+    [wl] under [a]; no bit at or above [Assign.k a] is ever set, and
+    [src]'s entry has all [k] set.  One worklist pass over
+    {!Graph.adjacency} covers every wavelength at once. *)
 
 val graph : t -> Graph.t
 val topology_name : t -> string

@@ -495,6 +495,8 @@ let handle_repl t link msg =
              t.backend <- backend;
              t.rep_seq <- seq;
              t.repl_epoch <- epoch;
+             (* a position again: a redial resumes from [rep_seq] *)
+             t.force_snapshot <- false;
              inc t (fun i -> i.r_snapshots_recv);
              (match t.follower_cfg with
              | Some { wal = Some wal; _ } ->

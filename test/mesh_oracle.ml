@@ -1,7 +1,9 @@
 (* The list-based shortest-path and light-tree code the mesh engine ran
    before its array rewrite, kept verbatim as the differential oracle:
    production [Shortest] and [Light_tree.build] must return exactly what
-   these return.  Only module paths differ. *)
+   these return.  Only module paths differ.  [Light_tree.reachable] is
+   the per-wavelength depth-first search the engine ran before its
+   bit-parallel reach masks, the reference those are held to. *)
 
 open Wdm_mesh
 
@@ -210,4 +212,33 @@ module Light_tree = struct
           loop ())
     in
     loop ()
+
+  (* The nodes a path from [src] over [use_edge] edges reaches (one
+     depth-first search), as a membership array indexed by node. *)
+  let reachable ~use_edge g ~src =
+    let { Graph.off; nbr; eid; _ } = Graph.adjacency g in
+    let seen = Array.make (Graph.n g + 1) false in
+    (* each node is pushed at most once *)
+    let stack = Array.make (Graph.n g) 0 in
+    let top = ref 1 in
+    seen.(src) <- true;
+    stack.(0) <- src;
+    while !top > 0 do
+      decr top;
+      let u = stack.(!top) in
+      for i = off.(u) to off.(u + 1) - 1 do
+        let v = nbr.(i) in
+        if (not seen.(v)) && use_edge eid.(i) then begin
+          seen.(v) <- true;
+          stack.(!top) <- v;
+          incr top
+        end
+      done
+    done;
+    seen
+
+  (* The members of [dests] no such path reaches, in their order. *)
+  let unreachable ~use_edge g ~src ~dests =
+    let seen = reachable ~use_edge g ~src in
+    List.filter (fun d -> not seen.(d)) dests
 end

@@ -316,8 +316,9 @@ let oracle_instance seed =
   (rng, g, free, mc, fun () -> 1 + Random.State.int rng n)
 
 (* [build] equals the oracle's in both modes, destinations may repeat or
-   name the source, and [unreachable] bounds the uncovered list: 0 when
-   the build succeeds, at most its length when it fails. *)
+   name the source, and the oracle's unreachable destinations bound the
+   uncovered list: none when the build succeeds, at most its length
+   when it fails. *)
 let prop_light_tree_matches_oracle =
   QCheck.Test.make ~count:1500 ~name:"light-tree build = list-based oracle"
     QCheck.(int_bound 1_000_000_000)
@@ -326,7 +327,9 @@ let prop_light_tree_matches_oracle =
       let use_edge e = free.(e) in
       let src = node () in
       let dests = List.init (1 + Random.State.int rng 7) (fun _ -> node ()) in
-      let lost = Light_tree.unreachable ~use_edge g ~src ~dests in
+      let lost =
+        List.length (Mesh_oracle.Light_tree.unreachable ~use_edge g ~src ~dests)
+      in
       List.for_all
         (fun mode ->
           let got = Light_tree.build ~mode ~mc ~use_edge g ~src ~dests in
@@ -337,6 +340,90 @@ let prop_light_tree_matches_oracle =
           | Ok _ -> lost = 0
           | Error uncovered -> lost <= List.length uncovered)
         [ Light_tree.Tree; Light_tree.Hierarchy ])
+
+(* The reach masks equal one oracle depth-first search per wavelength,
+   on a random occupancy at a random k and at k = 62, the widest word,
+   and set no bit at or above k. *)
+let prop_reach_masks_match_dfs =
+  QCheck.Test.make ~count:500 ~name:"reach masks = per-wavelength DFS"
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let rng, g, _, _, node = oracle_instance seed in
+      let src = node () in
+      List.for_all
+        (fun k ->
+          let a = Assign.create ~k ~m:(Graph.m g) in
+          let density = Random.State.float rng 1.0 in
+          for e = 0 to Graph.m g - 1 do
+            for wl = 1 to k do
+              if Random.State.float rng 1.0 < density then
+                Assign.occupy a ~edges:[ e ] ~wl
+            done
+          done;
+          let reach = Mesh_network.reach_masks g a ~src in
+          let full = (1 lsl k) - 1 in
+          for v = 1 to Graph.n g do
+            if reach.(v) land lnot full <> 0 then
+              QCheck.Test.fail_reportf "seed %d k=%d: node %d has a bit >= k"
+                seed k v
+          done;
+          for wl = 1 to k do
+            let seen =
+              Mesh_oracle.Light_tree.reachable
+                ~use_edge:(fun e -> not (Assign.used a ~edge:e ~wl))
+                g ~src
+            in
+            for v = 1 to Graph.n g do
+              if reach.(v) land (1 lsl (wl - 1)) <> 0 <> seen.(v) then
+                QCheck.Test.fail_reportf
+                  "seed %d k=%d: node %d on wavelength %d differs" seed k v wl
+            done
+          done;
+          true)
+        [ 1 + Random.State.int rng 62; 62 ])
+
+(* When every node splits, in either mode, a build fails exactly when a
+   destination is unreachable, and leaves exactly the unreachable ones
+   uncovered: what lets a refusal be read off the reach masks. *)
+let prop_all_split_build_fails_iff_unreachable =
+  QCheck.Test.make ~count:1500
+    ~name:"every node splitting: build fails iff a destination is unreachable"
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let rng, g, free, _, node = oracle_instance seed in
+      let mc = Array.make (Graph.n g + 1) true in
+      let use_edge e = free.(e) in
+      let src = node () in
+      let dests = List.init (1 + Random.State.int rng 7) (fun _ -> node ()) in
+      let lost = Mesh_oracle.Light_tree.unreachable ~use_edge g ~src ~dests in
+      List.for_all
+        (fun mode ->
+          match Light_tree.build ~mode ~mc ~use_edge g ~src ~dests with
+          | Ok _ -> lost = []
+          | Error uncovered -> uncovered = List.sort compare lost)
+        [ Light_tree.Tree; Light_tree.Hierarchy ])
+
+(* Under sparse splitting that equality fails, which is why the engine
+   reads refusals off the masks only when every node splits.  On a star
+   with no splitter, a signal from leaf 2 reaches leaf 3 through the
+   hub, which forwards it once; leaf 4 is reachable over free edges but
+   left uncovered, in both modes. *)
+let test_sparse_build_misses_reachable () =
+  let g = Graph.make ~n:4 [ (1, 2, 1.); (1, 3, 1.); (1, 4, 1.) ] in
+  let mc = Array.make 5 false in
+  let use_edge _ = true in
+  Alcotest.(check (list int))
+    "every destination reachable" []
+    (Mesh_oracle.Light_tree.unreachable ~use_edge g ~src:2 ~dests:[ 3; 4 ]);
+  List.iter
+    (fun mode ->
+      match Light_tree.build ~mode ~mc ~use_edge g ~src:2 ~dests:[ 3; 4 ] with
+      | Error uncovered ->
+        Alcotest.(check (list int))
+          (Light_tree.mode_to_string mode ^ ": leaf 4 uncovered")
+          [ 4 ] uncovered
+      | Ok _ -> Alcotest.failf "%s: built" (Light_tree.mode_to_string mode))
+    [ Light_tree.Tree; Light_tree.Hierarchy ]
 
 (* [shortest_path] under a random skip set and edge filter, and
    [k_shortest] under a random edge filter, equal the oracle's. *)
@@ -720,6 +807,10 @@ let () =
             test_yen_respects_edge_filter;
           QCheck_alcotest.to_alcotest prop_shortest_matches_oracle;
           QCheck_alcotest.to_alcotest prop_light_tree_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_reach_masks_match_dfs;
+          QCheck_alcotest.to_alcotest prop_all_split_build_fails_iff_unreachable;
+          Alcotest.test_case "sparse build misses a reachable destination"
+            `Quick test_sparse_build_misses_reachable;
         ] );
       ( "assignment",
         [

@@ -520,15 +520,17 @@ let test_replica_garbage_closes_only_that_link () =
   Alcotest.(check (option (float 0.))) "no follower left attached" (Some 0.)
     (Tel.Metrics.find_gauge (Tel.Sink.snapshot sink) "repl_followers")
 
-(* A fake leader answers every Subscribe with garbage: a bad-CRC frame,
-   then a well-framed unknown tag, alternately.  The follower drops each
-   link, redials, keeps answering reads meanwhile, and stops promptly. *)
-let test_follower_drops_garbage_link () =
+(* A fake leader on a fresh unix socket, for [body] to point a follower
+   at: every dial that completes the follower hello gets the server
+   hello, and when its first frame is a Subscribe, [on_subscribe] runs
+   with the link and the subscribe's [last_seq].  The link closes when
+   [on_subscribe] returns; the fake stops when [body] does. *)
+let with_fake_leader on_subscribe body =
   let path = socket_path () in
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX path);
   Unix.listen lfd 8;
-  let quit = ref false and links = ref 0 in
+  let quit = ref false in
   let serve_link fd =
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
     match Srv.Protocol.read_exactly fd P.Wire.header_len with
@@ -536,19 +538,10 @@ let test_follower_drops_garbage_link () =
       when Result.is_ok (Srv.Protocol.check_follower_hello hello) -> (
       Srv.Protocol.write_all fd Srv.Protocol.server_hello;
       match Srv.Protocol.recv_frame fd with
-      | Srv.Protocol.Frame p
-        when (match P.Repl.to_leader_of_string p with
-             | Ok (P.Repl.Subscribe _) -> true
-             | _ -> false) ->
-        incr links;
-        Srv.Protocol.write_all fd
-          (if !links mod 2 = 1 then
-             bad_crc_frame
-               (repl_payload P.Repl.encode_to_follower
-                  (P.Repl.Rep_digest { seq = 0; digest = 0 }))
-           else unknown_tag_frame);
-        (* hold the link until the follower hangs up *)
-        ignore (Srv.Protocol.recv_frame fd)
+      | Srv.Protocol.Frame p -> (
+        match P.Repl.to_leader_of_string p with
+        | Ok (P.Repl.Subscribe { last_seq; _ }) -> on_subscribe fd last_seq
+        | _ -> ())
       | _ -> ())
     | _ -> ()
   in
@@ -571,7 +564,24 @@ let test_follower_drops_garbage_link () =
       Thread.join fake;
       Unix.close lfd;
       try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
+    (fun () -> body path)
+
+(* A fake leader answers every Subscribe with garbage: a bad-CRC frame,
+   then a well-framed unknown tag, alternately.  The follower drops each
+   link, redials, keeps answering reads meanwhile, and stops promptly. *)
+let test_follower_drops_garbage_link () =
+  let links = ref 0 in
+  with_fake_leader (fun fd _ ->
+      incr links;
+      Srv.Protocol.write_all fd
+        (if !links mod 2 = 1 then
+           bad_crc_frame
+             (repl_payload P.Repl.encode_to_follower
+                (P.Repl.Rep_digest { seq = 0; digest = 0 }))
+         else unknown_tag_frame);
+      (* hold the link until the follower hangs up *)
+      ignore (Srv.Protocol.recv_frame fd))
+  @@ fun path ->
   let sink = Tel.Sink.create () in
   let net = make_net () in
   let digest = Network.digest net in
@@ -602,68 +612,32 @@ let test_follower_drops_garbage_link () =
    reproduce is a divergence, so it drops the link and resyncs by
    snapshot instead of applying the op silently. *)
 let test_follower_resyncs_on_diverged_repair () =
-  let path = socket_path () in
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 8;
   let fresh = make_net () in
   let frame msg = P.Wire.frame (repl_payload P.Repl.encode_to_follower msg) in
-  let quit = ref false and links = ref 0 in
-  let serve_link fd =
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-    match Srv.Protocol.read_exactly fd P.Wire.header_len with
-    | Srv.Protocol.Exact hello
-      when Result.is_ok (Srv.Protocol.check_follower_hello hello) -> (
-      Srv.Protocol.write_all fd Srv.Protocol.server_hello;
-      match Srv.Protocol.recv_frame fd with
-      | Srv.Protocol.Frame p
-        when (match P.Repl.to_leader_of_string p with
-             | Ok (P.Repl.Subscribe _) -> true
-             | _ -> false) ->
-        incr links;
+  let links = ref 0 in
+  with_fake_leader (fun fd _ ->
+      incr links;
+      Srv.Protocol.write_all fd
+        (frame
+           (P.Repl.Init_snapshot
+              { epoch = 1; seq = 0;
+                state = P.Backend.encode_state (P.Backend.Net fresh) }));
+      (* the first link streams an admissible repair recorded as
+         dropped *)
+      if !links = 1 then
         Srv.Protocol.write_all fd
           (frame
-             (P.Repl.Init_snapshot
-                { epoch = 1; seq = 0;
-                  state = P.Backend.encode_state (P.Backend.Net fresh) }));
-        (* the first link streams an admissible repair recorded as
-           dropped *)
-        if !links = 1 then
-          Srv.Protocol.write_all fd
-            (frame
-               (P.Repl.Rep_op
-                  { seq = 1;
-                    op =
-                      P.Op.Repair
-                        { connection = conn (ep 1 1) [ ep 4 1 ];
-                          rehomed = false } }));
-        (* hold the link, with no read timeout, until the follower
-           hangs up *)
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.0;
-        ignore (Srv.Protocol.recv_frame fd)
-      | _ -> ())
-    | _ -> ()
-  in
-  let fake =
-    Thread.create
-      (fun () ->
-        while not !quit do
-          match Unix.select [ lfd ] [] [] 0.05 with
-          | [], _, _ -> ()
-          | _ ->
-            let fd, _ = Unix.accept lfd in
-            (try serve_link fd with Unix.Unix_error _ -> ());
-            Unix.close fd
-        done)
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      quit := true;
-      Thread.join fake;
-      Unix.close lfd;
-      try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
+             (P.Repl.Rep_op
+                { seq = 1;
+                  op =
+                    P.Op.Repair
+                      { connection = conn (ep 1 1) [ ep 4 1 ];
+                        rehomed = false } }));
+      (* hold the link, with no read timeout, until the follower hangs
+         up *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.0;
+      ignore (Srv.Protocol.recv_frame fd))
+  @@ fun path ->
   let sink = Tel.Sink.create () in
   let follower =
     Srv.Server.start_backend ~telemetry:sink
@@ -681,6 +655,47 @@ let test_follower_resyncs_on_diverged_repair () =
       | Ok d ->
         Alcotest.(check int) "the leader's state" (Network.digest fresh) d
       | Error e -> Alcotest.fail (Srv.Client.error_to_string e))
+
+(* A follower that installed a snapshot has a position: when the link
+   drops, its redial subscribes from the last op it applied, so the
+   leader's resume ring can close the gap without another snapshot.  A
+   fake leader answers the first subscribe with a snapshot at seq 0 and
+   one op, then drops the link, and records every subscribe it gets. *)
+let test_follower_redial_resumes () =
+  let fresh = make_net () in
+  let frame msg = P.Wire.frame (repl_payload P.Repl.encode_to_follower msg) in
+  let subscribes = ref [] in
+  with_fake_leader (fun fd last_seq ->
+      subscribes := !subscribes @ [ last_seq ];
+      if List.length !subscribes = 1 then
+        Srv.Protocol.write_all fd
+          (frame
+             (P.Repl.Init_snapshot
+                { epoch = 1; seq = 0;
+                  state = P.Backend.encode_state (P.Backend.Net fresh) })
+          ^ frame
+              (P.Repl.Rep_op
+                 { seq = 1; op = P.Op.Connect (conn (ep 1 1) [ ep 4 1 ]) }))
+        (* and the link drops *)
+      else begin
+        (* hold the link, with no read timeout, until the follower
+           hangs up *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.0;
+        ignore (Srv.Protocol.recv_frame fd)
+      end)
+  @@ fun path ->
+  let follower =
+    Srv.Server.start_backend
+      ~follower:{ Srv.Server.leader = Srv.Server.Unix_socket path; wal = None }
+      ~backend:(P.Backend.Net (make_net ())) (sock ())
+  in
+  Fun.protect ~finally:(fun () -> Srv.Server.stop follower) @@ fun () ->
+  Alcotest.(check bool) "redialed" true
+    (wait_for (fun () -> List.length !subscribes >= 2));
+  Alcotest.(check int) "the streamed op applied" 1 (Srv.Server.applied follower);
+  Alcotest.(check (list int))
+    "a snapshot first, then a resume from op 1" [ -1; 1 ]
+    (List.filteri (fun i _ -> i < 2) !subscribes)
 
 (* --- client deadlines ------------------------------------------------------ *)
 
@@ -1004,6 +1019,8 @@ let () =
             test_follower_drops_garbage_link;
           Alcotest.test_case "follower resyncs on a diverged repair" `Quick
             test_follower_resyncs_on_diverged_repair;
+          Alcotest.test_case "follower redial resumes after a snapshot" `Quick
+            test_follower_redial_resumes;
         ] );
       ( "client",
         [
