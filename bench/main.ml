@@ -659,10 +659,10 @@ let routing_throughput ~quick () =
     rearrangement_latency
       ~iters:(if quick then 100 else 1000)
       [
-        (3, 1, 3, Network.Min_intersection, "min_intersection");
-        (3, 1, 3, Network.First_fit, "first_fit");
-        (4, 2, 8, Network.Min_intersection, "min_intersection");
-        (4, 2, 8, Network.First_fit, "first_fit");
+        (3, 1, 3, "min-intersection", "min_intersection");
+        (3, 1, 3, "first-fit", "first_fit");
+        (4, 2, 8, "min-intersection", "min_intersection");
+        (4, 2, 8, "first-fit", "first_fit");
       ]
   in
   List.iter
@@ -1430,9 +1430,7 @@ let mesh_blocking_bench ~quick () =
                    J.Obj
                      [
                        ("topo", J.String c.Campaign.topo);
-                       ( "strategy",
-                         J.String (Assign.strategy_to_string c.Campaign.strategy)
-                       );
+                       ("strategy", J.String c.Campaign.strategy);
                        ("erlangs", J.Float p.Wdm_traffic.Erlang.offered_erlangs);
                        ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
                        ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);

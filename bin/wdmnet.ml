@@ -318,7 +318,7 @@ let simulate_cmd =
         ~config:{ Network.Config.default with telemetry; strategy }
         ~construction ~output_model:model topo
     in
-    Format.printf "strategy: %a\n" Network.pp_strategy strategy;
+    Format.printf "strategy: %s\n" strategy;
     let sut =
       {
         Wdm_traffic.Churn.connect =
@@ -1045,8 +1045,7 @@ let serve_cmd =
             fun () ->
               Format.printf
                 "mesh %s: %d nodes, %d links, %d wavelengths, %s@." topo_name
-                (Wdm_mesh.Graph.n g) (Wdm_mesh.Graph.m g) k
-                (Mesh_assign.strategy_to_string strat) ))
+                (Wdm_mesh.Graph.n g) (Wdm_mesh.Graph.m g) k strat ))
       | None ->
         let eval =
           match construction with
@@ -1766,10 +1765,7 @@ let mesh_cmd =
                        J.Obj
                          [
                            ("topo", J.String c.Campaign.topo);
-                           ( "strategy",
-                             J.String
-                               (Mesh_assign.strategy_to_string
-                                  c.Campaign.strategy) );
+                           ("strategy", J.String c.Campaign.strategy);
                            ( "erlangs",
                              J.Float p.Wdm_traffic.Erlang.offered_erlangs );
                            ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);

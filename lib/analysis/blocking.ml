@@ -297,7 +297,7 @@ let strategy_ablation ~construction ~output_model ~n ~r ~k ~m =
       ()
   in
   List.iter
-    (fun (strategy, name) ->
+    (fun strategy ->
       let topo = Topology.make_exn ~n ~m ~r ~k in
       let net =
         Network.create
@@ -326,16 +326,12 @@ let strategy_ablation ~construction ~output_model ~n ~r ~k ~m =
       in
       Table.add_row t
         [
-          name;
+          strategy;
           string_of_int stats.Churn.attempts;
           string_of_int stats.Churn.blocked;
           (if !routes_total = 0 then "-"
            else Printf.sprintf "%.2f"
                (float_of_int !hops_total /. float_of_int !routes_total));
         ])
-    [
-      (Network.Min_intersection, "min-intersection");
-      (Network.First_fit, "first-fit");
-      (Network.Exhaustive, "exhaustive");
-    ];
+    [ "min-intersection"; "first-fit"; "exhaustive" ];
   t

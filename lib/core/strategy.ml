@@ -13,7 +13,12 @@ struct
   let table : (string, P.t) Hashtbl.t = Hashtbl.create 16
   let parsers : (string -> P.t option) list ref = ref []
 
-  let register p = Hashtbl.replace table (P.name p) p
+  let register p =
+    let name = P.name p in
+    if Hashtbl.mem table name then
+      invalid_arg
+        (Printf.sprintf "Strategy.Registry.register: %S is taken" name);
+    Hashtbl.add table name p
   let register_parser f = parsers := !parsers @ [ f ]
 
   let resolve name =

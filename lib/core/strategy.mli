@@ -51,18 +51,22 @@ module type S = sig
   type t = { name : string; doc : string; select : ctx -> plan option }
 end
 
-(** A name-keyed plug-in registry.  [register] installs (or replaces) a
-    plug-in under its fixed name; [register_parser] installs a fallback
-    that may synthesize a plug-in from a parameterized name.  [resolve]
-    tries exact names first, then parsers in registration order. *)
+(** A name-keyed plug-in registry.  [register] installs a plug-in under
+    its fixed name, once: a name, once registered, is never rebound.
+    Each engine resolves its configured strategy name here (its default
+    included) and persists the name, so a rebound name would route a
+    replayed WAL or a restored snapshot differently from the process
+    that wrote it.  [register_parser] installs a fallback that may
+    synthesize a plug-in from a parameterized name.  [resolve] tries
+    exact names first, then parsers in registration order. *)
 module Registry (P : sig
   type t
 
   val name : t -> string
 end) : sig
   val register : P.t -> unit
-  (** Install under [P.name]; replaces any previous plug-in of that
-      name. *)
+  (** Install under [P.name].
+      @raise Invalid_argument if that name is already registered. *)
 
   val register_parser : (string -> P.t option) -> unit
   (** Install a parser for parameterized names ([prefix:arg:...]).  A

@@ -1,21 +1,3 @@
-type strategy =
-  | First_fit
-  | Most_used
-  | Least_used
-  | Random
-  | Coloring
-  | Named of string
-
-let strategy_to_string = function
-  | First_fit -> "first-fit"
-  | Most_used -> "most-used"
-  | Least_used -> "least-used"
-  | Random -> "random"
-  | Coloring -> "coloring"
-  | Named name -> name
-
-let strategies = [ First_fit; Most_used; Least_used; Random; Coloring ]
-
 type t = {
   k : int;
   mask : int array; (* edge id -> bitmask, bit (wl-1) set = in use *)
@@ -92,33 +74,27 @@ end)
 
 let first_fit_order t ~hash:_ = List.init t.k (fun i -> i + 1)
 
+(* By use count, ties to the lower index: a total order on distinct
+   wavelengths, compared without building a tuple per comparison. *)
 let most_used_order t ~hash:_ =
   List.stable_sort
-    (fun a b -> compare (t.counts.(b), a) (t.counts.(a), b))
+    (fun a b ->
+      match Int.compare t.counts.(b) t.counts.(a) with
+      | 0 -> Int.compare a b
+      | c -> c)
     (List.init t.k (fun i -> i + 1))
 
 let least_used_order t ~hash:_ =
   List.stable_sort
-    (fun a b -> compare (t.counts.(a), a) (t.counts.(b), b))
+    (fun a b ->
+      match Int.compare t.counts.(a) t.counts.(b) with
+      | 0 -> Int.compare a b
+      | c -> c)
     (List.init t.k (fun i -> i + 1))
 
 let random_order t ~hash =
   let start = (hash land max_int) mod t.k in
   List.init t.k (fun i -> ((start + i) mod t.k) + 1)
-
-let order t strategy ~hash =
-  match strategy with
-  | First_fit | Coloring -> first_fit_order t ~hash
-  | Most_used -> most_used_order t ~hash
-  | Least_used -> least_used_order t ~hash
-  | Random -> random_order t ~hash
-  | Named name -> (
-    match Plugin_registry.resolve name with
-    | Some p -> p.p_order t ~hash
-    | None ->
-      (* builds resolve Named up front, so an unknown name here means a
-         caller bypassed Mesh_network.build *)
-      invalid_arg (Printf.sprintf "Assign.order: unknown strategy %S" name))
 
 (* Simulated annealing over the wavelength scan order, seeded from the
    request hash so WAL replay re-derives the same order.  Cost prefers
@@ -200,14 +176,18 @@ let () =
   let reg p_name p_doc p_order =
     Plugin_registry.register { p_name; p_doc; p_order; p_admit = None }
   in
-  reg "first-fit" "lowest-index free wavelength" first_fit_order;
+  reg "first-fit" "lowest-index free wavelength; the default" first_fit_order;
   reg "most-used" "pack onto the globally busiest wavelengths first"
     most_used_order;
   reg "least-used" "spread onto the globally least-busy wavelengths first"
     least_used_order;
   reg "random" "request-hash rotation of the wavelength scan" random_order;
+  (* an edge's occupancy word is the union of the wavelengths of the
+     live routes crossing it, so the conflict-graph greedy's pick is
+     the first-fit scan's (assign.mli) *)
   reg "coloring"
-    "first-fit scan order (greedy conflict-graph coloring equals first-fit)"
+    "greedy coloring of the live routes' conflict graph, which picks what \
+     the first-fit scan picks"
     first_fit_order;
   reg "adaptive"
     "load-adaptive: rank wavelengths by the live per-wavelength occupancy \
@@ -235,16 +215,9 @@ let plugin_admits p t ~edges ~wl ~fanout =
   | Some admit -> admit t ~edges ~wl ~fanout
 
 let strategy_of_string s =
-  match
-    List.find_opt (fun st -> strategy_to_string st = s) strategies
-  with
-  | Some st -> Ok st
-  | None ->
-    if Plugin_registry.mem s then Ok (Named s)
-    else
-      Error
-        (Printf.sprintf "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])"
-           s
-           (String.concat ", " (Plugin_registry.names ())))
-
-let pp_strategy ppf s = Format.pp_print_string ppf (strategy_to_string s)
+  if Plugin_registry.mem s then Ok s
+  else
+    Error
+      (Printf.sprintf "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])"
+         s
+         (String.concat ", " (Plugin_registry.names ())))

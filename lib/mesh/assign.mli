@@ -1,4 +1,5 @@
-(** Per-edge wavelength occupancy and assignment strategies.
+(** Per-edge wavelength occupancy and the wavelength-assignment
+    strategy plug-ins.
 
     Occupancy is an int bitmask per edge (so [k <= 62]) plus a per-
     wavelength global use count, giving O(1) occupy/release/test and
@@ -7,40 +8,12 @@
     structure) is checked by the caller, which keeps the ordering
     reusable for both unicast paths and multicast trees.
 
-    [Random] is a stateless hash rotation: the caller passes a
-    replay-deterministic hash (the network uses its monotonically
-    increasing attempt counter mixed with the request), so a WAL replay
-    reproduces the exact same "random" choices — the determinism
-    contract of DESIGN.md section 6 extends to mesh unchanged.
+    A strategy is named by its registry name only (see the plug-in
+    section below); {!Mesh_network} resolves the name once at build. *)
 
-    [Coloring] orders like first-fit; {!Mesh_network} implements it by
-    greedy coloring of the active-route conflict graph and asserts the
-    two agree — the classic result that incremental greedy coloring of
-    interval-free conflict graphs is exactly first-fit. *)
-
-type strategy =
-  | First_fit
-  | Most_used
-  | Least_used
-  | Random
-  | Coloring
-  | Named of string
-      (** A wavelength-selection plug-in by registry name (see the
-          plug-in section below).  The five classic strategies are
-          registered under their own names and order identically to
-          their enum constructors; the lab strategies ([adaptive],
-          [annealed], [crosstalk:BASE:DB]) are only reachable this way.
-          {!Mesh_network.build} refuses unknown names. *)
-
-val strategy_of_string : string -> (strategy, string) result
-(** Classic names map to their enum constructors; any other name the
-    plug-in registry resolves maps to [Named]. *)
-
-val strategy_to_string : strategy -> string
-val pp_strategy : Format.formatter -> strategy -> unit
-
-val strategies : strategy list
-(** The classic enum strategies only (not registry plug-ins). *)
+val strategy_of_string : string -> (string, string) result
+(** [Ok name] when the plug-in registry resolves [name]; otherwise an
+    [Error] listing the registered names. *)
 
 type t
 
@@ -74,34 +47,42 @@ val edge_load : t -> edge:int -> int
 (** Wavelengths currently in use on one edge — the live load signal the
     crosstalk-budget plug-in estimates sharers from. *)
 
-val order : t -> strategy -> hash:int -> int list
-(** Candidate wavelengths [1..k] in strategy preference order.
-    @raise Invalid_argument on a [Named] strategy whose name no longer
-    resolves (builds check names up front, so this means the registry
-    changed underneath a live network). *)
-
 (** {2 Strategy plug-ins}
 
     The mesh half of the shared {!Wdm_core.Strategy} contract.  A mesh
     plug-in contributes the wavelength scan {e order} and may veto
     individual assignments via an {e admit} predicate; path search,
     light-tree construction and feasibility stay with {!Mesh_network},
-    which keeps plug-ins reusable across unicast and multicast exactly
-    like the enum strategies.
+    which keeps plug-ins reusable across unicast and multicast.
 
     Determinism: [order] and [admit] must be pure in the assignment
     state and the request hash — derive randomness from the hash via
     {!Wdm_core.Strategy.Det_rng} only, so WAL replay re-derives the
     same choices.
 
-    Registered names: [first-fit], [most-used], [least-used], [random],
-    [coloring] (the classics as plug-ins), [adaptive] (least-loaded
-    wavelength first, driven by the live per-wavelength use counts),
-    [annealed] (simulated annealing over the scan order, request-
-    seeded), and the parameterized decorator [crosstalk[:BASE[:DB]]]
-    (BASE's order, refusing wavelengths whose worst-case
-    {!Wdm_optics.Crosstalk} margin over the chosen edges falls below DB;
-    defaults [first-fit] and 20 dB). *)
+    Registered names:
+    - [first-fit], the default: lowest index first.
+    - [most-used] / [least-used]: by the global per-wavelength use
+      count, busiest / least busy first, ties to the lower index.
+    - [random]: a stateless rotation of the scan by the request hash.
+      The caller passes a replay-deterministic hash (the network mixes
+      its monotone attempt counter with the request), so a WAL replay
+      reproduces the same "random" choices: the determinism contract
+      of DESIGN.md section 6 extends to the mesh unchanged.
+    - [coloring]: greedy coloring of the live routes' conflict graph,
+      which gives a request the smallest wavelength no route sharing
+      an edge with it holds.  An edge's occupancy word is exactly the
+      union of those routes' wavelengths, so that is the first free
+      wavelength of the first-fit scan, and the plug-in registers
+      first-fit's order.
+    - [adaptive]: least-loaded wavelength first, driven by the live
+      per-wavelength use counts (the [least-used] order).
+    - [annealed]: simulated annealing over the scan order,
+      request-seeded.
+    - the parameterized decorator [crosstalk[:BASE[:DB]]]: BASE's
+      order, refusing wavelengths whose worst-case
+      {!Wdm_optics.Crosstalk} margin over the chosen edges falls below
+      DB; defaults [first-fit] and 20 dB. *)
 
 type plugin
 
@@ -114,7 +95,11 @@ val make_plugin :
 (** A plug-in from its scan ordering and optional admission veto. *)
 
 val register_plugin : plugin -> unit
-(** Install (or replace) under its name; reachable as [Named name]. *)
+(** Install under its name, which {!Mesh_network.Config.strategy} can
+    name afterwards.
+    @raise Invalid_argument if the name is already registered: a name,
+    once registered, is never rebound (see
+    {!Wdm_core.Strategy.Registry}). *)
 
 val register_plugin_parser : (string -> plugin option) -> unit
 (** Install a parser for parameterized names such as

@@ -4,7 +4,7 @@ module Fanout = Wdm_traffic.Fanout
 
 type cell = {
   topo : string;
-  strategy : Assign.strategy;
+  strategy : string;
   point : Erlang.point;
 }
 
@@ -15,7 +15,7 @@ type spec = {
   splitters : Mesh_network.splitters;
   k_paths : int;
   topos : string list;
-  strategies : Assign.strategy list;
+  strategies : string list;
   loads : float list;
   arrivals : int;
   fanout : Fanout.t;
@@ -29,7 +29,7 @@ let default =
     splitters = Mesh_network.Split_all;
     k_paths = 3;
     topos = [ "nsf14"; "janet" ];
-    strategies = [ Assign.First_fit; Assign.Coloring ];
+    strategies = [ "first-fit"; "coloring" ];
     loads = [ 4.; 8.; 12.; 16.; 20.; 24. ];
     arrivals = 4000;
     fanout = Fanout.Zipf { max = 4; s = 1.3 };
@@ -97,7 +97,6 @@ let pp_table ppf cells =
   List.iter
     (fun c ->
       Format.fprintf ppf "%-8s %-12s %10.1f %9d %9.4f %9.2f@." c.topo
-        (Assign.strategy_to_string c.strategy)
-        c.point.Erlang.offered_erlangs c.point.Erlang.blocked
+        c.strategy c.point.Erlang.offered_erlangs c.point.Erlang.blocked
         c.point.Erlang.blocking c.point.Erlang.mean_active)
     cells

@@ -9,7 +9,7 @@
 
 type cell = {
   topo : string;
-  strategy : Assign.strategy;
+  strategy : string;  (** an {!Assign} plug-in registry name *)
   point : Wdm_traffic.Erlang.point;
 }
 
@@ -20,7 +20,7 @@ type spec = {
   splitters : Mesh_network.splitters;
   k_paths : int;
   topos : string list;
-  strategies : Assign.strategy list;
+  strategies : string list;
   loads : float list;  (** offered Erlangs *)
   arrivals : int;  (** per cell *)
   fanout : Wdm_traffic.Fanout.t;
@@ -37,7 +37,8 @@ val quick : spec
 val run :
   ?telemetry:Wdm_telemetry.Sink.t -> spec -> (cell list, string) result
 (** Cells in [topos x strategies x loads] order.  Errors on an unknown
-    topology or invalid config rather than raising. *)
+    topology, unknown strategy name or invalid config rather than
+    raising. *)
 
 val pp_table : Format.formatter -> cell list -> unit
 (** Aligned blocking-probability table grouped by topology/strategy. *)

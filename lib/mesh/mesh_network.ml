@@ -12,7 +12,7 @@ type splitters =
 module Config = struct
   type t = {
     k : int;
-    strategy : Assign.strategy;
+    strategy : string;
     mode : Light_tree.mode;
     splitters : splitters;
     k_paths : int;
@@ -21,7 +21,7 @@ module Config = struct
   let default =
     {
       k = 8;
-      strategy = Assign.First_fit;
+      strategy = "first-fit";
       mode = Light_tree.Hierarchy;
       splitters = Split_all;
       k_paths = 3;
@@ -61,9 +61,9 @@ type t = {
          build fails exactly when a destination is unreachable, and a
          refusal is read off the reach masks (see [try_multicast]) *)
   assign : Assign.t;
-  plugin : Assign.plugin option;
-      (* resolved once at build time when cfg.strategy is [Named _];
-         plug-ins are pure so sharing the resolution is safe *)
+  plugin : Assign.plugin;
+      (* cfg.strategy, resolved once at build time; plug-ins are pure
+         so sharing the resolution is safe *)
   yen : (int, int array array) Hashtbl.t;
       (* key [src * (n + 1) + dst]: the edge ids of the pair's k_paths
          Yen paths, cheapest first, filled on the pair's first unicast.
@@ -79,7 +79,7 @@ type t = {
 type state = {
   s_topo : string;
   s_k : int;
-  s_strategy : Assign.strategy;
+  s_strategy : string;
   s_mode : Light_tree.mode;
   s_k_paths : int;
   s_mc : bool array;
@@ -131,17 +131,9 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
   if cfg.k < 1 || cfg.k > 62 then Error "wavelength count must be in 1..62"
   else if cfg.k_paths < 1 then Error "k_paths must be >= 1"
   else
-    let plugin =
-      match cfg.strategy with
-      | Assign.Named name -> (
-        match Assign.resolve_plugin name with
-        | Some _ as p -> Ok p
-        | None -> Error (Printf.sprintf "unknown strategy %S" name))
-      | _ -> Ok None
-    in
-    match plugin with
-    | Error _ as e -> e
-    | Ok plugin ->
+    match Assign.resolve_plugin cfg.strategy with
+    | None -> Error (Printf.sprintf "unknown strategy %S" cfg.strategy)
+    | Some plugin ->
       let n = Graph.n graph in
       let rec all_split v = v > n || (mc.(v) && all_split (v + 1)) in
       Ok
@@ -215,13 +207,12 @@ let remove_route t r =
   Hashtbl.remove t.active r.id;
   t.route_sum <- t.route_sum - route_hash r
 
-(* O(nodes), never O(routes).  The strategy enters by name, so
-   [Named "first-fit"] and [First_fit] agree, as their state encodings
-   do.  Masked to 55 bits, the range the wire codec's ints carry. *)
+(* O(nodes), never O(routes).  The strategy enters by name.  Masked to
+   55 bits, the range the wire codec's ints carry. *)
 let digest t =
   let h = Wdm_core.Strategy.mix_string 0 t.topo_name in
   let h = mix h t.cfg.k in
-  let h = Wdm_core.Strategy.mix_string h (Assign.strategy_to_string t.cfg.strategy) in
+  let h = Wdm_core.Strategy.mix_string h t.cfg.strategy in
   let h =
     ref
       (List.fold_left mix h
@@ -243,10 +234,11 @@ let digest t =
 
 let arc_edge_ids arcs = List.map (fun (_, _, e) -> e) arcs
 
-(* The [Random] strategy's rotation hash: a deterministic mix of the
-   monotone attempt counter and the request, so replayed WALs make the
-   same "random" choices (the counter advances on refusals too, and
-   refused connects are themselves WAL-recorded). *)
+(* The hash plug-ins order by ([random]'s rotation, [annealed]'s seed):
+   a deterministic mix of the monotone attempt counter and the request,
+   so replayed WALs make the same "random" choices (the counter
+   advances on refusals too, and refused connects are themselves
+   WAL-recorded). *)
 let request_hash t (c : Connection.t) =
   let mix h v = (h * 1000003) lxor v in
   let h = mix 0x9e3779b9 t.attempts in
@@ -254,41 +246,6 @@ let request_hash t (c : Connection.t) =
   List.fold_left
     (fun h (d : Endpoint.t) -> mix h d.Endpoint.port)
     h c.Connection.destinations
-
-(* Independent implementation of greedy coloring for unicast requests:
-   collect the wavelengths of active routes sharing an edge with the
-   candidate path and take the smallest absent one.  Because the
-   occupancy mask on those edges is exactly the union of those routes'
-   wavelengths, this provably equals first-fit — the test suite holds
-   the two implementations to that. *)
-let coloring_pick t edge_ids =
-  let conflict = ref 0 in
-  Hashtbl.iter
-    (fun _ (r : route) ->
-      if List.exists (fun e -> List.mem e (arc_edge_ids r.arcs)) edge_ids then
-        conflict := !conflict lor (1 lsl (r.wl - 1)))
-    t.active;
-  let rec first wl =
-    if wl > t.cfg.k then None
-    else if !conflict land (1 lsl (wl - 1)) = 0 then Some wl
-    else first (wl + 1)
-  in
-  first 1
-
-(* Candidate wavelength scan order: the enum strategies dispatch through
-   Assign.order exactly as before the plug-in API; a [Named] strategy
-   uses its resolved plug-in (cached on [t]). *)
-let scan_order t ~hash =
-  match t.plugin with
-  | Some p -> Assign.plugin_order p t.assign ~hash
-  | None -> Assign.order t.assign t.cfg.strategy ~hash
-
-(* A plug-in may additionally veto an otherwise-feasible assignment
-   (e.g. the crosstalk-budget decorator); enum strategies never do. *)
-let admits t ~edges ~wl ~fanout =
-  match t.plugin with
-  | Some p -> Assign.plugin_admits p t.assign ~edges ~wl ~fanout
-  | None -> true
 
 let unicast_paths t ~src ~dst =
   let key = (src * (Graph.n t.graph + 1)) + dst in
@@ -330,7 +287,7 @@ let path_route g ~src edges =
    occupancy words, whose clear bits are the wavelengths free on every
    edge. *)
 let try_unicast t ~hash ~src ~dst =
-  let order = scan_order t ~hash in
+  let order = Assign.plugin_order t.plugin t.assign ~hash in
   let pick_for_path edges =
     let busy =
       Array.fold_left
@@ -339,19 +296,11 @@ let try_unicast t ~hash ~src ~dst =
     in
     let free wl = busy land (1 lsl (wl - 1)) = 0 in
     let edge_ids = Array.to_list edges in
-    match t.cfg.strategy with
-    | Assign.Coloring -> (
-      match coloring_pick t edge_ids with
-      | Some wl when free wl -> Some wl
-      | Some _ ->
-        (* conflict-graph coloring and edge occupancy disagree: the
-           invariant relating them is broken *)
-        assert false
-      | None -> None)
-    | _ ->
-      List.find_opt
-        (fun wl -> free wl && admits t ~edges:edge_ids ~wl ~fanout:1)
-        order
+    List.find_opt
+      (fun wl ->
+        free wl
+        && Assign.plugin_admits t.plugin t.assign ~edges:edge_ids ~wl ~fanout:1)
+      order
   in
   let paths = unicast_paths t ~src ~dst in
   let rec first i =
@@ -417,7 +366,7 @@ let reach_masks g a ~src =
    build would leave exactly the unreachable destinations: DESIGN.md
    section 15) and from a build under sparse splitting. *)
 let try_multicast t ~hash ~src ~dests =
-  let order = scan_order t ~hash in
+  let order = Assign.plugin_order t.plugin t.assign ~hash in
   let fanout = List.length dests in
   let reach = reach_masks t.graph t.assign ~src in
   let builds = List.fold_left (fun m d -> m land reach.(d)) (-1) dests in
@@ -462,7 +411,8 @@ let try_multicast t ~hash ~src ~dests =
     | wl :: rest -> (
       match build wl with
       | Ok s
-        when admits t ~edges:(arc_edge_ids s.Light_tree.arcs) ~wl ~fanout ->
+        when Assign.plugin_admits t.plugin t.assign
+               ~edges:(arc_edge_ids s.Light_tree.arcs) ~wl ~fanout ->
         Ok (s.Light_tree.arcs, wl, s.Light_tree.cost)
       | Ok _ ->
         (* feasible but vetoed by the plug-in's admission predicate:

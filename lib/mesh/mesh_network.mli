@@ -12,7 +12,7 @@
     signal) and occupies nothing.
 
     Determinism: every connect outcome is a pure function of the
-    construction arguments and the op sequence so far.  The [Random]
+    construction arguments and the op sequence so far.  The [random]
     strategy hashes a monotone attempt counter (advanced on every
     connect, accepted or refused), so WAL replay — which records
     refused connects too — reproduces routes byte-for-byte.
@@ -49,7 +49,9 @@ type splitters =
 module Config : sig
   type t = {
     k : int;  (** wavelengths per fiber, [1..62] *)
-    strategy : Assign.strategy;
+    strategy : string;
+        (** An {!Assign} plug-in registry name; every request is routed
+            through the plug-in it resolves to, once, at build. *)
     mode : Light_tree.mode;
     splitters : splitters;
     k_paths : int;  (** Yen candidates for unicast routing, [>= 1] *)
@@ -84,7 +86,8 @@ val create :
   ?telemetry:Sink.t -> ?config:Config.t -> string -> (t, string) result
 (** [create name] builds the {!Zoo} topology [name] (e.g. ["nsf14"],
     ["ring8"]).  Errors on an unknown topology, a [Split_nodes] id out
-    of range, or an out-of-range config field. *)
+    of range, an out-of-range config field, or a strategy name the
+    plug-in registry does not resolve. *)
 
 val connect : t -> Connection.t -> (route, error) result
 val disconnect : t -> int -> (route, disconnect_error) result
@@ -111,7 +114,7 @@ val utilization : t -> float
 type state = {
   s_topo : string;
   s_k : int;
-  s_strategy : Assign.strategy;
+  s_strategy : string;
   s_mode : Light_tree.mode;
   s_k_paths : int;
   s_mc : bool array;  (** resolved capability, index 0 unused *)
@@ -125,9 +128,10 @@ val restore : ?telemetry:Sink.t -> state -> (t, string) result
 (** Rebuilds the graph from [s_topo] and re-derives wavelength
     occupancy by re-marking every active route, so a restored network
     is behaviorally indistinguishable from the snapshotted one.  An
-    inconsistent state is an [Error]: a route id at or above
-    [s_next_id] or repeated, or a route claiming an (edge, wavelength)
-    slot that another route, or another of its own arcs, holds. *)
+    inconsistent state is an [Error]: an unknown strategy name, a route
+    id at or above [s_next_id] or repeated, or a route claiming an
+    (edge, wavelength) slot that another route, or another of its own
+    arcs, holds. *)
 
 val digest : t -> int
 (** A fingerprint of everything {!snapshot} captures, in [0, 2^55):
@@ -136,9 +140,8 @@ val digest : t -> int
     per-route hash — {!Wdm_core.Strategy.mix} folded over every field
     the route codec writes — updated on every connect, disconnect and
     restore, and [digest] mixes that sum with the route count, the
-    topology name, the config (strategy by name, so [Named "first-fit"]
-    and [First_fit] agree), the splitter map, [next_id] and the
-    attempt counter. *)
+    topology name, the config (the strategy by name), the splitter map,
+    [next_id] and the attempt counter. *)
 
 (** Refusal rendering, mirroring {!Wdm_multistage.Network.Error} so
     callers (wdmnet in particular) print both engines' refusals through

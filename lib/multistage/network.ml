@@ -2,12 +2,6 @@ open Wdm_core
 
 type construction = Msw_dominant | Maw_dominant
 
-type strategy =
-  | Min_intersection
-  | First_fit
-  | Exhaustive
-  | Named of string  (* a registered strategy plug-in, by registry name *)
-
 type hop = { middle : int; stage1_wl : int; serves : (int * int) list }
 
 type route = {
@@ -166,7 +160,7 @@ type t = {
   construction : construction;
   output_model : Model.t;
   x_limit : int;
-  strategy : strategy;
+  strategy : string;  (* the registry name [plugin] was resolved from *)
   rearrange_limit : int;
   (* stage1: link (input module i, middle j); stage2: (middle j, output
      module p) *)
@@ -193,9 +187,9 @@ type t = {
      across calls *)
   scratch_uncovered : int array;
   instruments : instruments option;
-  (* the resolved plug-in when [strategy] is [Named]; resolved once at
-     create/restore so the hot path never consults the registry *)
-  plugin : splugin option;
+  (* resolved once at create/restore, so the hot path never consults
+     the registry *)
+  plugin : splugin;
 }
 
 (* The plug-in surface (public as [Network.Strategy]): a selection
@@ -279,7 +273,7 @@ let register_instruments (topo : Topology.t) (sink : Tel.Sink.t) =
 
 module Config = struct
   type t = {
-    strategy : strategy;
+    strategy : string;
     x_limit : int option;  (** [None]: Theorem 1/2 optimum for the topology *)
     rearrange_limit : int;
     telemetry : Tel.Sink.t option;
@@ -287,7 +281,7 @@ module Config = struct
 
   let default =
     {
-      strategy = Min_intersection;
+      strategy = "min-intersection";
       x_limit = None;
       rearrange_limit = 64;
       telemetry = None;
@@ -307,14 +301,11 @@ let create ?(config = Config.default) ~construction ~output_model
   if rearrange_limit < 1 then
     invalid_arg "Network.create: rearrange_limit must be >= 1";
   let plugin =
-    match strategy with
-    | Min_intersection | First_fit | Exhaustive -> None
-    | Named name -> (
-      match Plugin_registry.resolve name with
-      | Some _ as p -> p
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Network.create: unknown strategy %S" name))
+    match Plugin_registry.resolve strategy with
+    | Some p -> p
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Network.create: unknown strategy %S" strategy)
   in
   {
     topo;
@@ -664,31 +655,17 @@ let check_plan t ~input_switch ~src_wl ~fanout ~name plan =
     fanout
 
 let select t ~input_switch ~src_wl fanout =
-  let raw =
-    match t.strategy with
-    | Min_intersection -> min_intersection t ~input_switch ~src_wl fanout
-    | First_fit -> first_fit t ~input_switch ~src_wl fanout
-    | Exhaustive ->
-      select_exhaustive t ~input_switch ~src_wl
-        (available_middles t ~input_switch ~src_wl)
-        fanout
-    | Named _ -> (
-      let p =
-        match t.plugin with Some p -> p | None -> assert false
-        (* create/restore resolve Named strategies or refuse *)
-      in
-      match
-        p.select
-          { net = t; c_input_switch = input_switch; c_src_wl = src_wl;
-            c_fanout = fanout }
-      with
-      | None -> None
-      | Some plan ->
-        check_plan t ~input_switch ~src_wl ~fanout ~name:p.name plan;
-        Some plan)
-  in
-  (* Drop members that ended up serving nothing. *)
-  Option.map (List.filter (fun (_, serves) -> serves <> [])) raw
+  let p = t.plugin in
+  match
+    p.select
+      { net = t; c_input_switch = input_switch; c_src_wl = src_wl;
+        c_fanout = fanout }
+  with
+  | None -> None
+  | Some plan ->
+    check_plan t ~input_switch ~src_wl ~fanout ~name:p.name plan;
+    (* Drop members that ended up serving nothing. *)
+    Some (List.filter (fun (_, serves) -> serves <> []) plan)
 
 (* ----- built-in and lab strategy plug-ins ------------------------------ *)
 
@@ -806,19 +783,20 @@ let crosstalk_parser full_name =
 let () =
   let reg name doc select = Strategy.register { name; doc; select } in
   reg "min-intersection"
-    "greedy minimal-residual-intersection cover (Lemma 5); the \
-     Min_intersection built-in"
+    "Lemma 5's argument made operational: repeatedly pick the available \
+     middle covering the most still-uncovered output modules (minimal \
+     residual intersection); the default"
     (fun c ->
       min_intersection c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
         c.c_fanout);
   reg "first-fit"
-    "ascending middle scan keeping any module that covers something new; \
-     the First_fit built-in"
+    "scan middles in index order, keeping any that covers something new"
     (fun c ->
       first_fit c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
         c.c_fanout);
   reg "exhaustive"
-    "smallest-subset search over available middles; the Exhaustive built-in"
+    "search all subsets of available middles of size <= x_limit for a \
+     cover, smallest first (exponential: ablation and small fabrics only)"
     (fun c ->
       select_exhaustive c.net ~input_switch:c.c_input_switch
         ~src_wl:c.c_src_wl
@@ -844,25 +822,13 @@ let () =
     annealed_select;
   Strategy.register_parser crosstalk_parser
 
-let strategy_to_string = function
-  | Min_intersection -> "min-intersection"
-  | First_fit -> "first-fit"
-  | Exhaustive -> "exhaustive"
-  | Named name -> name
-
-let strategy_of_string = function
-  | "min-intersection" -> Ok Min_intersection
-  | "first-fit" -> Ok First_fit
-  | "exhaustive" -> Ok Exhaustive
-  | s ->
-    if Plugin_registry.mem s then Ok (Named s)
-    else
-      Error
-        (Printf.sprintf
-           "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])" s
-           (String.concat ", " (Plugin_registry.names ())))
-
-let pp_strategy ppf s = Format.pp_print_string ppf (strategy_to_string s)
+let strategy_of_string s =
+  if Plugin_registry.mem s then Ok s
+  else
+    Error
+      (Printf.sprintf "unknown strategy %S (want %s, or crosstalk[:BASE[:DB]])"
+         s
+         (String.concat ", " (Plugin_registry.names ())))
 
 (* ----- admission ------------------------------------------------------ *)
 
@@ -1455,7 +1421,7 @@ type snapshot = {
   s_construction : construction;
   s_output_model : Model.t;
   s_x_limit : int;
-  s_strategy : strategy;
+  s_strategy : string;
   s_rearrange_limit : int;
   s_next_id : int;
   s_routes : route list;
@@ -1523,8 +1489,7 @@ let mix_fault h = function
   | Fault.Converter { middle; output } -> List.fold_left mix h [ 6; middle; output ]
 
 (* O(faults), never O(routes): the routes enter through their running
-   sum.  The strategy enters by name, so [Named "first-fit"] and
-   [First_fit] agree, as their snapshot encodings do.  The constant 0
+   sum.  The strategy enters by name.  The constant 0
    stands where earlier releases mixed a link-state implementation tag
    (0 for their bitset planes), so the states those planes held keep
    their digests.  Masked to 55 bits, the range the wire codec's ints
@@ -1538,7 +1503,7 @@ let digest t =
         Model.strength t.output_model; t.x_limit;
       ]
   in
-  let h = Wdm_core.Strategy.mix_string h (strategy_to_string t.strategy) in
+  let h = Wdm_core.Strategy.mix_string h t.strategy in
   let h =
     List.fold_left mix h
       [ 0; t.rearrange_limit; t.next_id; Fault.Set.cardinal t.faults ]

@@ -30,27 +30,6 @@ open Wdm_core
 
 type construction = Msw_dominant | Maw_dominant
 
-type strategy =
-  | Min_intersection
-      (** Lemma 5's argument made operational: repeatedly pick the
-          available middle module minimizing the residual intersection
-          (equivalently, covering the most still-uncovered output
-          modules).  Default. *)
-  | First_fit
-      (** Scan middle modules in index order, keep any that covers
-          something new. *)
-  | Exhaustive
-      (** Search all subsets of available middles of size [<= x_limit]
-          for a cover, smallest first.  Exponential; for ablation and
-          small fabrics only. *)
-  | Named of string
-      (** A strategy plug-in by registry name (see {!Strategy}).  The
-          built-ins are themselves registered ([Named "min-intersection"]
-          routes byte-identically to {!Min_intersection}, and likewise
-          for [first-fit]/[exhaustive]); the lab strategies ([adaptive],
-          [annealed], [crosstalk:BASE:DB]) are only reachable this way.
-          {!create}/{!restore} refuse unknown names. *)
-
 type hop = {
   middle : int;  (** middle module index, 1-based *)
   stage1_wl : int;  (** wavelength on the input-module -> middle link *)
@@ -94,7 +73,9 @@ type t
     optional argument through every signature that wraps {!create}. *)
 module Config : sig
   type t = {
-    strategy : strategy;
+    strategy : string;
+        (** A {!Strategy} registry name; {!create} and {!restore}
+            resolve it once and refuse an unknown one. *)
     x_limit : int option;
         (** [None]: the optimal [x] of the construction's nonblocking
             condition (Theorem 1 or 2) for the topology. *)
@@ -107,7 +88,7 @@ module Config : sig
   }
 
   val default : t
-  (** [Min_intersection], optimal [x_limit], [rearrange_limit = 64],
+  (** ["min-intersection"], optimal [x_limit], [rearrange_limit = 64],
       no telemetry. *)
 end
 
@@ -121,7 +102,7 @@ val create :
     network; [config] defaults to {!Config.default}, and overrides read
     as [{ Config.default with x_limit = Some 2 }].
     @raise Invalid_argument for a non-positive [x_limit] or
-    [rearrange_limit], or a [Named] strategy the registry does not
+    [rearrange_limit], or a strategy name the registry does not
     resolve.
 
     When [config.telemetry] is set, the network is instrumented:
@@ -141,27 +122,40 @@ val create :
 (** The routing-strategy plug-in API (the engine half of the shared
     {!Wdm_core.Strategy} contract).
 
-    A plug-in sees one admission attempt as a {!ctx} — the live network
-    plus the request's sourcing coordinates and the output modules it
-    must cover — and answers with a {!plan}: which middle modules to
-    use and which output modules each serves.  The engine validates the
-    plan against its invariants (distinct available middles, exact
-    cover, at most [x_limit] picks) and then allocates wavelengths
-    exactly as it does for the built-ins; a plug-in returning [None]
-    surfaces as an ordinary {!Blocked} refusal.
+    Every request is routed by the network's plug-in, the one its
+    configured name resolved to.  A plug-in sees one admission attempt
+    as a {!ctx} — the live network plus the request's sourcing
+    coordinates and the output modules it must cover — and answers
+    with a {!plan}: which middle modules to use and which output
+    modules each serves.  The engine validates every plan against its
+    invariants (distinct available middles, exact cover, at most
+    [x_limit] picks), the built-ins' included, and then allocates
+    wavelengths; a plug-in returning [None] surfaces as an ordinary
+    {!Blocked} refusal.
 
     Determinism contract (see {!Wdm_core.Strategy}): [select] must be a
     pure function of the context.  Derive any pseudo-randomness from
     {!request_key} via {!Wdm_core.Strategy.Det_rng} so WAL replays make
     identical choices.
 
-    Registered names: [min-intersection], [first-fit], [exhaustive]
-    (the built-ins as plug-ins), [adaptive] (least-occupied middles
-    first, driven by the live per-middle occupancy), [annealed]
-    (simulated annealing over the middle scan order, request-seeded),
-    and the parameterized decorator [crosstalk[:BASE[:DB]]] (reject
-    plans whose worst-case {!Wdm_optics.Crosstalk} margin falls below
-    DB, default base [min-intersection], default budget 20 dB). *)
+    Registered names:
+    - [min-intersection], the default: Lemma 5's argument made
+      operational.  Repeatedly pick the available middle module
+      minimizing the residual intersection (equivalently, covering the
+      most still-uncovered output modules).  The routing rule behind
+      Theorems 1-2.
+    - [first-fit]: scan middle modules in index order, keep any that
+      covers something new.
+    - [exhaustive]: search all subsets of available middles of size
+      [<= x_limit] for a cover, smallest first.  Exponential; for
+      ablation and small fabrics only.
+    - [adaptive]: least-occupied middles first, driven by the live
+      per-middle occupancy.
+    - [annealed]: simulated annealing over the middle scan order,
+      request-seeded.
+    - the parameterized decorator [crosstalk[:BASE[:DB]]]: reject plans
+      whose worst-case {!Wdm_optics.Crosstalk} margin falls below DB,
+      default base [min-intersection], default budget 20 dB. *)
 module Strategy : sig
   type ctx
 
@@ -199,8 +193,11 @@ module Strategy : sig
   type t = { name : string; doc : string; select : ctx -> plan option }
 
   val register : t -> unit
-  (** Install (or replace) a plug-in under its [name]; reachable as
-      [Named name] afterwards. *)
+  (** Install a plug-in under its [name], which {!Config.strategy} can
+      name afterwards.
+      @raise Invalid_argument if the name is already registered: a
+      name, once registered, is never rebound (see
+      {!Wdm_core.Strategy.Registry}). *)
 
   val register_parser : (string -> t option) -> unit
   (** Install a parser for parameterized names such as
@@ -215,18 +212,16 @@ module Strategy : sig
       strategies. *)
 end
 
-val strategy_of_string : string -> (strategy, string) result
-(** Built-in names map to their enum constructors; any other name the
-    {!Strategy} registry resolves maps to [Named]. *)
-
-val strategy_to_string : strategy -> string
-val pp_strategy : Format.formatter -> strategy -> unit
+val strategy_of_string : string -> (string, string) result
+(** [Ok name] when the {!Strategy} registry resolves [name]; otherwise
+    an [Error] listing the registered names. *)
 
 val topology : t -> Topology.t
 val construction : t -> construction
 val output_model : t -> Model.t
 val x_limit : t -> int
-val strategy : t -> strategy
+val strategy : t -> string
+(** The registry name the network routes by. *)
 
 val connect : t -> Connection.t -> (route, error) result
 
@@ -303,7 +298,7 @@ type snapshot = {
   s_construction : construction;
   s_output_model : Model.t;
   s_x_limit : int;
-  s_strategy : strategy;
+  s_strategy : string;
   s_rearrange_limit : int;
   s_next_id : int;  (** route-id allocator; ids are never reused *)
   s_routes : route list;  (** ascending id *)
@@ -336,11 +331,11 @@ val digest : t -> int
     the route codec writes — updated wherever a route is added or
     removed, and [digest] mixes that sum with the route count and every
     non-route field: topology, construction, model, [x_limit], the
-    strategy by name (so [Named "first-fit"] and [First_fit] agree),
-    [rearrange_limit], [next_id] and the fault set.  A constant 0 sits
-    where earlier releases mixed a link-implementation tag: 0 for their
-    bitset planes (the default whenever [k <= 62]), 1 for their
-    bool-array planes.  States of the first kind keep their digests. *)
+    strategy name, [rearrange_limit], [next_id] and the fault set.  A
+    constant 0 sits where earlier releases mixed a link-implementation
+    tag: 0 for their bitset planes (the default whenever [k <= 62]), 1
+    for their bool-array planes.  States of the first kind keep their
+    digests. *)
 
 (** {1 Fault injection}
 

@@ -30,7 +30,7 @@ type route = {
 }
 
 val create :
-  ?strategy:Network.strategy ->
+  ?strategy:string ->
   construction:Network.construction ->
   Recursive.t ->
   t

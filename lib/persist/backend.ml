@@ -3,7 +3,6 @@ module Network = Wdm_multistage.Network
 module Topology = Wdm_multistage.Topology
 module Model = Wdm_core.Model
 module Mesh = Wdm_mesh.Mesh_network
-module Mesh_assign = Wdm_mesh.Assign
 module Mesh_tree = Wdm_mesh.Light_tree
 module Mesh_graph = Wdm_mesh.Graph
 module Zoo = Wdm_mesh.Zoo
@@ -33,33 +32,32 @@ let construction_tag = function
   | Network.Msw_dominant -> 0
   | Network.Maw_dominant -> 1
 
-(* [Named] built-ins canonicalize onto the tags their enum twins have
-   carried since v1, so routing through the plug-in API leaves snapshots
-   — and therefore digests — byte-identical; only genuinely new plug-in
-   names take the string-carrying tag 3.  Old WALs never contain tag 3
-   and decode unchanged. *)
-let canonical_strategy = function
-  | Network.Named "min-intersection" -> Network.Min_intersection
-  | Network.Named "first-fit" -> Network.First_fit
-  | Network.Named "exhaustive" -> Network.Exhaustive
-  | s -> s
+(* A strategy is written as its name's index in [names], one byte, or
+   as the tag [List.length names] followed by the name; decoding maps
+   each tag back to its name.  The short tags are the ones the classic
+   strategies have carried since v1, so every WAL and snapshot written
+   since decodes to the same state, and the name is what the digests
+   mix. *)
+let put_name names b name =
+  let rec index i = function
+    | [] ->
+      Wire.put_u8 b i;
+      put_string b name
+    | n :: _ when String.equal n name -> Wire.put_u8 b i
+    | _ :: rest -> index (i + 1) rest
+  in
+  index 0 names
 
-let put_strategy b s =
-  match canonical_strategy s with
-  | Network.Min_intersection -> Wire.put_u8 b 0
-  | Network.First_fit -> Wire.put_u8 b 1
-  | Network.Exhaustive -> Wire.put_u8 b 2
-  | Network.Named name ->
-    Wire.put_u8 b 3;
-    put_string b name
+let get_name names ~what r =
+  let tag = Wire.get_u8 r in
+  match List.nth_opt names tag with
+  | Some name -> name
+  | None when tag = List.length names -> get_string r
+  | None -> fail r (Printf.sprintf "unknown %s tag %d" what tag)
 
-let get_strategy r =
-  match Wire.get_u8 r with
-  | 0 -> Network.Min_intersection
-  | 1 -> Network.First_fit
-  | 2 -> Network.Exhaustive
-  | 3 -> Network.Named (get_string r)
-  | t -> fail r (Printf.sprintf "unknown strategy tag %d" t)
+let strategy_names = [ "min-intersection"; "first-fit"; "exhaustive" ]
+let put_strategy = put_name strategy_names
+let get_strategy = get_name strategy_names ~what:"strategy"
 
 let model_tag = function Model.MSW -> 0 | Model.MSDW -> 1 | Model.MAW -> 2
 
@@ -204,36 +202,13 @@ let decode_net_state s =
 let mesh_tag = 0
 let mesh_version = 1
 
-(* Same canonicalization as the multistage codec: named classics keep
-   their v1 tags; new plug-in names take the string-carrying tag 5. *)
-let canonical_mesh_strategy = function
-  | Mesh_assign.Named "first-fit" -> Mesh_assign.First_fit
-  | Mesh_assign.Named "most-used" -> Mesh_assign.Most_used
-  | Mesh_assign.Named "least-used" -> Mesh_assign.Least_used
-  | Mesh_assign.Named "random" -> Mesh_assign.Random
-  | Mesh_assign.Named "coloring" -> Mesh_assign.Coloring
-  | s -> s
+(* The multistage codec's name/tag scheme: tags 0-4 for the classic
+   mesh strategies, 5 and the string for any other name. *)
+let mesh_strategy_names =
+  [ "first-fit"; "most-used"; "least-used"; "random"; "coloring" ]
 
-let put_mesh_strategy b s =
-  match canonical_mesh_strategy s with
-  | Mesh_assign.First_fit -> Wire.put_u8 b 0
-  | Mesh_assign.Most_used -> Wire.put_u8 b 1
-  | Mesh_assign.Least_used -> Wire.put_u8 b 2
-  | Mesh_assign.Random -> Wire.put_u8 b 3
-  | Mesh_assign.Coloring -> Wire.put_u8 b 4
-  | Mesh_assign.Named name ->
-    Wire.put_u8 b 5;
-    put_string b name
-
-let get_mesh_strategy r =
-  match Wire.get_u8 r with
-  | 0 -> Mesh_assign.First_fit
-  | 1 -> Mesh_assign.Most_used
-  | 2 -> Mesh_assign.Least_used
-  | 3 -> Mesh_assign.Random
-  | 4 -> Mesh_assign.Coloring
-  | 5 -> Mesh_assign.Named (get_string r)
-  | t -> fail r (Printf.sprintf "unknown mesh strategy tag %d" t)
+let put_mesh_strategy = put_name mesh_strategy_names
+let get_mesh_strategy = get_name mesh_strategy_names ~what:"mesh strategy"
 
 let mesh_mode_tag = function Mesh_tree.Tree -> 0 | Mesh_tree.Hierarchy -> 1
 

@@ -36,7 +36,10 @@ val max_link_slots : int
     serving benchmark (r = 32, m = 192, k = 2), has 12,288. *)
 
 val encode_net_state : Network.snapshot -> string
-(** Writes 0 in the link-state byte that follows the strategy. *)
+(** Writes the strategy name as one tag byte: 0 [min-intersection],
+    1 [first-fit], 2 [exhaustive], or 3 followed by any other name.
+    Decoding maps each tag back to its name.  Writes 0 in the
+    link-state byte that follows the strategy. *)
 
 val decode_net_state : string -> (Network.snapshot, string) result
 (** Accepts 0 or 1 in the link-state byte: a 1 is how earlier releases
@@ -53,6 +56,10 @@ val decode_route : Wire.reader -> Network.route
 (** {1 Mesh state codec} *)
 
 val encode_mesh_state : Mesh.state -> string
+(** Writes the strategy name as one tag byte: 0 [first-fit],
+    1 [most-used], 2 [least-used], 3 [random], 4 [coloring], or 5
+    followed by any other name. *)
+
 val decode_mesh_state : string -> (Mesh.state, string) result
 (** Arc edge ids and route costs are re-derived from the topology on
     decode, so the encoding stores only what replay cannot rebuild. *)

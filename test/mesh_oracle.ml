@@ -3,7 +3,10 @@
    production [Shortest] and [Light_tree.build] must return exactly what
    these return.  Only module paths differ.  [Light_tree.reachable] is
    the per-wavelength depth-first search the engine ran before its
-   bit-parallel reach masks, the reference those are held to. *)
+   bit-parallel reach masks, the reference those are held to.
+   [Coloring] is the greedy conflict-graph coloring the engine once ran
+   for its [coloring] strategy, the reference the strategy's first-fit
+   scan order is held to. *)
 
 open Wdm_mesh
 
@@ -241,4 +244,42 @@ module Light_tree = struct
   let unreachable ~use_edge g ~src ~dests =
     let seen = reachable ~use_edge g ~src in
     List.filter (fun d -> not seen.(d)) dests
+end
+
+module Coloring = struct
+  (* Greedy coloring of the live routes' conflict graph for a unicast
+     on a path: the live routes (from a snapshot) sharing an edge with
+     the path are its conflicts, and it takes the smallest wavelength
+     none of them holds. *)
+  let pick (s : Mesh_network.state) edge_ids =
+    let conflict = ref 0 in
+    List.iter
+      (fun (r : Mesh_network.route) ->
+        if List.exists (fun (_, _, e) -> List.mem e edge_ids) r.arcs then
+          conflict := !conflict lor (1 lsl (r.wl - 1)))
+      s.s_routes;
+    let rec first wl =
+      if wl > s.s_k then None
+      else if !conflict land (1 lsl (wl - 1)) = 0 then Some wl
+      else first (wl + 1)
+    in
+    first 1
+
+  (* A unicast's (path edge ids, wavelength): the first of the pair's
+     Yen paths, cheapest first, that {!pick} colors; [None] when none
+     can be. *)
+  let unicast g (s : Mesh_network.state) ~src ~dst =
+    let edge_ids nodes =
+      let rec go = function
+        | a :: (b :: _ as rest) ->
+          Option.get (Graph.edge_between g a b) :: go rest
+        | _ -> []
+      in
+      go nodes
+    in
+    List.find_map
+      (fun (_, nodes) ->
+        let edges = edge_ids nodes in
+        Option.map (fun wl -> (edges, wl)) (pick s edges))
+      (Shortest.k_shortest g ~src ~dst ~k:s.s_k_paths)
 end

@@ -5,8 +5,8 @@
    the engine must answer to the next connect — the route, or the
    refusal with its [Blocked] picture — and exposes the per-link counts
    that [Network.stage1_in_use] and [Network.destination_multiset_plane]
-   must agree with.  Only the engine's built-in [Min_intersection] and
-   [First_fit] strategies are modelled. *)
+   must agree with.  Only the engine's [min-intersection] and
+   [first-fit] strategies are modelled. *)
 
 open Wdm_core
 open Wdm_multistage
@@ -18,7 +18,7 @@ type t = {
   construction : Network.construction;
   output_model : Model.t;
   x_limit : int;
-  strategy : Network.strategy;
+  strategy : string;
   rearrange_limit : int;
   (* [s1_*.(i-1).(j-1).(w-1)]: link (input module i, middle j);
      [s2_*.(j-1).(p-1).(w-1)]: link (middle j, output module p) *)
@@ -328,11 +328,10 @@ let connect t (conn : Connection.t) =
     let available = available_middles t ~input_switch ~src_wl in
     let plan =
       match t.strategy with
-      | Network.Min_intersection ->
+      | "min-intersection" ->
         min_intersection t ~input_switch ~src_wl available fanout
-      | Network.First_fit -> first_fit t ~input_switch ~src_wl available fanout
-      | Network.Exhaustive | Network.Named _ ->
-        invalid_arg "Network_oracle: only min-intersection and first-fit"
+      | "first-fit" -> first_fit t ~input_switch ~src_wl available fanout
+      | _ -> invalid_arg "Network_oracle: only min-intersection and first-fit"
     in
     match plan with
     | None ->

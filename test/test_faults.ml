@@ -17,7 +17,7 @@ let net ?strategy ?x_limit ~construction ~output_model ~n ~m ~r ~k () =
     ~config:
       {
         Network.Config.default with
-        strategy = Option.value ~default:Network.Min_intersection strategy;
+        strategy = Option.value ~default:"min-intersection" strategy;
         x_limit;
       }
     ~construction ~output_model

@@ -102,7 +102,7 @@ let request_corpus =
    for their bool-array planes, and a mesh with a splitter map and live
    routes. *)
 let state_corpus =
-  let fabric ?(strategy = Network.Min_intersection) ~k () =
+  let fabric ?(strategy = "min-intersection") ~k () =
     let n =
       Network.create
         ~config:{ Network.Config.default with strategy }
@@ -138,7 +138,7 @@ let state_corpus =
     P.Backend.encode_state (P.Backend.Mesh m)
   in
   [ fabric ~k:2 ();
-    fabric ~strategy:(Network.Named "adaptive") ~k:96 ();
+    fabric ~strategy:("adaptive") ~k:96 ();
     legacy;
     mesh ]
 

@@ -85,14 +85,14 @@ let test_create_legacy_compat () =
       ~config:
         {
           Network.Config.default with
-          strategy = Network.First_fit;
+          strategy = "first-fit";
           x_limit = Some 2;
         }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
   Alcotest.(check int) "x_limit" 2 (Network.x_limit current);
   Alcotest.(check bool) "strategy" true
-    (Network.strategy current = Network.First_fit);
+    (Network.strategy current = "first-fit");
   let conn =
     Connection.make_exn ~source:(ep 1 1)
       ~destinations:[ ep 1 1; ep 5 1; ep 9 1 ]

@@ -14,7 +14,7 @@ let net ?strategy ?x_limit ~construction ~output_model ~n ~m ~r ~k () =
     ~config:
       {
         Network.Config.default with
-        strategy = Option.value ~default:Network.Min_intersection strategy;
+        strategy = Option.value ~default:"min-intersection" strategy;
         x_limit;
       }
     ~construction ~output_model
@@ -331,7 +331,7 @@ let test_strategies_agree_on_feasibility () =
           (churn_sut t)
       in
       Alcotest.(check int) "no blocking" 0 stats.Wdm_traffic.Churn.blocked)
-    [ Network.Min_intersection; Network.First_fit; Network.Exhaustive ]
+    [ "min-intersection"; "first-fit"; "exhaustive" ]
 
 let test_exhaustive_not_worse_than_greedy () =
   (* Where greedy finds a route, exhaustive must too (it subsumes it). *)
@@ -339,8 +339,8 @@ let test_exhaustive_not_worse_than_greedy () =
     net ~strategy ~x_limit:2 ~construction:Network.Msw_dominant
       ~output_model:Model.MSW ~n:2 ~m:4 ~r:2 ~k:2 ()
   in
-  let greedy = mk Network.Min_intersection in
-  let exhaustive = mk Network.Exhaustive in
+  let greedy = mk "min-intersection" in
+  let exhaustive = mk "exhaustive" in
   let reqs =
     [
       conn (ep 1 1) [ ep 1 1; ep 3 1 ];
@@ -739,7 +739,7 @@ let test_scheduler_rejects_unroutable_batch () =
   | Error e -> Alcotest.fail (Format.asprintf "%a" Network.pp_error e)
 
 let test_scheduler_rearrange_recovers_below_bound () =
-  (* Below the theorem bound a fixed-order First_fit pass loses some
+  (* Below the theorem bound a fixed-order first-fit pass loses some
      full assignments that are merely order-blocked; rearrangement (one
      move per placement) must recover a share of them, and every outright
      failure must leave the network empty. *)
@@ -747,7 +747,7 @@ let test_scheduler_rearrange_recovers_below_bound () =
   let spec = Topology.spec topo in
   let mk () =
     Network.create
-      ~config:{ Network.Config.default with strategy = Network.First_fit }
+      ~config:{ Network.Config.default with strategy = "first-fit" }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
   let fixed_losses = ref 0 and recovered = ref 0 in

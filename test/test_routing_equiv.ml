@@ -308,7 +308,7 @@ let test_lockstep_msw () =
   for seed = 1 to 6 do
     let s =
       run_lockstep ~moves ~seed ~construction:Network.Msw_dominant
-        ~output_model:Model.MSW ~strategy:Network.Min_intersection ~n:3 ~m:6
+        ~output_model:Model.MSW ~strategy:"min-intersection" ~n:3 ~m:6
         ~r:3 ~k:2
     in
     if s.Churn.injected > 0 then exercised_faults := true
@@ -322,7 +322,7 @@ let test_lockstep_maw () =
   for seed = 1 to 6 do
     let s =
       run_lockstep ~moves ~seed ~construction:Network.Maw_dominant
-        ~output_model:Model.MAW ~strategy:Network.First_fit ~n:3 ~m:5 ~r:3 ~k:2
+        ~output_model:Model.MAW ~strategy:"first-fit" ~n:3 ~m:5 ~r:3 ~k:2
     in
     if s.Churn.injected > 0 then exercised_faults := true
   done;
@@ -333,7 +333,7 @@ let test_lockstep_maw () =
    until its links carry more than 62 wavelengths at the larger k.  The
    fault rate scales with the component universe, so a wide fabric is
    not simply drowned in dead lasers. *)
-let wide_churn ?(strategy = Network.Min_intersection) ~seed ~construction
+let wide_churn ?(strategy = "min-intersection") ~seed ~construction
     ~output_model ~k make_sut =
   let n = 2 and m = 2 and r = 2 and steps = 1200 in
   let topo = Topology.make_exn ~n ~m ~r ~k in
@@ -366,9 +366,9 @@ let test_lockstep_wide k () =
           (wide_churn ~strategy ~seed ~construction ~output_model ~k
              (lockstep_sut ~moves ~top_wl)))
       [
-        (Network.Msw_dominant, Model.MSW, Network.Min_intersection);
-        (Network.Maw_dominant, Model.MSDW, Network.Min_intersection);
-        (Network.Maw_dominant, Model.MAW, Network.First_fit);
+        (Network.Msw_dominant, Model.MSW, "min-intersection");
+        (Network.Maw_dominant, Model.MSDW, "min-intersection");
+        (Network.Maw_dominant, Model.MAW, "first-fit");
       ]
   done;
   Alcotest.(check bool) "a hop rode a wavelength above 62" true (!top_wl > 62)

@@ -1,13 +1,14 @@
-(* The routing-strategy plug-in API: seeded-lockstep equivalence of the
-   registered built-ins against their enum twins, plan validation,
-   registry surface, and the offline batch optimizers.
+(* The routing-strategy plug-in API: goldens for the classic strategies,
+   plan validation, the registry surface, and the offline batch
+   optimizers.
 
-   The lockstep property is the redesign's acceptance bar: a network
-   built with [Named "<builtin>"] must route byte-identically to one
-   built with the enum constructor — same routes, same refusals, same
-   persisted digest — over a 600-op mixed setup/teardown workload.  The
-   codec canonicalizes named built-ins
-   onto the enum tags, so digest equality covers the wire format too. *)
+   Every strategy is named by its registry name and routed through its
+   plug-in.  The classics once also had enum constructors with their
+   own dispatch arms; the goldens below were recorded on those arms,
+   before they were retired.  Each pins a 600-op mixed setup/teardown
+   workload's trace, final digest, refusal count and state encoding, so
+   the plug-in path must route byte-identically to the enum path it
+   replaced, and the codec must write the same strategy tags. *)
 
 open Wdm_core
 module Network = Wdm_multistage.Network
@@ -22,13 +23,13 @@ module Strategy = Wdm_core.Strategy
 
 let ep p w = Endpoint.make ~port:p ~wl:w
 
-(* ----- multistage lockstep --------------------------------------------- *)
+(* ----- multistage trace ------------------------------------------------ *)
 
 (* One churn pass recording every connect outcome: the route's hops on
-   admit, the refusal cause on block.  Two strategy variants behave
-   identically iff their traces and final digests are equal — and
-   because the churn generator only diverges after the first differing
-   outcome, trace equality really does pin every decision. *)
+   admit, the refusal cause on block.  Two runs behave identically iff
+   their traces and final states are equal — and because the churn
+   generator only diverges after the first differing outcome, trace
+   equality really does pin every decision. *)
 let multistage_trace ~strategy ~steps =
   (* m=5 is below the nonblocking bound, so the workload genuinely
      exercises refusals and the trace equality is not vacuous *)
@@ -61,33 +62,68 @@ let multistage_trace ~strategy ~steps =
       ~fanout:(Wdm_traffic.Fanout.Zipf { max = 9; s = 1.0 })
       ~steps ~teardown_bias:0.3 sut
   in
-  (Buffer.contents trace, Backend.digest (Backend.Net net), stats)
+  (Buffer.contents trace, Backend.Net net, stats)
 
-let test_multistage_lockstep () =
+(* ----- goldens of the retired enum path --------------------------------- *)
+
+(* Recorded with each classic's enum constructor on the last revision
+   that had them: MD5 of the trace, [Backend.digest], the refusal count
+   and MD5 of the final [Backend.encode_state].  The state bytes pin the
+   codec's name-to-tag table as well as the routes. *)
+type golden = {
+  name : string;
+  trace_md5 : string;
+  digest : int;
+  blocked : int;
+  state_md5 : string;
+}
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let check_golden g (trace, backend, blocked) =
+  Alcotest.(check string) (g.name ^ " trace") g.trace_md5 (md5 trace);
+  Alcotest.(check int) (g.name ^ " digest") g.digest (Backend.digest backend);
+  Alcotest.(check int) (g.name ^ " blocked") g.blocked blocked;
+  Alcotest.(check string)
+    (g.name ^ " state bytes") g.state_md5
+    (md5 (Backend.encode_state backend))
+
+let multistage_goldens =
+  [
+    {
+      name = "min-intersection";
+      trace_md5 = "c8b767d15f2bfd9294932eef7f41ee88";
+      digest = 15835643422135247;
+      blocked = 25;
+      state_md5 = "d1a4e0893137bdd6aa8b27464fd458a5";
+    };
+    {
+      name = "first-fit";
+      trace_md5 = "7bac8a3534e1612bb39979718c7c3dc4";
+      digest = 19810106209611659;
+      blocked = 21;
+      state_md5 = "c83a0ef29a26abc533332ea4517e65e6";
+    };
+    {
+      (* the routes min-intersection takes here, under another name *)
+      name = "exhaustive";
+      trace_md5 = "c8b767d15f2bfd9294932eef7f41ee88";
+      digest = 27384951788399114;
+      blocked = 25;
+      state_md5 = "bfd3d95a3b738bde88df7b259a5e816b";
+    };
+  ]
+
+let test_multistage_goldens () =
   List.iter
-    (fun (enum, label) ->
-      let tr_enum, dg_enum, st_enum =
-        multistage_trace ~strategy:enum ~steps:600
+    (fun g ->
+      let trace, backend, stats =
+        multistage_trace ~strategy:g.name ~steps:600
       in
-      let tr_named, dg_named, st_named =
-        multistage_trace ~strategy:(Network.Named label) ~steps:600
-      in
-      Alcotest.(check string) (label ^ " trace") tr_enum tr_named;
-      Alcotest.(check int) (label ^ " digest") dg_enum dg_named;
-      Alcotest.(check int)
-        (label ^ " accepted")
-        st_enum.Churn.accepted st_named.Churn.accepted;
-      (* the undersized fabric must actually exercise refusals,
-         otherwise the equality is vacuous *)
-      Alcotest.(check bool)
-        (label ^ " workload blocks") true
-        (st_enum.Churn.blocked > 0))
-    [
-      (Network.Min_intersection, "min-intersection");
-      (Network.First_fit, "first-fit");
-    ]
+      check_golden g (trace, backend, stats.Churn.blocked))
+    multistage_goldens
 
-(* ----- mesh lockstep --------------------------------------------------- *)
+(* ----- mesh trace ------------------------------------------------------ *)
 
 let mesh_trace ~strategy ~arrivals =
   let config =
@@ -123,27 +159,54 @@ let mesh_trace ~strategy ~arrivals =
       ~fanout:(Wdm_traffic.Fanout.Zipf { max = 5; s = 1.2 })
       ~offered:14. ~arrivals sut
   in
-  (Buffer.contents trace, Backend.digest (Backend.Mesh net), point)
+  (Buffer.contents trace, Backend.Mesh net, point)
 
-let test_mesh_lockstep () =
+let mesh_goldens =
+  [
+    {
+      name = "first-fit";
+      trace_md5 = "258602bc591a6116d38f40fc9bb1b41d";
+      digest = 2227305774310784;
+      blocked = 123;
+      state_md5 = "2e1cfbd50c667b232f02676d317497ad";
+    };
+    {
+      name = "most-used";
+      trace_md5 = "a92ec08835af8600c7a67071a2dc8703";
+      digest = 5546177532272166;
+      blocked = 149;
+      state_md5 = "cd87e2837721703889a8e05f735db91c";
+    };
+    {
+      name = "least-used";
+      trace_md5 = "45052e6727d3489779b1e762327e6699";
+      digest = 30122596703957918;
+      blocked = 166;
+      state_md5 = "e7e3cf949fa5f6eb850735fff0b1808f";
+    };
+    {
+      name = "random";
+      trace_md5 = "dd514aa91ce8303aa1be09d32f1e4d52";
+      digest = 18989114598325620;
+      blocked = 127;
+      state_md5 = "a64dc5a0537bfb80be1dc77918c280de";
+    };
+    {
+      (* first-fit's routes, under another name *)
+      name = "coloring";
+      trace_md5 = "258602bc591a6116d38f40fc9bb1b41d";
+      digest = 10534998326160052;
+      blocked = 123;
+      state_md5 = "9ca3a071c5e5efd9c6980d5a96534dbc";
+    };
+  ]
+
+let test_mesh_goldens () =
   List.iter
-    (fun (enum, name) ->
-      let tr_enum, dg_enum, pt_enum = mesh_trace ~strategy:enum ~arrivals:600 in
-      let tr_named, dg_named, pt_named =
-        mesh_trace ~strategy:(Assign.Named name) ~arrivals:600
-      in
-      Alcotest.(check string) (name ^ " trace") tr_enum tr_named;
-      Alcotest.(check int) (name ^ " digest") dg_enum dg_named;
-      Alcotest.(check int)
-        (name ^ " blocked")
-        pt_enum.Erlang.blocked pt_named.Erlang.blocked)
-    [
-      (Assign.First_fit, "first-fit");
-      (Assign.Most_used, "most-used");
-      (Assign.Least_used, "least-used");
-      (Assign.Random, "random");
-      (Assign.Coloring, "coloring");
-    ]
+    (fun g ->
+      let trace, backend, point = mesh_trace ~strategy:g.name ~arrivals:600 in
+      check_golden g (trace, backend, point.Erlang.blocked))
+    mesh_goldens
 
 (* ----- registry surface ------------------------------------------------ *)
 
@@ -164,23 +227,73 @@ let test_registry () =
     (Result.is_error (Network.strategy_of_string "no-such-strategy"));
   Alcotest.(check bool) "bad crosstalk rejected" true
     (Result.is_error (Assign.strategy_of_string "crosstalk:nope"));
-  (* create refuses unresolvable Named up front *)
+  (* create refuses an unresolvable name up front *)
   let topo = Topology.make_exn ~n:2 ~m:4 ~r:2 ~k:2 in
   (match
      Network.create
-       ~config:{ Network.Config.default with strategy = Network.Named "nope" }
+       ~config:{ Network.Config.default with strategy = "nope" }
        ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
    with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown Named accepted by create");
+  | _ -> Alcotest.fail "unknown name accepted by create");
   match
     Mesh.create
-      ~config:
-        { Mesh.Config.default with Mesh.Config.strategy = Assign.Named "nope" }
+      ~config:{ Mesh.Config.default with Mesh.Config.strategy = "nope" }
       "ring8"
   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown Named accepted by mesh build"
+  | Ok _ -> Alcotest.fail "unknown name accepted by mesh build"
+
+(* A name, once registered, is never rebound: the default strategies
+   resolve through the registry, and the codec writes a short tag for
+   the classic names, so a rebound name would route a replayed WAL
+   differently from the process that wrote it. *)
+let test_no_rebinding () =
+  let refuses what register =
+    match register () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s rebound" what
+  in
+  List.iter
+    (fun name ->
+      refuses ("multistage " ^ name) (fun () ->
+          Network.Strategy.register
+            { name; doc = "rebound"; select = (fun _ -> None) }))
+    [ "min-intersection"; "first-fit"; "exhaustive"; "adaptive" ];
+  List.iter
+    (fun name ->
+      refuses ("mesh " ^ name) (fun () ->
+          Assign.register_plugin
+            (Assign.make_plugin ~name ~doc:"rebound" (fun _ ~hash:_ -> []))))
+    [ "first-fit"; "most-used"; "least-used"; "random"; "coloring" ]
+
+(* Every plan goes through the engine's plan check before a link is
+   touched: a plug-in whose plan breaks an invariant is refused loudly
+   and leaves the network as it was. *)
+let test_invalid_plan_refused () =
+  let topo = Topology.make_exn ~n:2 ~m:4 ~r:2 ~k:2 in
+  let conn =
+    Connection.make_exn ~source:(ep 1 1) ~destinations:[ ep 2 1; ep 3 1 ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      Network.Strategy.register
+        { name; doc = "an invalid plan"; select = (fun c -> Some (plan c)) };
+      let net =
+        Network.create
+          ~config:{ Network.Config.default with strategy = name }
+          ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
+      in
+      match Network.connect net conn with
+      | exception Invalid_argument _ ->
+        Alcotest.(check int) (name ^ ": nothing routed") 0
+          (List.length (Network.active_routes net))
+      | _ -> Alcotest.failf "%s: plan accepted" name)
+    [
+      ("test-uncovered", fun _ -> [ (1, [ 1 ]) ]);
+      ("test-outside", fun c -> [ (1, Network.Strategy.fanout c @ [ 3 ]) ]);
+      ("test-repeated", fun _ -> [ (1, [ 1 ]); (1, [ 2 ]) ]);
+    ]
 
 (* A lab strategy must survive the snapshot/restore codec: new names
    take the string-carrying tag and come back routing the same. *)
@@ -188,8 +301,7 @@ let test_named_roundtrip () =
   let topo = Topology.make_exn ~n:4 ~m:8 ~r:4 ~k:2 in
   let net =
     Network.create
-      ~config:
-        { Network.Config.default with strategy = Network.Named "adaptive" }
+      ~config:{ Network.Config.default with strategy = "adaptive" }
       ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
   in
   let conn =
@@ -202,7 +314,7 @@ let test_named_roundtrip () =
   match b' with
   | Backend.Net net' ->
     Alcotest.(check bool) "strategy survives" true
-      (Network.strategy net' = Network.Named "adaptive")
+      (Network.strategy net' = "adaptive")
   | Backend.Mesh _ -> Alcotest.fail "wrong backend kind"
 
 (* ----- determinism of the lab strategies ------------------------------- *)
@@ -211,24 +323,24 @@ let test_named_roundtrip () =
    rebuilding the network and replaying the same ops reproduces routes
    exactly — the WAL-replay contract. *)
 let test_annealed_deterministic () =
-  let tr1, dg1, _ = multistage_trace ~strategy:(Network.Named "annealed") ~steps:400 in
-  let tr2, dg2, _ = multistage_trace ~strategy:(Network.Named "annealed") ~steps:400 in
+  let tr1, b1, _ = multistage_trace ~strategy:"annealed" ~steps:400 in
+  let tr2, b2, _ = multistage_trace ~strategy:"annealed" ~steps:400 in
   Alcotest.(check string) "trace" tr1 tr2;
-  Alcotest.(check int) "digest" dg1 dg2;
-  let mtr1, mdg1, _ = mesh_trace ~strategy:(Assign.Named "annealed") ~arrivals:400 in
-  let mtr2, mdg2, _ = mesh_trace ~strategy:(Assign.Named "annealed") ~arrivals:400 in
+  Alcotest.(check int) "digest" (Backend.digest b1) (Backend.digest b2);
+  let mtr1, mb1, _ = mesh_trace ~strategy:"annealed" ~arrivals:400 in
+  let mtr2, mb2, _ = mesh_trace ~strategy:"annealed" ~arrivals:400 in
   Alcotest.(check string) "mesh trace" mtr1 mtr2;
-  Alcotest.(check int) "mesh digest" mdg1 mdg2
+  Alcotest.(check int) "mesh digest" (Backend.digest mb1) (Backend.digest mb2)
 
 (* The crosstalk decorator admits a subset of its base strategy's
    choices: everything it routes, the base routes identically or
    better. *)
 let test_crosstalk_decorator () =
   let _, _, base =
-    multistage_trace ~strategy:(Network.Named "min-intersection") ~steps:600
+    multistage_trace ~strategy:"min-intersection" ~steps:600
   in
   let _, _, gated =
-    multistage_trace ~strategy:(Network.Named "crosstalk:min-intersection:25") ~steps:600
+    multistage_trace ~strategy:"crosstalk:min-intersection:25" ~steps:600
   in
   Alcotest.(check bool) "tighter budget blocks at least as much" true
     (gated.Churn.blocked >= base.Churn.blocked)
@@ -299,14 +411,18 @@ let () =
     [
       ( "lockstep",
         [
-          Alcotest.test_case "multistage built-ins = enums" `Quick
-            test_multistage_lockstep;
-          Alcotest.test_case "mesh built-ins = enums" `Quick
-            test_mesh_lockstep;
+          Alcotest.test_case "multistage classics = enum-path goldens" `Quick
+            test_multistage_goldens;
+          Alcotest.test_case "mesh classics = enum-path goldens" `Quick
+            test_mesh_goldens;
         ] );
       ( "registry",
         [
           Alcotest.test_case "resolution and refusal" `Quick test_registry;
+          Alcotest.test_case "an invalid plan is refused" `Quick
+            test_invalid_plan_refused;
+          Alcotest.test_case "a name is never rebound" `Quick
+            test_no_rebinding;
           Alcotest.test_case "named strategy codec roundtrip" `Quick
             test_named_roundtrip;
         ] );
