@@ -16,8 +16,9 @@ bench:
 	$(BENCH)
 
 # the CI profile: trimmed iteration counts, then schema-check the
-# BENCH_results.json it wrote (routing throughput, WAL overhead,
-# snapshot/restore timings, recovery digest check)
+# BENCH_results.json it wrote against bench/schema.ml (routing
+# throughput and rearrangement, WAL overhead, snapshot/restore timings
+# and the recovery digest check, mesh and strategy-lab tables)
 bench-quick:
 	$(BENCH) -- --quick
 	$(BENCH) -- --validate BENCH_results.json

@@ -488,12 +488,7 @@ module J = Wdm_telemetry.Json
 module Op = Wdm_persist.Op
 module Backend = Wdm_persist.Backend
 module Store = Wdm_persist.Store
-module Wal = Wdm_persist.Wal
 module Resp = Wdm_persist.Resp
-module Server = Wdm_server.Server
-module Client = Wdm_server.Client
-module Evloop = Wdm_server.Evloop
-module Protocol = Wdm_server.Protocol
 
 (* A recorded network workload: the churn driver runs once against a
    scratch network (so every request is admissible and the teardown ids
@@ -567,54 +562,51 @@ let replay ~topo ops =
    blocks, snapshot the fabric at that instant, then repeatedly time
    connect_rearrangeable against fresh copies of the snapshot (the call
    mutates the fabric on success, so each sample gets its own copy;
-   the copies happen outside the timed region). *)
-let rearrangement_latency ~iters cases =
-  List.filter_map
-    (fun (n, k, m, strategy, sname) ->
-      let topo = Topology.make_exn ~n ~m ~r:n ~k in
-      let net =
-        Network.create
-          ~config:{ Network.Config.default with strategy }
-          ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
-      in
-      let snapshot = ref None in
-      let on_blocked c _ =
-        if !snapshot = None then snapshot := Some (c, Network.copy net)
-      in
-      let sut =
-        {
-          Wdm_traffic.Churn.connect =
-            (fun c ->
-              match Network.connect net c with
-              | Ok route -> Ok route.Network.id
-              | Error e -> Error e);
-          disconnect = (fun id -> ignore (Network.disconnect net id));
-        }
-      in
-      ignore
-        (Wdm_traffic.Churn.run ~on_blocked
-           (Random.State.make [| 97 |])
-           ~spec:(Topology.spec topo) ~model:Model.MSW
-           ~fanout:(Wdm_traffic.Fanout.Uniform (1, n))
-           ~steps:2000 ~teardown_bias:0.2 sut);
-      match !snapshot with
-      | None -> None
-      | Some (probe, blocked_state) ->
-        let total = ref 0. and admitted = ref false and moves = ref 0 in
-        for _ = 1 to iters do
-          let c = Network.copy blocked_state in
-          let t0 = Unix.gettimeofday () in
-          let r = Network.connect_rearrangeable c probe in
-          total := !total +. (Unix.gettimeofday () -. t0);
-          match r with
-          | Ok (_, mv) ->
-            admitted := true;
-            moves := mv
-          | Error _ -> ()
-        done;
-        let mean_us = !total /. float_of_int iters *. 1e6 in
-        Some (n, k, m, sname, mean_us, !admitted, !moves))
-    cases
+   the copies happen outside the timed region).  [None] when the churn
+   never blocks: there is no probe to time. *)
+let rearrangement_latency ~iters (n, k, m, strategy) =
+  let topo = Topology.make_exn ~n ~m ~r:n ~k in
+  let net =
+    Network.create
+      ~config:{ Network.Config.default with strategy }
+      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
+  in
+  let snapshot = ref None in
+  let on_blocked c _ =
+    if !snapshot = None then snapshot := Some (c, Network.copy net)
+  in
+  let sut =
+    {
+      Wdm_traffic.Churn.connect =
+        (fun c ->
+          match Network.connect net c with
+          | Ok route -> Ok route.Network.id
+          | Error e -> Error e);
+      disconnect = (fun id -> ignore (Network.disconnect net id));
+    }
+  in
+  ignore
+    (Wdm_traffic.Churn.run ~on_blocked
+       (Random.State.make [| 97 |])
+       ~spec:(Topology.spec topo) ~model:Model.MSW
+       ~fanout:(Wdm_traffic.Fanout.Uniform (1, n))
+       ~steps:2000 ~teardown_bias:0.2 sut);
+  Option.map
+    (fun (probe, blocked_state) ->
+      let total = ref 0. and admitted = ref false and moves = ref 0 in
+      for _ = 1 to iters do
+        let c = Network.copy blocked_state in
+        let t0 = Unix.gettimeofday () in
+        let r = Network.connect_rearrangeable c probe in
+        total := !total +. (Unix.gettimeofday () -. t0);
+        match r with
+        | Ok (_, mv) ->
+          admitted := true;
+          moves := mv
+        | Error _ -> ()
+      done;
+      (!total /. float_of_int iters *. 1e6, !admitted, !moves))
+    !snapshot
 
 let routing_trials = 5
 
@@ -655,25 +647,49 @@ let routing_throughput ~quick () =
     (float_of_int (Array.length ops) /. dt)
     accepted checksum;
   section "Rearrangement latency (undersized switch, blocked-probe snapshot)";
+  (* every case under both strategies, so each (n, k, m) compares them *)
+  let cases =
+    List.concat_map
+      (fun (n, k, m) ->
+        List.map (fun s -> (n, k, m, s)) [ "min-intersection"; "first-fit" ])
+      [ (3, 1, 3); (4, 2, 8) ]
+  in
   let rows =
-    rearrangement_latency
-      ~iters:(if quick then 100 else 1000)
-      [
-        (3, 1, 3, "min-intersection", "min_intersection");
-        (3, 1, 3, "first-fit", "first_fit");
-        (4, 2, 8, "min-intersection", "min_intersection");
-        (4, 2, 8, "first-fit", "first_fit");
-      ]
+    List.map
+      (fun case ->
+        (case, rearrangement_latency ~iters:(if quick then 100 else 1000) case))
+      cases
   in
   List.iter
-    (fun (n, k, m, sname, mean_us, admitted, moves) ->
-      Printf.printf
-        "N=%-3d k=%d m=%-2d %-17s %8.1f us/call  %s (moves: %d)\n" (n * n) k m
-        sname mean_us
-        (if admitted then "admitted" else "still blocked")
-        moves)
+    (fun ((n, k, m, strategy), timing) ->
+      Printf.printf "N=%-3d k=%d m=%-2d %-17s %s\n" (n * n) k m strategy
+        (match timing with
+        | None -> "never blocked"
+        | Some (mean_us, admitted, moves) ->
+          Printf.sprintf "%8.1f us/call  %s (moves: %d)" mean_us
+            (if admitted then "admitted" else "still blocked")
+            moves))
     rows;
   print_newline ();
+  let rearrangement_row ((n, k, m, strategy), timing) =
+    let blocked, mean_us, admitted, moves =
+      match timing with
+      | None -> (false, J.Null, J.Null, J.Null)
+      | Some (mean_us, admitted, moves) ->
+        (true, J.Float mean_us, J.Bool admitted, J.Int moves)
+    in
+    J.Obj
+      [
+        ("n", J.Int n);
+        ("k", J.Int k);
+        ("m", J.Int m);
+        ("strategy", J.String strategy);
+        ("blocked", J.Bool blocked);
+        ("mean_us", mean_us);
+        ("admitted", admitted);
+        ("moves", moves);
+      ]
+  in
   ( ( "routing_throughput",
       J.Obj
         [
@@ -696,23 +712,9 @@ let routing_throughput ~quick () =
         ("connects_per_s_max", J.Float cps_max);
         ("accepted", J.Int accepted);
         ("route_checksum", J.Int checksum);
-        ( "rearrangement",
-          J.List
-            (List.map
-               (fun (n, k, m, sname, mean_us, admitted, moves) ->
-                 J.Obj
-                   [
-                     ("n", J.Int n);
-                     ("k", J.Int k);
-                     ("m", J.Int m);
-                     ("strategy", J.String sname);
-                     ("mean_us", J.Float mean_us);
-                     ("admitted", J.Bool admitted);
-                     ("moves", J.Int moves);
-                   ])
-               rows) );
+        ("rearrangement", J.List (List.map rearrangement_row rows));
       ] ),
-    (topo, ops, dt) )
+    (topo, ops) )
 
 (* ----------------------------------------------------------------- *)
 (* Persistence: WAL overhead, snapshot/restore throughput             *)
@@ -856,430 +858,6 @@ let persistence_bench ~topo ~ops =
       ] )
 
 (* ----------------------------------------------------------------- *)
-(* Control-plane serving: requests/s over a loopback socket           *)
-(* ----------------------------------------------------------------- *)
-
-(* The same recorded trace, driven through `wdmnet serve`'s machinery
-   over a unix socket by a single synchronous client — so the delta
-   against the in-process replay prices the whole control-plane stack
-   (framing, CRC and the socket round trip per request).  The served network must land on the same state digest as
-   an in-process twin, which is the bench-level version of the
-   socket-vs-in-process equivalence test.
-
-   Two more passes ride on the event-driven server: the same trace
-   shipped pipelined (Batch frames of up to 64 ops — one round-trip
-   per batch instead of per op), and that pipelined pass repeated with
-   ~10k idle connections parked on the loop, which prices readiness
-   notification at scale (each idle conn is a buffer, not a thread). *)
-let batch_chunk = 64
-
-let serve_pipelined client ops =
-  let answered = ref 0 in
-  let n = Array.length ops in
-  let t0 = Unix.gettimeofday () in
-  let i = ref 0 in
-  while !i < n do
-    let take = min batch_chunk (n - !i) in
-    let reqs = List.init take (fun j -> Resp.Admit ops.(!i + j)) in
-    (match Client.request_batch client reqs with
-    | Ok rs -> answered := !answered + List.length rs
-    | Error e -> failwith ("serving_bench: " ^ Client.error_to_string e));
-    i := !i + take
-  done;
-  (!answered, Unix.gettimeofday () -. t0)
-
-(* Park [want] hello'd connections on the server's event loop; they
-   are real protocol clients that simply never send a request. *)
-let park_idle_conns addr want =
-  let sockaddr =
-    match addr with
-    | Server.Unix_socket path -> Unix.ADDR_UNIX path
-    | Server.Tcp (host, port) ->
-      Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-  in
-  let conns = ref [] in
-  (try
-     for _ = 1 to want do
-       let fd =
-         Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0
-       in
-       match
-         Unix.connect fd sockaddr;
-         Protocol.write_all fd Protocol.client_hello
-       with
-       | () -> conns := fd :: !conns
-       | exception (Unix.Unix_error _ | Sys_error _) ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise Exit
-     done
-   with Exit -> ());
-  !conns
-
-let serving_bench ~topo ~ops ~dt_baseline =
-  section "Control-plane serving (unix socket, single client)";
-  let make () =
-    Backend.Net
-      (Network.create
-         ~config:
-           {
-             Network.Config.default with
-             telemetry = Some (Wdm_telemetry.Sink.create ());
-           }
-         ~construction:Network.Msw_dominant ~output_model:Model.MSW topo)
-  in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wdm_bench_%d.sock" (Unix.getpid ()))
-  in
-  let dial srv =
-    match Client.connect (Server.address srv) with
-    | Ok c -> c
-    | Error e ->
-      Server.stop srv;
-      failwith ("serving_bench: " ^ Client.error_to_string e)
-  in
-  let finish srv client =
-    let digest =
-      match Client.digest client with
-      | Ok d -> d
-      | Error e -> failwith ("serving_bench: " ^ Client.error_to_string e)
-    in
-    Client.close client;
-    Server.stop srv;
-    digest
-  in
-  let twin = make () in
-  Array.iter (fun op -> ignore (Resp.execute_backend twin (Resp.Admit op))) ops;
-  let twin_digest = Backend.digest twin in
-  (* pass 1: one request per round-trip *)
-  let srv = Server.start_backend ~backend:(make ()) (Server.Unix_socket sock) in
-  let client = dial srv in
-  let answered = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun op ->
-      match Client.request client (Resp.Admit op) with
-      | Ok _ -> incr answered
-      | Error e -> failwith ("serving_bench: " ^ Client.error_to_string e))
-    ops;
-  let dt = Unix.gettimeofday () -. t0 in
-  let digest = finish srv client in
-  (* pass 2: pipelined, with up to ~10k idle connections parked on the
-     loop (as many as the fd limit leaves headroom for) *)
-  let want_idle = 10_000 in
-  let idle_target =
-    (* select's FD_SETSIZE would overflow; epoll has no such ceiling.
-       Both ends of each parked connection live in this process, so a
-       connection costs two fds against the limit. *)
-    if Evloop.available_backend () <> "epoll" then 256
-    else
-      let limit = Evloop.ensure_fd_capacity ((2 * want_idle) + 256) in
-      if limit < 0 then want_idle else max 0 (min want_idle ((limit - 256) / 2))
-  in
-  let pipelined_pass () =
-    let srv2 =
-      Server.start_backend ~backend:(make ()) (Server.Unix_socket sock)
-    in
-    let idle = park_idle_conns (Server.address srv2) idle_target in
-    let client2 = dial srv2 in
-    let answered_p, dt_pipe = serve_pipelined client2 ops in
-    let idle_conns = List.length idle in
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      idle;
-    let digest_p = finish srv2 client2 in
-    (answered_p, dt_pipe, idle_conns, digest_p)
-  in
-  (* best of 3: a fresh server each time, so the digest gate holds on
-     every attempt, not just the fastest *)
-  let answered_p, dt_pipe, idle_conns, digest_p =
-    let best = ref (pipelined_pass ()) in
-    for _ = 2 to 3 do
-      let (_, dt, _, _) as run = pipelined_pass () in
-      let _, dt_best, _, _ = !best in
-      let _, _, _, d = run in
-      if d <> twin_digest then
-        failwith "serving_bench: pipelined pass diverged from twin";
-      if dt < dt_best then best := run
-    done;
-    !best
-  in
-  let digest_match = twin_digest = digest && twin_digest = digest_p in
-  let rps = float_of_int !answered /. dt in
-  let rps_pipe = float_of_int answered_p /. dt_pipe in
-  let inproc = float_of_int (Array.length ops) /. dt_baseline in
-  Printf.printf
-    "served : %d requests in %.3f s  %8.0f requests/s\n" !answered dt rps;
-  Printf.printf
-    "pipelined: %d requests in %.3f s  %8.0f requests/s  (batch %d, %d idle conns, best of 3)\n"
-    answered_p dt_pipe rps_pipe batch_chunk idle_conns;
-  Printf.printf
-    "inproc : %d ops      in %.3f s  %8.0f ops/s  (socket tax: %.1fx seq, %.1fx pipelined)\n"
-    (Array.length ops) dt_baseline inproc (inproc /. rps) (inproc /. rps_pipe);
-  Printf.printf "digest match vs in-process twin: %b\n\n" digest_match;
-  if not digest_match then
-    failwith "serving_bench: served network diverged from in-process twin";
-  ( "serving",
-    J.Obj
-      [
-        ("requests", J.Int !answered);
-        ("elapsed_s", J.Float dt);
-        ("requests_per_s", J.Float rps);
-        ("pipelined_requests_per_s", J.Float rps_pipe);
-        ("pipelined_slowdown", J.Float (inproc /. rps_pipe));
-        ("idle_conns", J.Int idle_conns);
-        ("inproc_ops_per_s", J.Float inproc);
-        ("slowdown", J.Float (inproc /. rps));
-        ("digest_match", J.Bool digest_match);
-      ] )
-
-(* ----------------------------------------------------------------- *)
-(* Replication: leader throughput with one follower attached          *)
-(* ----------------------------------------------------------------- *)
-
-(* The cost of shipping the committed-op stream: the same request
-   array served by a standalone leader and by a leader with one live
-   follower, plus how far the follower trailed when the last response
-   landed and how long the gap took to drain.  Digest equality across
-   the pair is the correctness gate. *)
-let replication_bench ~topo ~ops =
-  section "Replication (leader + 1 follower, unix sockets)";
-  let make () =
-    Backend.Net
-      (Network.create
-         ~config:
-           {
-             Network.Config.default with
-             telemetry = Some (Wdm_telemetry.Sink.create ());
-           }
-         ~construction:Network.Msw_dominant ~output_model:Model.MSW topo)
-  in
-  let sock tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wdm_bench_%s_%d.sock" tag (Unix.getpid ()))
-  in
-  let drive srv =
-    let client =
-      match Client.connect (Server.address srv) with
-      | Ok c -> c
-      | Error e ->
-        Server.stop srv;
-        failwith ("replication_bench: " ^ Client.error_to_string e)
-    in
-    let answered = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun op ->
-        match Client.request client (Resp.Admit op) with
-        | Ok _ -> incr answered
-        | Error e -> failwith ("replication_bench: " ^ Client.error_to_string e))
-      ops;
-    let dt = Unix.gettimeofday () -. t0 in
-    (client, !answered, dt)
-  in
-  let digest_of client =
-    match Client.digest client with
-    | Ok d -> d
-    | Error e -> failwith ("replication_bench: " ^ Client.error_to_string e)
-  in
-  (* standalone baseline *)
-  let alone =
-    Server.start_backend ~backend:(make ()) (Server.Unix_socket (sock "alone"))
-  in
-  let c0, answered, dt_alone = drive alone in
-  Client.close c0;
-  Server.stop alone;
-  (* the same stream with a follower subscribed *)
-  let leader =
-    Server.start_backend ~backend:(make ()) (Server.Unix_socket (sock "leader"))
-  in
-  let follower =
-    Server.start_backend
-      ~follower:{ Server.leader = Server.address leader; wal = None }
-      ~backend:(make ())
-      (Server.Unix_socket (sock "follower"))
-  in
-  let c1, _, dt_repl = drive leader in
-  let target = Server.applied leader in
-  let lag = max 0 (target - Server.applied follower) in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. 30.0 in
-  while Server.applied follower < target && Unix.gettimeofday () < deadline do
-    Thread.delay 0.001
-  done;
-  let catchup = Unix.gettimeofday () -. t0 in
-  if Server.applied follower < target then
-    failwith "replication_bench: follower never caught up";
-  let leader_digest = digest_of c1 in
-  Client.close c1;
-  let follower_digest =
-    match Client.connect (Server.address follower) with
-    | Ok c ->
-      let d = digest_of c in
-      Client.close c;
-      d
-    | Error e -> failwith ("replication_bench: " ^ Client.error_to_string e)
-  in
-  Server.stop leader;
-  Server.stop follower;
-  let digest_match = leader_digest = follower_digest in
-  let rps_alone = float_of_int answered /. dt_alone in
-  let rps_repl = float_of_int answered /. dt_repl in
-  let overhead_pct = (dt_repl -. dt_alone) /. dt_alone *. 100. in
-  Printf.printf
-    "standalone : %d requests in %.3f s  %8.0f requests/s\n" answered dt_alone
-    rps_alone;
-  Printf.printf
-    "replicated : %d requests in %.3f s  %8.0f requests/s  (overhead: %.1f%%)\n"
-    answered dt_repl rps_repl overhead_pct;
-  Printf.printf "follower lag at completion: %d ops, drained in %.3f s\n" lag
-    catchup;
-  Printf.printf "digest match leader vs follower: %b\n\n" digest_match;
-  if not digest_match then
-    failwith "replication_bench: follower state diverged from the leader";
-  ( "replication",
-    J.Obj
-      [
-        ("requests", J.Int answered);
-        ("standalone_requests_per_s", J.Float rps_alone);
-        ("replicated_requests_per_s", J.Float rps_repl);
-        ("overhead_pct", J.Float overhead_pct);
-        ("follower_lag_ops", J.Int lag);
-        ("catchup_s", J.Float catchup);
-        ("digest_match", J.Bool digest_match);
-      ] )
-
-(* ----------------------------------------------------------------- *)
-(* Request-stage latency: where a served request spends its time      *)
-(* ----------------------------------------------------------------- *)
-
-(* The serving trace again, but with telemetry attached so every
-   request is decomposed into decode / queue / execute / wal /
-   replicate / respond stage histograms (DESIGN.md §11), reported as
-   p50/p95/p99 per stage.  The same trace also runs with telemetry
-   off: the delta prices what tracing costs when nothing subscribes —
-   the disabled path takes no timestamps at all, so the overhead
-   should vanish into run-to-run noise (gate: <= 3% on the best of
-   [repeats] runs each way). *)
-let stage_latency_bench ~topo ~ops =
-  section "Request-stage latency (traced serving, unix socket)";
-  let module Tel = Wdm_telemetry in
-  let make () =
-    Backend.Net
-      (Network.create
-         ~config:
-           {
-             Network.Config.default with
-             telemetry = Some (Tel.Sink.create ());
-           }
-         ~construction:Network.Msw_dominant ~output_model:Model.MSW topo)
-  in
-  let sock tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wdm_bench_stage_%s_%d.sock" tag (Unix.getpid ()))
-  in
-  let serve_once ?telemetry tag =
-    let srv =
-      Server.start_backend ?telemetry ~backend:(make ())
-        (Server.Unix_socket (sock tag))
-    in
-    let client =
-      match Client.connect (Server.address srv) with
-      | Ok c -> c
-      | Error e ->
-        Server.stop srv;
-        failwith ("stage_latency_bench: " ^ Client.error_to_string e)
-    in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun op ->
-        match Client.request client (Resp.Admit op) with
-        | Ok _ -> ()
-        | Error e ->
-          failwith ("stage_latency_bench: " ^ Client.error_to_string e))
-      ops;
-    let dt = Unix.gettimeofday () -. t0 in
-    Client.close client;
-    Server.stop srv;
-    dt
-  in
-  let repeats = 3 in
-  let best f =
-    let rec go n acc = if n = 0 then acc else go (n - 1) (min acc (f ())) in
-    go (repeats - 1) (f ())
-  in
-  let dt_off = best (fun () -> serve_once "off") in
-  (* a fresh sink per traced run so the reported histograms cover
-     exactly one pass of the trace; timing still takes the best run *)
-  let last_sink = ref None in
-  let dt_on =
-    best (fun () ->
-        let sink = Tel.Sink.create () in
-        last_sink := Some sink;
-        serve_once ~telemetry:sink "on")
-  in
-  let snap =
-    match !last_sink with
-    | Some sink -> Tel.Sink.snapshot sink
-    | None -> assert false
-  in
-  let requests = Array.length ops in
-  let overhead_pct = (dt_on -. dt_off) /. dt_off *. 100. in
-  let overhead_ok = overhead_pct <= 3.0 in
-  let stage_names =
-    [ "decode"; "queue"; "execute"; "wal"; "replicate"; "respond" ]
-  in
-  let stage_hist name =
-    let metric =
-      if name = "total" then "server_request_latency_seconds"
-      else Printf.sprintf "server_stage_%s_seconds" name
-    in
-    Tel.Metrics.find_histogram snap metric
-  in
-  Printf.printf "%-10s %8s %12s %12s %12s\n" "stage" "count" "p50" "p95" "p99";
-  let row name =
-    match stage_hist name with
-    | None -> (name, J.Null)
-    | Some h ->
-      let q p = Tel.Histogram.quantile h p in
-      let show = function
-        | Some v -> Printf.sprintf "<=%.1f us" (v *. 1e6)
-        | None -> "n/a"
-      in
-      Printf.printf "%-10s %8d %12s %12s %12s\n" name h.Tel.Histogram.count
-        (show (q 0.5)) (show (q 0.95)) (show (q 0.99));
-      let num = function Some v -> J.Float v | None -> J.Null in
-      ( name,
-        J.Obj
-          [
-            ("count", J.Int h.Tel.Histogram.count);
-            ("p50_s", num (q 0.5));
-            ("p95_s", num (q 0.95));
-            ("p99_s", num (q 0.99));
-          ] )
-  in
-  let stages = List.map row (stage_names @ [ "total" ]) in
-  Printf.printf
-    "\ntraced  : %d requests in %.3f s  %8.0f requests/s\n" requests dt_on
-    (float_of_int requests /. dt_on);
-  Printf.printf
-    "untraced: %d requests in %.3f s  %8.0f requests/s  (tracing overhead: \
-     %.1f%%, best of %d)\n\n"
-    requests dt_off
-    (float_of_int requests /. dt_off)
-    overhead_pct repeats;
-  ( "stage_latency",
-    J.Obj
-      [
-        ("requests", J.Int requests);
-        ("stages", J.Obj stages);
-        ("traced_s", J.Float dt_on);
-        ("untraced_s", J.Float dt_off);
-        ("overhead_pct", J.Float overhead_pct);
-        ("overhead_ok", J.Bool overhead_ok);
-      ] )
-
-(* ----------------------------------------------------------------- *)
 (* bechamel micro-benchmarks                                          *)
 (* ----------------------------------------------------------------- *)
 
@@ -1416,30 +994,7 @@ let mesh_blocking_bench ~quick () =
   | Error e -> failwith ("mesh_blocking: " ^ e)
   | Ok cells ->
     Format.printf "%a@." Campaign.pp_table cells;
-    ( "mesh_blocking",
-      J.Obj
-        [
-          ("seed", J.Int spec.Campaign.seed);
-          ("wavelengths", J.Int spec.Campaign.k);
-          ("arrivals_per_cell", J.Int spec.Campaign.arrivals);
-          ( "cells",
-            J.List
-              (List.map
-                 (fun (c : Campaign.cell) ->
-                   let p = c.Campaign.point in
-                   J.Obj
-                     [
-                       ("topo", J.String c.Campaign.topo);
-                       ("strategy", J.String c.Campaign.strategy);
-                       ("erlangs", J.Float p.Wdm_traffic.Erlang.offered_erlangs);
-                       ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
-                       ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);
-                       ("blocked", J.Int p.Wdm_traffic.Erlang.blocked);
-                       ("blocking", J.Float p.Wdm_traffic.Erlang.blocking);
-                       ("mean_active", J.Float p.Wdm_traffic.Erlang.mean_active);
-                     ])
-                 cells) );
-        ] )
+    ("mesh_blocking", Campaign.to_json spec cells)
 
 (* ----------------------------------------------------------------- *)
 (* Mesh connect cost per strategy                                     *)
@@ -1644,30 +1199,7 @@ let strategy_compare_bench ~quick () =
   | Error e -> failwith ("strategy_compare: " ^ e)
   | Ok cells ->
     Format.printf "%a@." Lab_compare.pp_table cells;
-    ( "strategy_compare",
-      J.Obj
-        [
-          ("seed", J.Int spec.Lab_compare.seed);
-          ( "strategies",
-            J.List
-              (List.map (fun s -> J.String s) spec.Lab_compare.strategies) );
-          ( "cells",
-            J.List
-              (List.map
-                 (fun (c : Lab_compare.cell) ->
-                   J.Obj
-                     [
-                       ("engine", J.String c.Lab_compare.engine);
-                       ("workload", J.String c.Lab_compare.workload);
-                       ("strategy", J.String c.Lab_compare.strategy);
-                       ("attempts", J.Int c.Lab_compare.attempts);
-                       ("accepted", J.Int c.Lab_compare.accepted);
-                       ("blocked", J.Int c.Lab_compare.blocked);
-                       ("blocking", J.Float c.Lab_compare.blocking);
-                       ("mean_connect_us", J.Float c.Lab_compare.mean_connect_us);
-                     ])
-                 cells) );
-        ] )
+    ("strategy_compare", Lab_compare.to_json spec cells)
 
 (* The first line a shell command prints, when it exits 0. *)
 let command_line cmd =
@@ -1738,545 +1270,25 @@ let write_results fragments =
   Printf.printf "wrote BENCH_results.json (%s)\n"
     (String.concat ", " (List.map fst fragments))
 
-(* ----------------------------------------------------------------- *)
-(* Schema validation (CI gate on BENCH_results.json)                  *)
-(* ----------------------------------------------------------------- *)
-
+(* The schema gate on a results file (the table lives in schema.ml). *)
 let validate_results path =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let ( let* ) = Result.bind in
-  let read () =
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  let require what = function Some v -> Ok v | None -> fail "missing %s" what in
-  let number what j =
-    match J.to_float_opt j with
-    | Some _ -> Ok ()
-    | None -> fail "%s is not a number" what
-  in
-  let check_benchmark i j =
-    let ctx = Printf.sprintf "benchmarks[%d]" i in
-    let* name = require (ctx ^ ".name") (J.member "name" j) in
-    let* _ =
-      match J.to_string_opt name with
-      | Some _ -> Ok ()
-      | None -> fail "%s.name is not a string" ctx
-    in
-    let* params = require (ctx ^ ".params") (J.member "params" j) in
-    let* _ =
-      match params with
-      | J.Obj _ -> Ok ()
-      | _ -> fail "%s.params is not an object" ctx
-    in
-    let* mean = require (ctx ^ ".mean_ns") (J.member "mean_ns" j) in
-    let* _ =
-      match mean with J.Null -> Ok () | j -> number (ctx ^ ".mean_ns") j
-    in
-    let* iters = require (ctx ^ ".iterations") (J.member "iterations" j) in
-    match J.to_int iters with
-    | Some _ -> Ok ()
-    | None -> fail "%s.iterations is not an int" ctx
-  in
-  let positive what j =
-    match J.to_float_opt j with
-    | Some v when v > 0. -> Ok ()
-    | Some v -> fail "%s %g is not positive" what v
-    | None -> fail "%s is not a number" what
-  in
-  let result =
-    let* doc =
-      match J.parse (read ()) with
-      | Ok d -> Ok d
-      | Error e -> fail "JSON parse error: %s" e
-    in
-    let* build = require "build" (J.member "build" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match Option.bind (J.member key build) J.to_string_opt with
-              | Some v when v <> "" -> Ok ()
-              | _ -> fail "build.%s is not a non-empty string" key))
-        (Ok ()) [ "ocaml"; "profile"; "commit" ]
-    in
-    let* host = require "build.host" (J.member "host" build) in
-    let* () =
-      match Option.bind (J.member "vcpus" host) J.to_int with
-      | Some n when n >= 1 -> Ok ()
-      | Some n -> fail "build.host.vcpus %d: need at least 1" n
-      | None -> fail "build.host.vcpus is not an int"
-    in
-    let* () =
-      match J.member "model" host with
-      | None -> Ok ()
-      | Some m when J.to_string_opt m <> None -> Ok ()
-      | Some _ -> fail "build.host.model is not a string"
-    in
-    let* benches = require "benchmarks" (J.member "benchmarks" doc) in
-    let* benches =
-      require "benchmarks as a list" (J.to_list benches)
-    in
-    let* () =
-      List.fold_left
-        (fun acc (i, b) -> Result.bind acc (fun () -> check_benchmark i b))
-        (Ok ())
-        (List.mapi (fun i b -> (i, b)) benches)
-    in
-    let* rt = require "routing_throughput" (J.member "routing_throughput" doc) in
-    let* params = require "routing_throughput.params" (J.member "params" rt) in
-    let param key = Option.bind (J.member key params) J.to_int in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match param key with
-              | Some _ -> Ok ()
-              | None -> fail "routing_throughput.params.%s missing" key))
-        (Ok ())
-        [ "big_n"; "n"; "r"; "k"; "m"; "connect_ops"; "total_ops" ]
-    in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              let what = "routing_throughput." ^ key in
-              let* j = require what (J.member key rt) in
-              positive what j))
-        (Ok ())
-        [ "elapsed_s"; "connects_per_s"; "connects_per_s_min";
-          "connects_per_s_max" ]
-    in
-    let* () =
-      let cps key = Option.bind (J.member key rt) J.to_float_opt in
-      match
-        ( Option.bind (J.member "trials" rt) J.to_int,
-          cps "connects_per_s_min",
-          cps "connects_per_s",
-          cps "connects_per_s_max" )
-      with
-      | Some n, _, _, _ when n < 5 ->
-        fail "routing_throughput.trials %d: need at least 5" n
-      | Some _, Some lo, Some mid, Some hi when lo <= mid && mid <= hi -> Ok ()
-      | Some _, Some lo, Some mid, Some hi ->
-        fail "routing_throughput: connects_per_s %g is outside [min %g, max %g]"
-          mid lo hi
-      | _ -> fail "routing_throughput.trials is not an int"
-    in
-    let* () =
-      match
-        ( Option.bind (J.member "accepted" rt) J.to_int,
-          param "connect_ops" )
-      with
-      | Some a, Some c when a >= 0 && a <= c -> Ok ()
-      | Some a, Some c ->
-        fail "routing_throughput.accepted %d is outside 0..connect_ops %d" a c
-      | _ -> fail "routing_throughput.accepted is not an int"
-    in
-    let* () =
-      match Option.bind (J.member "route_checksum" rt) J.to_int with
-      | Some _ -> Ok ()
-      | None -> fail "routing_throughput.route_checksum is not an int"
-    in
-    let* rearr =
-      require "routing_throughput.rearrangement" (J.member "rearrangement" rt)
-    in
-    let* _ = require "rearrangement as a list" (J.to_list rearr) in
-    let* persist = require "persistence" (J.member "persistence" doc) in
-    let* wal = require "persistence.wal" (J.member "wal" persist) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key wal with
-              | Some j -> number (Printf.sprintf "persistence.wal.%s" key) j
-              | None -> fail "persistence.wal.%s missing" key))
-        (Ok ())
-        [ "records"; "bytes"; "trials"; "elapsed_s"; "baseline_s";
-          "overhead_pct" ]
-    in
-    let* () =
-      match Option.bind (J.member "trials" wal) J.to_int with
-      | Some n when n >= 5 -> Ok ()
-      | Some n -> fail "persistence.wal.trials %d: need at least 5 pairs" n
-      | None -> fail "persistence.wal.trials is not an int"
-    in
-    let* snap = require "persistence.snapshot" (J.member "snapshot" persist) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key snap with
-              | Some j -> number (Printf.sprintf "persistence.snapshot.%s" key) j
-              | None -> fail "persistence.snapshot.%s missing" key))
-        (Ok ())
-        [ "bytes"; "routes"; "write_ms"; "restore_ms" ]
-    in
-    let* recov = require "persistence.recovery" (J.member "recovery" persist) in
-    let* dm =
-      require "persistence.recovery.digest_match" (J.member "digest_match" recov)
-    in
-    let* () =
-      match dm with
-      | J.Bool true -> Ok ()
-      | J.Bool false -> fail "recovery.digest_match is false: recovery diverged"
-      | _ -> fail "recovery.digest_match is not a bool"
-    in
-    let* serving = require "serving" (J.member "serving" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key serving with
-              | Some j -> number (Printf.sprintf "serving.%s" key) j
-              | None -> fail "serving.%s missing" key))
-        (Ok ())
-        [
-          "requests";
-          "elapsed_s";
-          "requests_per_s";
-          "pipelined_requests_per_s";
-          "pipelined_slowdown";
-          "idle_conns";
-          "inproc_ops_per_s";
-          "slowdown";
-        ]
-    in
-    let* sdm = require "serving.digest_match" (J.member "digest_match" serving) in
-    let* () =
-      match sdm with
-      | J.Bool true -> Ok ()
-      | J.Bool false ->
-        fail "serving.digest_match is false: served state diverged"
-      | _ -> fail "serving.digest_match is not a bool"
-    in
-    let* stages = require "stage_latency" (J.member "stage_latency" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key stages with
-              | Some j -> number (Printf.sprintf "stage_latency.%s" key) j
-              | None -> fail "stage_latency.%s missing" key))
-        (Ok ())
-        [ "requests"; "traced_s"; "untraced_s"; "overhead_pct" ]
-    in
-    let* ook =
-      require "stage_latency.overhead_ok" (J.member "overhead_ok" stages)
-    in
-    let* () =
-      match ook with
-      | J.Bool _ -> Ok ()
-      | _ -> fail "stage_latency.overhead_ok is not a bool"
-    in
-    let* sobj = require "stage_latency.stages" (J.member "stages" stages) in
-    let* () =
-      List.fold_left
-        (fun acc stage ->
-          Result.bind acc (fun () ->
-              let ctx = Printf.sprintf "stage_latency.stages.%s" stage in
-              let* s = require ctx (J.member stage sobj) in
-              let* count = require (ctx ^ ".count") (J.member "count" s) in
-              let* () =
-                match J.to_int count with
-                | Some _ -> Ok ()
-                | None -> fail "%s.count is not an int" ctx
-              in
-              List.fold_left
-                (fun acc key ->
-                  Result.bind acc (fun () ->
-                      match J.member key s with
-                      | Some J.Null -> Ok ()  (* empty histogram *)
-                      | Some j -> number (Printf.sprintf "%s.%s" ctx key) j
-                      | None -> fail "%s.%s missing" ctx key))
-                (Ok ())
-                [ "p50_s"; "p95_s"; "p99_s" ]))
-        (Ok ())
-        [ "decode"; "queue"; "execute"; "wal"; "replicate"; "respond"; "total" ]
-    in
-    let* repl = require "replication" (J.member "replication" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match J.member key repl with
-              | Some j -> number (Printf.sprintf "replication.%s" key) j
-              | None -> fail "replication.%s missing" key))
-        (Ok ())
-        [
-          "requests"; "standalone_requests_per_s"; "replicated_requests_per_s";
-          "overhead_pct"; "follower_lag_ops"; "catchup_s";
-        ]
-    in
-    let* rdm =
-      require "replication.digest_match" (J.member "digest_match" repl)
-    in
-    let* () =
-      match rdm with
-      | J.Bool true -> Ok ()
-      | J.Bool false ->
-        fail "replication.digest_match is false: the follower diverged"
-      | _ -> fail "replication.digest_match is not a bool"
-    in
-    let* mesh = require "mesh_blocking" (J.member "mesh_blocking" doc) in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          Result.bind acc (fun () ->
-              match Option.bind (J.member key mesh) J.to_int with
-              | Some _ -> Ok ()
-              | None -> fail "mesh_blocking.%s missing" key))
-        (Ok ())
-        [ "seed"; "wavelengths"; "arrivals_per_cell" ]
-    in
-    let* cells = require "mesh_blocking.cells" (J.member "cells" mesh) in
-    let* cells = require "mesh_blocking.cells as a list" (J.to_list cells) in
-    let check_cell i j =
-      let ctx = Printf.sprintf "mesh_blocking.cells[%d]" i in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            Result.bind acc (fun () ->
-                match Option.bind (J.member key j) J.to_string_opt with
-                | Some _ -> Ok ()
-                | None -> fail "%s.%s is not a string" ctx key))
-          (Ok ())
-          [ "topo"; "strategy" ]
-      in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            Result.bind acc (fun () ->
-                match Option.bind (J.member key j) J.to_int with
-                | Some _ -> Ok ()
-                | None -> fail "%s.%s is not an int" ctx key))
-          (Ok ())
-          [ "arrivals"; "accepted"; "blocked" ]
-      in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            Result.bind acc (fun () ->
-                match J.member key j with
-                | Some v -> number (Printf.sprintf "%s.%s" ctx key) v
-                | None -> fail "%s.%s missing" ctx key))
-          (Ok ())
-          [ "erlangs"; "blocking"; "mean_active" ]
-      in
-      let* () =
-        match Option.bind (J.member "blocking" j) J.to_float_opt with
-        | Some pb when pb >= 0. && pb <= 1. -> Ok ()
-        | Some pb -> fail "%s.blocking %.3f outside [0,1]" ctx pb
-        | None -> fail "%s.blocking is not a number" ctx
-      in
-      let geti key = Option.bind (J.member key j) J.to_int in
-      match (geti "arrivals", geti "accepted", geti "blocked") with
-      | Some a, Some ok, Some b when a = ok + b -> Ok ()
-      | Some a, Some ok, Some b ->
-        fail "%s: arrivals %d <> accepted %d + blocked %d" ctx a ok b
-      | _ -> fail "%s: arrival counts are not ints" ctx
-    in
-    let* () =
-      List.fold_left
-        (fun acc (i, j) -> Result.bind acc (fun () -> check_cell i j))
-        (Ok ())
-        (List.mapi (fun i j -> (i, j)) cells)
-    in
-    let distinct key =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun j -> Option.bind (J.member key j) J.to_string_opt)
-           cells)
-    in
-    let* () =
-      if List.length (distinct "topo") >= 2 then Ok ()
-      else fail "mesh_blocking must cover at least 2 topologies"
-    in
-    let* () =
-      if List.length (distinct "strategy") >= 2 then Ok ()
-      else fail "mesh_blocking must cover at least 2 assignment strategies"
-    in
-    let* cmp = require "strategy_compare" (J.member "strategy_compare" doc) in
-    let* () =
-      match Option.bind (J.member "seed" cmp) J.to_int with
-      | Some _ -> Ok ()
-      | None -> fail "strategy_compare.seed missing"
-    in
-    let* ccells = require "strategy_compare.cells" (J.member "cells" cmp) in
-    let* ccells =
-      require "strategy_compare.cells as a list" (J.to_list ccells)
-    in
-    let check_compare_cell i j =
-      let ctx = Printf.sprintf "strategy_compare.cells[%d]" i in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            Result.bind acc (fun () ->
-                match Option.bind (J.member key j) J.to_string_opt with
-                | Some _ -> Ok ()
-                | None -> fail "%s.%s is not a string" ctx key))
-          (Ok ())
-          [ "engine"; "workload"; "strategy" ]
-      in
-      let* () =
-        match Option.bind (J.member "mean_connect_us" j) J.to_float_opt with
-        | Some us when us >= 0. -> Ok ()
-        | Some us -> fail "%s.mean_connect_us %.1f is negative" ctx us
-        | None -> fail "%s.mean_connect_us is not a number" ctx
-      in
-      let* () =
-        match Option.bind (J.member "blocking" j) J.to_float_opt with
-        | Some pb when pb >= 0. && pb <= 1. -> Ok ()
-        | Some pb -> fail "%s.blocking %.3f outside [0,1]" ctx pb
-        | None -> fail "%s.blocking is not a number" ctx
-      in
-      let geti key = Option.bind (J.member key j) J.to_int in
-      match (geti "attempts", geti "accepted", geti "blocked") with
-      | Some a, Some ok, Some b when a = ok + b -> Ok ()
-      | Some a, Some ok, Some b ->
-        fail "%s: attempts %d <> accepted %d + blocked %d" ctx a ok b
-      | _ -> fail "%s: attempt counts are not ints" ctx
-    in
-    let* () =
-      List.fold_left
-        (fun acc (i, j) -> Result.bind acc (fun () -> check_compare_cell i j))
-        (Ok ())
-        (List.mapi (fun i j -> (i, j)) ccells)
-    in
-    let distinct_cmp key =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun j -> Option.bind (J.member key j) J.to_string_opt)
-           ccells)
-    in
-    let* () =
-      if List.length (distinct_cmp "strategy") >= 2 then Ok ()
-      else fail "strategy_compare must race at least 2 strategies"
-    in
-    let* () =
-      if List.length (distinct_cmp "workload") >= 2 then Ok ()
-      else fail "strategy_compare must cover at least 2 workloads"
-    in
-    let* () =
-      if List.length (distinct_cmp "engine") >= 2 then Ok ()
-      else fail "strategy_compare must exercise both engines"
-    in
-    let* mc = require "mesh_connect" (J.member "mesh_connect" doc) in
-    let* mrows = require "mesh_connect.rows" (J.member "rows" mc) in
-    let* mrows = require "mesh_connect.rows as a list" (J.to_list mrows) in
-    (* lo <= mid <= hi, all numbers, all positive unless [zero_ok] *)
-    let spread ctx j ~zero_ok (mid, lo, hi) =
-      let get key =
-        match Option.bind (J.member key j) J.to_float_opt with
-        | Some v when v > 0. || zero_ok -> Ok v
-        | Some v -> fail "%s.%s %.3f is not positive" ctx key v
-        | None -> fail "%s.%s is not a number" ctx key
-      in
-      let* m = get mid in
-      let* l = get lo in
-      let* h = get hi in
-      if l <= m && m <= h then Ok ()
-      else fail "%s.%s %g is outside [%s %g, %s %g]" ctx mid m lo l hi h
-    in
-    let check_connect_row i j =
-      let ctx = Printf.sprintf "mesh_connect.rows[%d]" i in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            let* () = acc in
-            match Option.bind (J.member key j) J.to_string_opt with
-            | Some _ -> Ok ()
-            | None -> fail "%s.%s is not a string" ctx key)
-          (Ok ()) [ "strategy"; "splitters" ]
-      in
-      let* () =
-        match Option.bind (J.member "trials" j) J.to_int with
-        | Some n when n >= 3 -> Ok ()
-        | Some n -> fail "%s.trials %d: need at least 3" ctx n
-        | None -> fail "%s.trials is not an int" ctx
-      in
-      let* () =
-        match Option.bind (J.member "outcome_checksum" j) J.to_int with
-        | Some _ -> Ok ()
-        | None -> fail "%s.outcome_checksum is not an int" ctx
-      in
-      let* () =
-        spread ctx j ~zero_ok:false ("total_ms", "total_ms_min", "total_ms_max")
-      in
-      let* arrivals =
-        require (ctx ^ ".arrivals") (Option.bind (J.member "arrivals" j) J.to_int)
-      in
-      let* counted =
-        List.fold_left
-          (fun acc cls ->
-            let* sum = acc in
-            let cctx = Printf.sprintf "%s.%s" ctx cls in
-            let* c = require cctx (J.member cls j) in
-            let* n =
-              require (cctx ^ ".count")
-                (Option.bind (J.member "count" c) J.to_int)
-            in
-            let* () =
-              List.fold_left
-                (fun acc key ->
-                  let* () = acc in
-                  match Option.bind (J.member key c) J.to_float_opt with
-                  | Some us when us > 0. || n = 0 -> Ok ()
-                  | Some us -> fail "%s.%s %.3f is not positive" cctx key us
-                  | None -> fail "%s.%s is not a number" cctx key)
-                (Ok ())
-                [ "mean_us"; "p50_us"; "p99_us" ]
-            in
-            let* () =
-              spread cctx c ~zero_ok:(n = 0)
-                ("mean_us", "mean_us_min", "mean_us_max")
-            in
-            Ok (sum + n))
-          (Ok 0)
-          [ "unicast"; "multicast"; "refused" ]
-      in
-      if counted = arrivals then Ok ()
-      else
-        fail "%s: arrivals %d <> unicast + multicast + refused %d" ctx arrivals
-          counted
-    in
-    let* () =
-      List.fold_left
-        (fun acc (i, j) -> Result.bind acc (fun () -> check_connect_row i j))
-        (Ok ())
-        (List.mapi (fun i j -> (i, j)) mrows)
-    in
-    let* () =
-      let names =
-        List.sort_uniq compare
-          (List.filter_map
-             (fun j -> Option.bind (J.member "strategy" j) J.to_string_opt)
-             mrows)
-      in
-      if List.length names >= 5 then Ok ()
-      else fail "mesh_connect must time at least 5 strategies"
-    in
-    let* () =
-      (* both sides of the refusal gate: every node splitting, and not *)
-      let split =
-        List.filter_map
-          (fun j -> Option.bind (J.member "splitters" j) J.to_string_opt)
-          mrows
-      in
-      if List.mem "all" split && List.exists (fun s -> s <> "all") split then
-        Ok ()
-      else fail "mesh_connect must time splitters \"all\" and a sparse set"
-    in
-    Ok (List.length benches)
-  in
-  match result with
-  | Ok nb -> Printf.printf "%s: schema ok (%d micro-benchmarks)\n" path nb
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Result.bind (J.parse text) Schema.check with
+  | Ok () -> Printf.printf "%s: schema ok\n" path
   | Error e ->
     Printf.eprintf "%s: schema violation: %s\n" path e;
     exit 1
+
+(* The machine-readable sections, in the order they run; --quick runs
+   them at reduced sizes. *)
+let ledger ~quick =
+  let rt, (topo, ops) = routing_throughput ~quick () in
+  let persist = persistence_bench ~topo ~ops in
+  let micro = micro_benchmarks ~quick () in
+  let meshb = mesh_blocking_bench ~quick () in
+  let meshc = mesh_connect_bench ~quick () in
+  let cmp = strategy_compare_bench ~quick () in
+  write_results [ micro; rt; persist; meshb; meshc; cmp ]
 
 let full () =
   table1 ();
@@ -2298,32 +1310,14 @@ let full () =
   frontier ();
   exact_frontier ();
   blocking_vs_load ();
-  let rt, (topo, ops, dt) = routing_throughput ~quick:false () in
-  let persist = persistence_bench ~topo ~ops in
-  let serving = serving_bench ~topo ~ops ~dt_baseline:dt in
-  let stages = stage_latency_bench ~topo ~ops in
-  let repl = replication_bench ~topo ~ops in
-  let micro = micro_benchmarks ~quick:false () in
-  let meshb = mesh_blocking_bench ~quick:false () in
-  let meshc = mesh_connect_bench ~quick:false () in
-  let cmp = strategy_compare_bench ~quick:false () in
-  write_results [ micro; rt; persist; serving; stages; repl; meshb; meshc; cmp ];
+  ledger ~quick:false;
   print_endline "All reproduction sections completed."
 
 (* --quick runs just the machine-readable sections at reduced sizes —
    the CI profile: fast enough for every push, still ends with a
    BENCH_results.json that --validate can gate on. *)
 let quick () =
-  let rt, (topo, ops, dt) = routing_throughput ~quick:true () in
-  let persist = persistence_bench ~topo ~ops in
-  let serving = serving_bench ~topo ~ops ~dt_baseline:dt in
-  let stages = stage_latency_bench ~topo ~ops in
-  let repl = replication_bench ~topo ~ops in
-  let micro = micro_benchmarks ~quick:true () in
-  let meshb = mesh_blocking_bench ~quick:true () in
-  let meshc = mesh_connect_bench ~quick:true () in
-  let cmp = strategy_compare_bench ~quick:true () in
-  write_results [ micro; rt; persist; serving; stages; repl; meshb; meshc; cmp ];
+  ledger ~quick:true;
   print_endline "Quick bench profile completed."
 
 let () =

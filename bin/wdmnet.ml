@@ -1750,35 +1750,8 @@ let mesh_cmd =
       (match json with
       | None -> ()
       | Some file ->
-        let module J = Tel.Json in
-        let doc =
-          J.Obj
-            [
-              ("seed", J.Int spec.Campaign.seed);
-              ("wavelengths", J.Int spec.Campaign.k);
-              ("arrivals_per_cell", J.Int spec.Campaign.arrivals);
-              ( "cells",
-                J.List
-                  (List.map
-                     (fun (c : Campaign.cell) ->
-                       let p = c.Campaign.point in
-                       J.Obj
-                         [
-                           ("topo", J.String c.Campaign.topo);
-                           ("strategy", J.String c.Campaign.strategy);
-                           ( "erlangs",
-                             J.Float p.Wdm_traffic.Erlang.offered_erlangs );
-                           ("arrivals", J.Int p.Wdm_traffic.Erlang.arrivals);
-                           ("accepted", J.Int p.Wdm_traffic.Erlang.accepted);
-                           ("blocked", J.Int p.Wdm_traffic.Erlang.blocked);
-                           ("blocking", J.Float p.Wdm_traffic.Erlang.blocking);
-                           ( "mean_active",
-                             J.Float p.Wdm_traffic.Erlang.mean_active );
-                         ])
-                     cells) );
-            ]
-        in
-        write_file file (J.to_string doc ^ "\n");
+        write_file file
+          (Tel.Json.to_string (Campaign.to_json spec cells) ^ "\n");
         Printf.printf "wrote %s (%d cells)\n" file (List.length cells))
   in
   Cmd.v
@@ -1836,34 +1809,8 @@ let compare_cmd =
       (match json with
       | None -> ()
       | Some file ->
-        let module J = Tel.Json in
-        let doc =
-          J.Obj
-            [
-              ("seed", J.Int spec.Compare.seed);
-              ( "strategies",
-                J.List
-                  (List.map (fun s -> J.String s) spec.Compare.strategies) );
-              ( "cells",
-                J.List
-                  (List.map
-                     (fun (c : Compare.cell) ->
-                       J.Obj
-                         [
-                           ("engine", J.String c.Compare.engine);
-                           ("workload", J.String c.Compare.workload);
-                           ("strategy", J.String c.Compare.strategy);
-                           ("attempts", J.Int c.Compare.attempts);
-                           ("accepted", J.Int c.Compare.accepted);
-                           ("blocked", J.Int c.Compare.blocked);
-                           ("blocking", J.Float c.Compare.blocking);
-                           ( "mean_connect_us",
-                             J.Float c.Compare.mean_connect_us );
-                         ])
-                     cells) );
-            ]
-        in
-        write_file file (J.to_string doc ^ "\n");
+        write_file file
+          (Tel.Json.to_string (Compare.to_json spec cells) ^ "\n");
         Printf.printf "wrote %s (%d cells)\n" file (List.length cells))
   in
   Cmd.v

@@ -266,3 +266,27 @@ let pp_table ppf cells =
   Format.fprintf ppf "@[<v>";
   pp_table ppf cells;
   Format.fprintf ppf "@]"
+
+let to_json spec cells =
+  let module J = Wdm_telemetry.Json in
+  J.Obj
+    [
+      ("seed", J.Int spec.seed);
+      ("strategies", J.List (List.map (fun s -> J.String s) spec.strategies));
+      ( "cells",
+        J.List
+          (List.map
+             (fun c ->
+               J.Obj
+                 [
+                   ("engine", J.String c.engine);
+                   ("workload", J.String c.workload);
+                   ("strategy", J.String c.strategy);
+                   ("attempts", J.Int c.attempts);
+                   ("accepted", J.Int c.accepted);
+                   ("blocked", J.Int c.blocked);
+                   ("blocking", J.Float c.blocking);
+                   ("mean_connect_us", J.Float c.mean_connect_us);
+                 ])
+             cells) );
+    ]

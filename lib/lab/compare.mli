@@ -75,3 +75,8 @@ val run : spec -> (cell list, string) result
 
 val pp_table : Format.formatter -> cell list -> unit
 (** Aligned blocking/latency table grouped by workload. *)
+
+val to_json : spec -> cell list -> Wdm_telemetry.Json.t
+(** The table as the [strategy_compare] object of [BENCH_results.json]
+    (schema: EXPERIMENTS.md), which [wdmnet compare --json] also
+    writes. *)

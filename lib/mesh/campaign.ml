@@ -100,3 +100,29 @@ let pp_table ppf cells =
         c.strategy c.point.Erlang.offered_erlangs c.point.Erlang.blocked
         c.point.Erlang.blocking c.point.Erlang.mean_active)
     cells
+
+let to_json spec cells =
+  let module J = Wdm_telemetry.Json in
+  J.Obj
+    [
+      ("seed", J.Int spec.seed);
+      ("wavelengths", J.Int spec.k);
+      ("arrivals_per_cell", J.Int spec.arrivals);
+      ( "cells",
+        J.List
+          (List.map
+             (fun c ->
+               let p = c.point in
+               J.Obj
+                 [
+                   ("topo", J.String c.topo);
+                   ("strategy", J.String c.strategy);
+                   ("erlangs", J.Float p.Erlang.offered_erlangs);
+                   ("arrivals", J.Int p.Erlang.arrivals);
+                   ("accepted", J.Int p.Erlang.accepted);
+                   ("blocked", J.Int p.Erlang.blocked);
+                   ("blocking", J.Float p.Erlang.blocking);
+                   ("mean_active", J.Float p.Erlang.mean_active);
+                 ])
+             cells) );
+    ]

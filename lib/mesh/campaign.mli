@@ -42,3 +42,7 @@ val run :
 
 val pp_table : Format.formatter -> cell list -> unit
 (** Aligned blocking-probability table grouped by topology/strategy. *)
+
+val to_json : spec -> cell list -> Wdm_telemetry.Json.t
+(** The table as the [mesh_blocking] object of [BENCH_results.json]
+    (schema: EXPERIMENTS.md), which [wdmnet mesh --json] also writes. *)

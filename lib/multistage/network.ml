@@ -186,6 +186,13 @@ type t = {
   (* scratch for the allocation-free selection loops; never observable
      across calls *)
   scratch_uncovered : int array;
+  (* [check_plan]'s membership marks: an entry equal to [plan_stamp]
+     is marked in the current check (middles, and requested and served
+     output modules) *)
+  mark_middle : int array;
+  mark_requested : int array;
+  mark_served : int array;
+  mutable plan_stamp : int;
   instruments : instruments option;
   (* resolved once at create/restore, so the hot path never consults
      the registry *)
@@ -331,6 +338,10 @@ let create ?(config = Config.default) ~construction ~output_model
     failed_outputs = Iset.empty;
     dead_converters = Pset.empty;
     scratch_uncovered = Array.make topo.r 0;
+    mark_middle = Array.make topo.m 0;
+    mark_requested = Array.make topo.r 0;
+    mark_served = Array.make topo.r 0;
+    plan_stamp = 0;
     instruments = Option.map (register_instruments topo) telemetry;
     plugin;
   }
@@ -622,36 +633,60 @@ end
 
 (* A plug-in's plan is checked against the engine invariants the
    built-ins uphold by construction, so a buggy plug-in surfaces as a
-   loud [Invalid_argument] instead of corrupting the link planes. *)
+   loud [Invalid_argument] instead of corrupting the link planes.  The
+   checks run in a fixed order, so a plan breaking several invariants
+   always names the same one; membership is read off the stamp arrays,
+   so a check costs O(|fanout| + |plan|). *)
 let check_plan t ~input_switch ~src_wl ~fanout ~name plan =
   let bad reason =
     invalid_arg
       (Printf.sprintf "Network: strategy %S returned an invalid plan (%s)"
          name reason)
   in
-  let picks = List.filter (fun (_, serves) -> serves <> []) plan in
-  if List.length picks > t.x_limit then bad "more than x_limit middles";
-  let js = List.map fst plan in
-  if List.length (List.sort_uniq Int.compare js) <> List.length js then
-    bad "repeated middle";
+  t.plan_stamp <- t.plan_stamp + 1;
+  let stamp = t.plan_stamp and m = t.topo.m and r = t.topo.r in
+  let picks =
+    List.fold_left (fun n (_, serves) -> if serves = [] then n else n + 1) 0 plan
+  in
+  if picks > t.x_limit then bad "more than x_limit middles";
+  (* a repeat among out-of-range middles counts too; only a bad plan
+     has any *)
+  let rec distinct outside = function
+    | [] -> ()
+    | (j, _) :: rest when j >= 1 && j <= m ->
+      if t.mark_middle.(j - 1) = stamp then bad "repeated middle";
+      t.mark_middle.(j - 1) <- stamp;
+      distinct outside rest
+    | (j, _) :: rest ->
+      if List.mem j outside then bad "repeated middle";
+      distinct (j :: outside) rest
+  in
+  distinct [] plan;
+  (* the fanout is the engine's own: distinct modules in 1..r *)
+  List.iter (fun p -> t.mark_requested.(p - 1) <- stamp) fanout;
+  (* a module served twice is reported only after every hop's own
+     checks, as a whole-plan property *)
+  let served_twice =
+    List.fold_left
+      (fun twice (j, serves) ->
+        if j < 1 || j > m then bad "middle out of range";
+        if serves <> [] && not (middle_available t ~input_switch ~src_wl j) then
+          bad "unavailable middle";
+        List.fold_left
+          (fun twice p ->
+            if not (p >= 1 && p <= r && t.mark_requested.(p - 1) = stamp) then
+              bad "serves a module outside the request";
+            if not (middle_covers t ~input_switch ~src_wl j p) then
+              bad "claims an uncoverable module";
+            let again = t.mark_served.(p - 1) = stamp in
+            t.mark_served.(p - 1) <- stamp;
+            twice || again)
+          twice serves)
+      false plan
+  in
+  if served_twice then bad "module served twice";
   List.iter
-    (fun (j, serves) ->
-      if j < 1 || j > t.topo.m then bad "middle out of range";
-      if serves <> [] && not (middle_available t ~input_switch ~src_wl j) then
-        bad "unavailable middle";
-      List.iter
-        (fun p ->
-          if not (List.mem p fanout) then
-            bad "serves a module outside the request";
-          if not (middle_covers t ~input_switch ~src_wl j p) then
-            bad "claims an uncoverable module")
-        serves)
-    plan;
-  let served = List.concat_map snd plan in
-  if List.length (List.sort_uniq Int.compare served) <> List.length served
-  then bad "module served twice";
-  List.iter
-    (fun p -> if not (List.mem p served) then bad "module left uncovered")
+    (fun p -> if t.mark_served.(p - 1) <> stamp then bad "module left uncovered")
     fanout
 
 let select t ~input_switch ~src_wl fanout =
@@ -1518,6 +1553,9 @@ let copy t =
     stage2 = copy_stage t.stage2;
     middle_occ = Array.copy t.middle_occ;
     scratch_uncovered = Array.make t.topo.r 0;
+    mark_middle = Array.make t.topo.m 0;
+    mark_requested = Array.make t.topo.r 0;
+    mark_served = Array.make t.topo.r 0;
     (* a snapshot is for speculative search (the adversary's what-ifs);
        letting it feed the original's instruments would corrupt the
        production counters *)

@@ -268,31 +268,228 @@ let test_no_rebinding () =
     [ "first-fit"; "most-used"; "least-used"; "random"; "coloring" ]
 
 (* Every plan goes through the engine's plan check before a link is
-   touched: a plug-in whose plan breaks an invariant is refused loudly
-   and leaves the network as it was. *)
+   touched: a plug-in whose plan breaks an invariant is refused loudly,
+   naming the invariant, and leaves the network as it was.  Each case
+   sets x_limit (3 leaves room for its picks); requests from input
+   module 2 route first-fit, so a case can occupy links first. *)
 let test_invalid_plan_refused () =
   let topo = Topology.make_exn ~n:2 ~m:4 ~r:2 ~k:2 in
+  (* output modules 1 and 2 *)
   let conn =
     Connection.make_exn ~source:(ep 1 1) ~destinations:[ ep 2 1; ep 3 1 ]
   in
+  let no_prep _ = () in
+  (* port 4 to port 4 on wavelength 1, first fit: middle 1's link to
+     output module 2 is taken on that wavelength *)
+  let take_link net =
+    ignore
+      (Result.get_ok
+         (Network.connect net
+            (Connection.make_exn ~source:(ep 4 1) ~destinations:[ ep 4 1 ])))
+  in
   List.iter
-    (fun (name, plan) ->
+    (fun (name, reason, x_limit, prepare, plan) ->
       Network.Strategy.register
-        { name; doc = "an invalid plan"; select = (fun c -> Some (plan c)) };
+        {
+          name;
+          doc = "an invalid plan";
+          select =
+            (fun c ->
+              if Network.Strategy.input_switch c = 2 then
+                Network.Strategy.cover_in_order c (Network.Strategy.available c)
+              else Some (plan c));
+        };
       let net =
         Network.create
-          ~config:{ Network.Config.default with strategy = name }
+          ~config:
+            {
+              Network.Config.default with
+              strategy = name;
+              x_limit = Some x_limit;
+            }
           ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
       in
+      prepare net;
+      let before = List.length (Network.active_routes net) in
       match Network.connect net conn with
-      | exception Invalid_argument _ ->
-        Alcotest.(check int) (name ^ ": nothing routed") 0
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) (name ^ ": reason")
+          (Printf.sprintf "Network: strategy %S returned an invalid plan (%s)"
+             name reason)
+          msg;
+        Alcotest.(check int) (name ^ ": nothing routed") before
           (List.length (Network.active_routes net))
       | _ -> Alcotest.failf "%s: plan accepted" name)
     [
-      ("test-uncovered", fun _ -> [ (1, [ 1 ]) ]);
-      ("test-outside", fun c -> [ (1, Network.Strategy.fanout c @ [ 3 ]) ]);
-      ("test-repeated", fun _ -> [ (1, [ 1 ]); (1, [ 2 ]) ]);
+      ( "test-x-limit", "more than x_limit middles", 1, no_prep,
+        fun _ -> [ (1, [ 1 ]); (2, [ 2 ]) ] );
+      ( "test-repeated", "repeated middle", 3, no_prep,
+        fun _ -> [ (1, [ 1 ]); (1, [ 2 ]) ] );
+      ( "test-range", "middle out of range", 3, no_prep,
+        fun _ -> [ (5, [ 1; 2 ]) ] );
+      ( "test-unavailable", "unavailable middle", 3,
+        (fun net -> ignore (Network.fail_middle net 1)),
+        fun _ -> [ (1, [ 1; 2 ]) ] );
+      ( "test-outside", "serves a module outside the request", 3, no_prep,
+        fun c -> [ (1, Network.Strategy.fanout c @ [ 3 ]) ] );
+      ( "test-uncoverable", "claims an uncoverable module", 3, take_link,
+        fun _ -> [ (1, [ 1; 2 ]) ] );
+      ( "test-twice", "module served twice", 3, no_prep,
+        fun _ -> [ (1, [ 1; 2 ]); (2, [ 2 ]) ] );
+      ( "test-uncovered", "module left uncovered", 3, no_prep,
+        fun _ -> [ (1, [ 1 ]) ] );
+      (* a plan breaking several invariants names the first checked *)
+      ( "test-repeated-outside-range", "repeated middle", 3, no_prep,
+        fun _ -> [ (0, [ 1 ]); (2, [ 2 ]); (0, [ 2 ]) ] );
+      ( "test-range-before-twice", "middle out of range", 3, no_prep,
+        fun _ -> [ (1, [ 1; 2 ]); (2, [ 2 ]); (9, []) ] );
+      ( "test-twice-after-uncoverable", "claims an uncoverable module", 3,
+        take_link, fun _ -> [ (2, [ 1; 2 ]); (3, [ 1 ]); (1, [ 2 ]) ] );
+    ]
+
+(* The plan check before it was indexed: whole lists and [List.mem],
+   in the same order.  Reads the engine state through the plug-in
+   context, so it sees exactly what the engine's check sees. *)
+let list_plan_check c plan =
+  let module S = Network.Strategy in
+  let fanout = S.fanout c and available = S.available c in
+  let exception Bad of string in
+  let bad reason = raise (Bad reason) in
+  match
+    let picks = List.filter (fun (_, serves) -> serves <> []) plan in
+    if List.length picks > S.x_limit c then bad "more than x_limit middles";
+    let js = List.map fst plan in
+    if List.length (List.sort_uniq Int.compare js) <> List.length js then
+      bad "repeated middle";
+    List.iter
+      (fun (j, serves) ->
+        if j < 1 || j > S.middles c then bad "middle out of range";
+        if serves <> [] && not (List.mem j available) then
+          bad "unavailable middle";
+        List.iter
+          (fun p ->
+            if not (List.mem p fanout) then
+              bad "serves a module outside the request";
+            if not (S.covers c ~middle:j p) then
+              bad "claims an uncoverable module")
+          serves)
+      plan;
+    let served = List.concat_map snd plan in
+    if List.length (List.sort_uniq Int.compare served) <> List.length served
+    then bad "module served twice";
+    List.iter
+      (fun p -> if not (List.mem p served) then bad "module left uncovered")
+      fanout
+  with
+  | () -> None
+  | exception Bad reason -> Some reason
+
+(* Random plans, and valid plans with one edit, against the list-based
+   check on a partly loaded fabric: the engine refuses exactly the
+   plans the list check refuses, naming the same invariant, and every
+   invariant is hit. *)
+let test_plan_check_oracle () =
+  let topo = Topology.make_exn ~n:3 ~m:6 ~r:3 ~k:2 in
+  let rng = Random.State.make [| 626 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let random_plan () =
+    List.init (Random.State.int rng 4) (fun _ ->
+        ( Random.State.int rng 9 - 1,
+          List.init (Random.State.int rng 4) (fun _ ->
+              Random.State.int rng 5 - 1) ))
+  in
+  let edit c plan =
+    let m = Network.Strategy.middles c in
+    match (Random.State.int rng 6, plan) with
+    | _, [] -> random_plan ()
+    | 0, (_, serves) :: rest -> (1 + Random.State.int rng m, serves) :: rest
+    | 1, (j, serves) :: rest -> (j, List.tl serves) :: rest
+    | 2, (j, serves) :: rest -> (j, pick serves :: serves) :: rest
+    | 3, plan -> (Random.State.int rng (m + 2), []) :: plan
+    | 4, plan -> plan @ [ pick plan ]
+    | _, (j, serves) :: rest ->
+      (j, serves @ [ 1 + Random.State.int rng 3 ]) :: rest
+  in
+  (* [None] routes first-fit; [Some f] hands the engine [f]'s plan and
+     records what the list check says of it *)
+  let mode = ref None and expected = ref None in
+  Network.Strategy.register
+    {
+      name = "test-plan-oracle";
+      doc = "a plan under test";
+      select =
+        (fun c ->
+          match !mode with
+          | None ->
+            Network.Strategy.cover_in_order c (Network.Strategy.available c)
+          | Some f ->
+            let plan = f c in
+            expected := Some (list_plan_check c plan);
+            Some plan);
+    };
+  let seen = Hashtbl.create 16 in
+  for _ = 1 to 3000 do
+    let net =
+      Network.create
+        ~config:
+          {
+            Network.Config.default with
+            strategy = "test-plan-oracle";
+            x_limit = Some 2;
+          }
+        ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
+    in
+    let random_conn () =
+      let port () = 1 + Random.State.int rng 9
+      and wl = 1 + Random.State.int rng 2 in
+      Connection.make_exn ~source:(ep (port ()) wl)
+        ~destinations:
+          (List.map
+             (fun p -> ep p wl)
+             (List.sort_uniq compare
+                (List.init (1 + Random.State.int rng 3) (fun _ -> port ()))))
+    in
+    mode := None;
+    for _ = 1 to Random.State.int rng 6 do
+      ignore (Network.connect net (random_conn ()))
+    done;
+    mode :=
+      Some
+        (fun c ->
+          if Random.State.bool rng then random_plan ()
+          else
+            match
+              Network.Strategy.cover_in_order c (Network.Strategy.available c)
+            with
+            | Some plan -> edit c plan
+            | None -> random_plan ());
+    expected := None;
+    let got =
+      match Network.connect net (random_conn ()) with
+      | exception Invalid_argument msg -> Some (Some msg)
+      | _ -> Some None
+    in
+    match !expected with
+    | None -> () (* refused before a plan was asked for *)
+    | Some want ->
+      let want_msg =
+        Option.map
+          (Printf.sprintf
+             "Network: strategy %S returned an invalid plan (%s)"
+             "test-plan-oracle")
+          want
+      in
+      Alcotest.(check (option (option string))) "refusal" (Some want_msg) got;
+      Hashtbl.replace seen (Option.value ~default:"accepted" want) ()
+  done;
+  List.iter
+    (fun reason ->
+      if not (Hashtbl.mem seen reason) then Alcotest.failf "never hit: %s" reason)
+    [
+      "accepted"; "more than x_limit middles"; "repeated middle";
+      "middle out of range"; "unavailable middle";
+      "serves a module outside the request"; "claims an uncoverable module";
+      "module served twice"; "module left uncovered";
     ]
 
 (* A lab strategy must survive the snapshot/restore codec: new names
@@ -421,6 +618,8 @@ let () =
           Alcotest.test_case "resolution and refusal" `Quick test_registry;
           Alcotest.test_case "an invalid plan is refused" `Quick
             test_invalid_plan_refused;
+          Alcotest.test_case "plan check = list-based check" `Quick
+            test_plan_check_oracle;
           Alcotest.test_case "a name is never rebound" `Quick
             test_no_rebinding;
           Alcotest.test_case "named strategy codec roundtrip" `Quick
