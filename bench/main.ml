@@ -1183,6 +1183,226 @@ let mesh_connect_bench ~quick () =
       ] )
 
 (* ----------------------------------------------------------------- *)
+(* Codec: the byte layer under every served frame                     *)
+(* ----------------------------------------------------------------- *)
+
+module Wire = Wdm_persist.Wire
+module Wal = Wdm_persist.Wal
+module Crc32 = Wdm_persist.Crc32
+
+let codec_trials = 5
+
+(* One request/response exchange as perfbench serves it: the request,
+   the response the engine gave it, and the ops the server logs. *)
+type exchange = {
+  x_name : string;
+  request : Resp.request;
+  response : Resp.t;
+  logged : Op.t list;
+}
+
+let exchange x_name pairs =
+  let request, response =
+    match pairs with
+    | [ (q, a) ] -> (q, a)
+    | _ ->
+      ( Resp.Batch (List.map fst pairs),
+        Resp.Batch_reply (List.map snd pairs) )
+  in
+  {
+    x_name;
+    request;
+    response;
+    logged = List.filter_map (fun (q, a) -> Resp.committed q a) pairs;
+  }
+
+(* mesh-batch's frame: nsf14, 32 wavelengths, first-fit, Erlang traffic
+   at 120 E with Zipf fanout <= 8; the 64 requests that follow a
+   2,000-request warm-up, executed as the server executes them. *)
+let mesh_batch_exchange () =
+  let net =
+    match
+      Mesh_network.create
+        ~config:{ Mesh_network.Config.default with k = 32 }
+        "nsf14"
+    with
+    | Ok m -> m
+    | Error e -> failwith ("codec: " ^ e)
+  in
+  let backend = Backend.Mesh net in
+  let warmup = 2_000 and seen = ref 0 and frame = ref [] in
+  let exec req =
+    let resp = Resp.execute_backend backend req in
+    incr seen;
+    if !seen > warmup then frame := (req, resp) :: !frame;
+    if List.length !frame = 64 then raise Exit;
+    resp
+  in
+  let sut =
+    {
+      Wdm_traffic.Churn.connect =
+        (fun c ->
+          match exec (Resp.Admit (Op.Connect c)) with
+          | Resp.Admitted { route; _ } -> Ok route.Network.id
+          | _ -> Error ());
+      disconnect = (fun id -> ignore (exec (Resp.Admit (Op.Disconnect id))));
+    }
+  in
+  (try
+     ignore
+       (Wdm_traffic.Erlang.run
+          (Random.State.make [| 1 |])
+          ~nodes:(Wdm_mesh.Graph.n (Mesh_network.graph net))
+          ~fanout:(Wdm_traffic.Fanout.Zipf { max = 8; s = 1.3 })
+          ~offered:120. ~arrivals:max_int sut)
+   with Exit -> ());
+  exchange "mesh-batch" (List.rev !frame)
+
+(* ms-seq's frame: one admitted connect on the N = 1024 fabric, halfway
+   through the recorded churn trace. *)
+let ms_seq_exchange ~topo ops =
+  let backend =
+    Backend.Net
+      (Network.create ~construction:Network.Msw_dominant ~output_model:Model.MSW
+         topo)
+  in
+  let half = Array.length ops / 2 in
+  let rec find i =
+    let req = Resp.Admit ops.(i) in
+    let resp = Resp.execute_backend backend req in
+    match resp with
+    | Resp.Admitted _ when i >= half -> exchange "ms-seq" [ (req, resp) ]
+    | _ -> find (i + 1)
+  in
+  find 0
+
+(* [iters] calls of [f] after one untimed call, timed, with the words
+   they allocated on the minor heap and directly on the major heap (the
+   words a minor collection promotes were allocated minor, so they are
+   not counted twice).  The reads nest so that no reading allocates
+   inside another's window: [Gc.minor_words] allocates nothing. *)
+let measure iters f =
+  f ();
+  let _, promoted0, major0 = Gc.counters () in
+  let t0 = Monotonic_clock.now () in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  let minor1 = Gc.minor_words () in
+  let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+  let _, promoted1, major1 = Gc.counters () in
+  let per x = x /. float_of_int iters in
+  ( per ns,
+    per (minor1 -. minor0),
+    per (major1 -. promoted1 -. (major0 -. promoted0)) )
+
+let spread xs =
+  J.Obj
+    [
+      ("median", J.Float (median xs));
+      ("min", J.Float (List.fold_left min infinity xs));
+      ("max", J.Float (List.fold_left max 0. xs));
+    ]
+
+(* Median, min and max over the trials of the time per frame and per
+   byte; the median of the allocation counts (they repeat exactly). *)
+let stage_json ~bytes trials =
+  let ns = List.map (fun (ns, _, _) -> ns) trials in
+  J.Obj
+    [
+      ("ns_per_frame", spread ns);
+      ( "ns_per_byte",
+        spread (List.map (fun ns -> ns /. float_of_int bytes) ns) );
+      ("minor_words", J.Float (median (List.map (fun (_, w, _) -> w) trials)));
+      ("major_words", J.Float (median (List.map (fun (_, _, w) -> w) trials)));
+    ]
+
+(* Per exchange: the server's encode + frame of the response through
+   its reused scratch buffer; the client's CRC check + decode of that
+   frame; the WAL append of the ops it logs under [Buffered], which
+   leaves the codec and the channel; and the CRC alone over the
+   response payload. *)
+let codec_row ~quick x =
+  let scratch = Buffer.create 4096 in
+  let encode () = Wire.frame_with scratch Resp.encode x.response in
+  let framed = encode () in
+  let request_bytes =
+    String.length
+      (Wire.frame_with (Buffer.create 64) Resp.encode_request x.request)
+  in
+  let bytes = String.length framed in
+  let iters = max 1 ((if quick then 4_000_000 else 16_000_000) / bytes) in
+  let decode () =
+    match Wire.read_frame framed ~pos:0 with
+    | Wire.Frame { payload; _ } -> (
+      match Resp.decode_string payload with
+      | Ok _ -> ()
+      | Error e -> failwith ("codec: " ^ e))
+    | _ -> failwith "codec: the frame does not read back"
+  in
+  let payload_len = bytes - 8 in
+  let crc () = ignore (Crc32.update 0 framed ~pos:8 ~len:payload_len) in
+  let wal_path = "bench_codec.wal" in
+  let wal_bytes = ref 0 in
+  let wal_trial () =
+    let w = Wal.create ~policy:Wal.Buffered wal_path in
+    let start = Wal.tell w in
+    let r = measure iters (fun () -> List.iter (Wal.append w) x.logged) in
+    wal_bytes := (Wal.tell w - start) / (iters + 1);
+    Wal.close w;
+    Sys.remove wal_path;
+    r
+  in
+  let trials f = List.init codec_trials (fun _ -> measure iters f) in
+  let enc = trials (fun () -> ignore (encode ())) in
+  let dec = trials decode in
+  let crc_t = trials crc in
+  let wal = List.init codec_trials (fun _ -> wal_trial ()) in
+  let show what l =
+    let pick f = median (List.map f l) in
+    Printf.sprintf "%s %.0f ns (%.0f minor + %.0f major words)" what
+      (pick (fun (ns, _, _) -> ns))
+      (pick (fun (_, w, _) -> w))
+      (pick (fun (_, _, w) -> w))
+  in
+  Printf.printf "%-10s %5d B  %s  %s  CRC %.2f ns/B  %s\n" x.x_name bytes
+    (show "encode+frame" enc) (show "check+decode" dec)
+    (median (List.map (fun (ns, _, _) -> ns) crc_t) /. float_of_int payload_len)
+    (show (Printf.sprintf "WAL %d records" (List.length x.logged)) wal);
+  J.Obj
+    [
+      ("name", J.String x.x_name);
+      ( "requests",
+        J.Int (match x.request with Resp.Batch l -> List.length l | _ -> 1) );
+      ("request_bytes", J.Int request_bytes);
+      ("response_bytes", J.Int bytes);
+      ("iterations", J.Int iters);
+      ("encode", stage_json ~bytes enc);
+      ("decode", stage_json ~bytes dec);
+      ( "crc",
+        J.Obj
+          [
+            ( "ns_per_byte",
+              spread
+                (List.map
+                   (fun (ns, _, _) -> ns /. float_of_int payload_len)
+                   crc_t) );
+          ] );
+      ("wal_records", J.Int (List.length x.logged));
+      ("wal_append", stage_json ~bytes:(max 1 !wal_bytes) wal);
+    ]
+
+let codec_bench ~quick ~topo ~ops =
+  section "Codec (encode + frame, CRC check + decode, WAL append)";
+  let rows =
+    List.map (codec_row ~quick)
+      [ mesh_batch_exchange (); ms_seq_exchange ~topo ops ]
+  in
+  print_newline ();
+  ("codec", J.Obj [ ("trials", J.Int codec_trials); ("inputs", J.List rows) ])
+
+(* ----------------------------------------------------------------- *)
 (* Strategy racing (plug-in lab)                                      *)
 (* ----------------------------------------------------------------- *)
 
@@ -1287,8 +1507,9 @@ let ledger ~quick =
   let micro = micro_benchmarks ~quick () in
   let meshb = mesh_blocking_bench ~quick () in
   let meshc = mesh_connect_bench ~quick () in
+  let codec = codec_bench ~quick ~topo ~ops in
   let cmp = strategy_compare_bench ~quick () in
-  write_results [ micro; rt; persist; meshb; meshc; cmp ]
+  write_results [ micro; rt; persist; meshb; meshc; codec; cmp ]
 
 let full () =
   table1 ();

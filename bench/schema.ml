@@ -177,6 +177,19 @@ let connect_class =
         Ordered ("mean_us_min", "mean_us", "mean_us_max");
       ]
 
+(* median, min and max over a row's trials *)
+let spread =
+  obj
+    (all pos [ "median"; "min"; "max" ])
+    ~conds:[ Ordered ("min", "median", "max") ]
+
+(* one stage of a codec input: its time per frame and per byte, and the
+   words one frame allocates *)
+let codec_stage =
+  obj
+    (all spread [ "ns_per_frame"; "ns_per_byte" ]
+    @ all (Num [ Ge 0. ]) [ "minor_words"; "major_words" ])
+
 let rearrangement_case =
   let strategy = [ "min-intersection"; "first-fit" ] in
   obj
@@ -214,8 +227,8 @@ let results =
              ( "params",
                obj
                  (all int
-                    [ "big_n"; "n"; "r"; "k"; "m"; "connect_ops"; "total_ops" ])
-             );
+                    [ "big_n"; "n"; "r"; "k"; "m"; "steps"; "connect_ops";
+                      "total_ops" ]) );
              ("trials", Int [ Ge 5 ]);
              ("accepted", Int [ Ge 0 ]);
              ("route_checksum", int);
@@ -243,12 +256,14 @@ let results =
             ( "wal",
               obj
                 (("trials", Int [ Ge 5 ])
-                :: all num
-                     [ "records"; "bytes"; "elapsed_s"; "baseline_s";
-                       "overhead_pct" ]) );
+                :: all (Int [ Ge 0 ]) [ "records"; "bytes" ]
+                @ all num [ "elapsed_s"; "baseline_s"; "overhead_pct" ]) );
             ( "snapshot",
-              obj (all num [ "bytes"; "routes"; "write_ms"; "restore_ms" ]) );
-            ("recovery", obj [ ("digest_match", True) ]);
+              obj
+                (all (Int [ Ge 0 ]) [ "bytes"; "routes" ]
+                @ all num [ "write_ms"; "restore_ms" ]) );
+            ( "recovery",
+              obj [ ("replayed", Int [ Ge 0 ]); ("digest_match", True) ] );
           ] );
       ( "mesh_blocking",
         obj
@@ -270,6 +285,12 @@ let results =
       ( "mesh_connect",
         obj
           [
+            ("topo", Str { nonempty = true; one_of = [] });
+            ("wavelengths", Int [ Ge 1 ]);
+            ("erlangs", pos);
+            ("fanout_max", Int [ Ge 1 ]);
+            ("seed", int);
+            ("warmup", Int [ Ge 0 ]);
             ( "rows",
               (* both sides of the refusal gate: every node splitting,
                  and a sparse set *)
@@ -294,10 +315,29 @@ let results =
                            "arrivals" );
                      ]) );
           ] );
+      ( "codec",
+        obj
+          [
+            ("trials", Int [ Ge 5 ]);
+            ( "inputs",
+              (* mesh-batch's frame and ms-seq's *)
+              list ~distinct:[ distinct "name" 2 ]
+                (obj
+                   ([
+                      ("name", Str { nonempty = true; one_of = [] });
+                      ("requests", Int [ Ge 1 ]);
+                      ("iterations", Int [ Ge 1 ]);
+                      ("wal_records", Int [ Ge 0 ]);
+                      ("crc", obj [ ("ns_per_byte", spread) ]);
+                    ]
+                   @ all (Int [ Ge 9 ]) [ "request_bytes"; "response_bytes" ]
+                   @ all codec_stage [ "encode"; "decode"; "wal_append" ])) );
+          ] );
       ( "strategy_compare",
         obj
           [
             ("seed", int);
+            ("strategies", list (Str { nonempty = true; one_of = [] }));
             ( "cells",
               list
                 ~distinct:

@@ -120,6 +120,33 @@ let mutations =
       "routing_throughput.rearrangement.0.strategy",
       set (J.String "min_intersection") );
     ("no rearrangement rows", "routing_throughput.rearrangement.*", remove);
+    (* integer counts *)
+    ("wal records 1.5", "persistence.wal.records", set (J.Float 1.5));
+    ("wal bytes negative", "persistence.wal.bytes", set (J.Int (-1)));
+    ("snapshot bytes 2.5", "persistence.snapshot.bytes", set (J.Float 2.5));
+    ("snapshot routes -3", "persistence.snapshot.routes", set (J.Int (-3)));
+    (* fields the parent validator never checked *)
+    ("missing recovery.replayed", "persistence.recovery.replayed", remove);
+    ("missing params.steps", "routing_throughput.params.steps", remove);
+    ("missing compare strategies", "strategy_compare.strategies", remove);
+    ("missing mesh_connect.topo", "mesh_connect.topo", remove);
+    ("missing mesh_connect.wavelengths", "mesh_connect.wavelengths", remove);
+    ("missing mesh_connect.erlangs", "mesh_connect.erlangs", remove);
+    ("missing mesh_connect.fanout_max", "mesh_connect.fanout_max", remove);
+    ("missing mesh_connect.seed", "mesh_connect.seed", remove);
+    ("missing mesh_connect.warmup", "mesh_connect.warmup", remove);
+    (* the codec row *)
+    ("missing codec", "codec", remove);
+    ("codec trials 4", "codec.trials", set (J.Int 4));
+    ("one codec input", "codec.inputs.*.name", set (J.String "mesh-batch"));
+    ("missing codec decode", "codec.inputs.0.decode", remove);
+    ( "encode median above max",
+      "codec.inputs.0.encode.ns_per_frame.max", set (J.Float 1e-9) );
+    ( "major_words negative",
+      "codec.inputs.0.encode.major_words", set (J.Float (-1.)) );
+    ( "crc ns_per_byte 0",
+      "codec.inputs.1.crc.ns_per_byte.min", set (J.Float 0.) );
+    ("response_bytes 8", "codec.inputs.1.response_bytes", set (J.Int 8));
   ]
 
 (* edits the rules allow *)
@@ -155,6 +182,23 @@ let test_rejects (what, path, f) () =
   | Ok () -> Alcotest.failf "%s (%s) passed" what path
   | Error _ -> ()
 
+(* the file the parent validator let through: all four edits at once *)
+let test_rejects_unchecked_file () =
+  let doc =
+    List.fold_left
+      (fun doc (path, f) -> edit path f doc)
+      (committed ())
+      [
+        ("persistence.wal.records", set (J.Float 1.5));
+        ("persistence.snapshot.routes", set (J.Int (-3)));
+        ("persistence.recovery.replayed", remove);
+        ("mesh_connect.wavelengths", remove);
+      ]
+  in
+  match Schema.check doc with
+  | Ok () -> Alcotest.fail "passed"
+  | Error _ -> ()
+
 let test_allows (what, path, f) () =
   match Schema.check (edit path f (committed ())) with
   | Ok () -> ()
@@ -167,6 +211,11 @@ let () =
       ( "committed",
         [ Alcotest.test_case "BENCH_results.json passes" `Quick test_committed ]
       );
-      ("rejects", List.map (case test_rejects) mutations);
+      ( "rejects",
+        List.map (case test_rejects) mutations
+        @ [
+            Alcotest.test_case "records 1.5, routes -3, no replayed or \
+                                wavelengths" `Quick test_rejects_unchecked_file;
+          ] );
       ("allows", List.map (case test_allows) allowed);
     ]

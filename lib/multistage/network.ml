@@ -621,9 +621,14 @@ module Strategy = struct
       (Wdm_core.Strategy.mix3 0x6d73 c.c_input_switch c.c_src_wl)
       c.c_fanout
 
+  (* A middle without a free first-stage slot for this request cannot
+     serve it ([check_plan] would refuse the plan), so the order is
+     filtered to available middles before the scan. *)
   let cover_in_order c order =
-    cover_in_order c.net ~input_switch:c.c_input_switch ~src_wl:c.c_src_wl
-      order c.c_fanout
+    let t = c.net and input_switch = c.c_input_switch and src_wl = c.c_src_wl in
+    cover_in_order t ~input_switch ~src_wl
+      (List.filter (middle_available t ~input_switch ~src_wl) order)
+      c.c_fanout
 
   let register = Plugin_registry.register
   let register_parser = Plugin_registry.register_parser

@@ -207,9 +207,11 @@ module Strategy : sig
   val names : unit -> string list
 
   val cover_in_order : ctx -> int list -> plan option
-  (** Greedy cover scanning middles in exactly the given order (the
-      first-fit kernel): the building block for ordering-based
-      strategies. *)
+  (** Greedy cover scanning middles in the given order (the first-fit
+      kernel): the building block for ordering-based strategies.
+      Middles that are not {!available} for this request are skipped,
+      so any order of middle indices, [1 .. middles c] included, yields
+      a plan the engine accepts, or [None]. *)
 end
 
 val strategy_of_string : string -> (string, string) result

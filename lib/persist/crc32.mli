@@ -2,9 +2,13 @@
 
     The persistence layer frames every on-disk record with a CRC so
     recovery can tell a torn write from silent corruption.  The sealed
-    build environment has no zlib binding, so the table-driven
-    implementation lives here; values are plain non-negative [int]s in
-    [0, 2{^32}) — OCaml's 63-bit native int holds them exactly. *)
+    build environment has no zlib binding, so the implementation lives
+    here, in pure OCaml: slicing-by-8, eight table lookups per 8-byte
+    little-endian load from one 8×256 table built when the module
+    initialises; the same polynomial and the same checksums as the
+    textbook byte-at-a-time loop.  Values are plain non-negative
+    [int]s in [0, 2{^32}) — OCaml's 63-bit native int holds them
+    exactly. *)
 
 val update : int -> string -> pos:int -> len:int -> int
 (** [update crc s ~pos ~len] extends a running checksum over

@@ -141,17 +141,21 @@ type mark = { epoch : int; base_seq : int }
 
 let mark_path ~wal = wal ^ ".repl"
 
-let save_mark ~wal { epoch; base_seq } =
-  let b = Buffer.create 32 in
-  Wire.put_int b epoch;
-  Wire.put_int b base_seq;
+let save_mark ~wal mark =
+  let framed =
+    Wire.frame_with (Buffer.create 16)
+      (fun b { epoch; base_seq } ->
+        Wire.put_int b epoch;
+        Wire.put_int b base_seq)
+      mark
+  in
   let tmp = mark_path ~wal ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc (Wire.header ~kind:'M');
-      output_string oc (Wire.frame (Buffer.contents b));
+      output_string oc framed;
       flush oc;
       try Unix.fsync (Unix.descr_of_out_channel oc)
       with Unix.Unix_error _ -> ());

@@ -8,16 +8,22 @@ let fail (r : Wire.reader) reason =
 let snapshot_path ~wal ~seq = Printf.sprintf "%s.snap.%d" wal seq
 
 let write_state ~path ~seq ~wal_offset state =
-  let b = Buffer.create 4096 in
-  Wire.put_u32 b seq;
-  Wire.put_int b wal_offset;
-  Buffer.add_string b state;
+  (* sized to the payload, so the buffer never grows *)
+  let framed =
+    Wire.frame_with
+      (Buffer.create (String.length state + 12))
+      (fun b state ->
+        Wire.put_u32 b seq;
+        Wire.put_int b wal_offset;
+        Buffer.add_string b state)
+      state
+  in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc (Wire.header ~kind:'S');
-      output_string oc (Wire.frame (Buffer.contents b));
+      output_string oc framed;
       flush oc)
 
 (* Reads the framed (seq, wal_offset, state-bytes) triple without

@@ -14,6 +14,7 @@ type writer = {
   policy : flush_policy;
   mutable records : int;
   mutable unsynced : int;  (* records since the last fsync *)
+  scratch : Buffer.t;  (* this writer's record encoder ({!Wire.frame_with}) *)
   instruments : instruments option;
 }
 
@@ -70,6 +71,7 @@ let create ?telemetry ?(policy = Flush_every 1) path =
       policy;
       records = 0;
       unsynced = 0;
+      scratch = Buffer.create 256;
       instruments = Option.map instruments_of_sink telemetry;
     }
   in
@@ -101,13 +103,12 @@ let open_append ?telemetry ?(policy = Flush_every 1) ?(records = 0) path =
     policy;
     records;
     unsynced = 0;
+    scratch = Buffer.create 256;
     instruments = Option.map instruments_of_sink telemetry;
   }
 
 let append w op =
-  let b = Buffer.create 64 in
-  Op.encode b op;
-  let framed = Wire.frame (Buffer.contents b) in
+  let framed = Wire.frame_with w.scratch Op.encode op in
   output_string w.oc framed;
   w.records <- w.records + 1;
   w.unsynced <- w.unsynced + 1;

@@ -4,23 +4,18 @@ exception Decode_error of { offset : int; reason : string }
 
 let put_u8 b v =
   if v < 0 || v > 0xff then invalid_arg "Wire.put_u8: out of range";
-  Buffer.add_char b (Char.chr v)
+  Buffer.add_uint8 b v
 
 let put_u32 b v =
   if v < 0 || v > 0xffffffff then invalid_arg "Wire.put_u32: out of range";
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
+  Buffer.add_int32_le b (Int32.of_int v)
 
 let int_limit = 1 lsl 55
 
 let put_int b v =
   if v >= int_limit || v <= -int_limit then
     invalid_arg "Wire.put_int: out of range";
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.chr ((v asr (8 * i)) land 0xff))
-  done
+  Buffer.add_int64_le b (Int64.of_int v)
 
 (* ----- reading --------------------------------------------------------- *)
 
@@ -33,33 +28,27 @@ let error r reason = raise (Decode_error { offset = r.pos; reason })
 let need r n =
   if r.pos + n > String.length r.src then error r "truncated value"
 
-let byte r i = Char.code (String.unsafe_get r.src (r.pos + i))
-
 let get_u8 r =
   need r 1;
-  let v = byte r 0 in
+  let v = Char.code (String.unsafe_get r.src r.pos) in
   r.pos <- r.pos + 1;
   v
 
+let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
+
 let get_u32 r =
   need r 4;
-  let v =
-    byte r 0 lor (byte r 1 lsl 8) lor (byte r 2 lsl 16) lor (byte r 3 lsl 24)
-  in
+  let v = u32_at r.src r.pos in
   r.pos <- r.pos + 4;
   v
 
 let get_int r =
   need r 8;
-  let low = ref 0 in
-  for i = 0 to 6 do
-    low := !low lor (byte r i lsl (8 * i))
-  done;
-  let top = byte r 7 in
   (* values are restricted to |v| < 2^55 on encode, so the top byte is
      pure sign extension: anything else is corrupt input *)
+  let top = Char.code (String.unsafe_get r.src (r.pos + 7)) in
   if top <> 0 && top <> 0xff then error r "int out of range";
-  let v = if top = 0 then !low else !low lor (-1 lsl 56) in
+  let v = Int64.to_int (String.get_int64_le r.src r.pos) in
   r.pos <- r.pos + 8;
   v
 
@@ -99,12 +88,29 @@ let check_header ~kind s =
 
 let max_payload = 1 lsl 26
 
+(* A scratch buffer that a large frame grew past this is reset after
+   use, so that one snapshot ship or stats document does not pin its
+   size for the owner's lifetime. *)
+let scratch_keep = 1 lsl 16
+
+(* The one framing path: encode into the caller's scratch, allocate the
+   framed string once, blit the payload into it and checksum it there.
+   The string alias handed to [Crc32] is dead before the CRC field is
+   written. *)
+let frame_with scratch encode v =
+  Buffer.clear scratch;
+  encode scratch v;
+  let len = Buffer.length scratch in
+  let f = Bytes.create (len + 8) in
+  Buffer.blit scratch 0 f 8 len;
+  if len > scratch_keep then Buffer.reset scratch;
+  let crc = Crc32.update 0 (Bytes.unsafe_to_string f) ~pos:8 ~len in
+  Bytes.set_int32_le f 0 (Int32.of_int len);
+  Bytes.set_int32_le f 4 (Int32.of_int crc);
+  Bytes.unsafe_to_string f
+
 let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  put_u32 b (String.length payload);
-  put_u32 b (Crc32.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  frame_with (Buffer.create (String.length payload)) Buffer.add_string payload
 
 type frame_result =
   | Frame of { payload : string; next : int }
@@ -117,17 +123,14 @@ let read_frame src ~pos =
   if pos = total then End
   else if pos + 8 > total then Torn pos
   else begin
-    let r = reader ~pos src in
-    let len = get_u32 r in
-    let crc = get_u32 r in
+    let len = u32_at src pos in
     if len = 0 || len > max_payload then
       Corrupt
         { offset = pos;
           reason = Printf.sprintf "implausible record length %d" len }
     else if pos + 8 + len > total then Torn pos
+    else if Crc32.update 0 src ~pos:(pos + 8) ~len <> u32_at src (pos + 4) then
+      Corrupt { offset = pos; reason = "CRC mismatch" }
     else
-      let payload = String.sub src (pos + 8) len in
-      if Crc32.string payload <> crc then
-        Corrupt { offset = pos; reason = "CRC mismatch" }
-      else Frame { payload; next = pos + 8 + len }
+      Frame { payload = String.sub src (pos + 8) len; next = pos + 8 + len }
   end

@@ -71,9 +71,20 @@ val max_payload : int
     a flipped length byte must not silently swallow the rest of the
     file as "torn". *)
 
+val frame_with : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a -> string
+(** [frame_with scratch encode v] clears [scratch], runs [encode scratch v]
+    and returns the length + CRC header followed by the encoded payload,
+    ready to write: the one framing path behind every WAL record,
+    snapshot file, socket response and replication frame.  The framed
+    string is allocated once, the payload is copied into it once, and
+    the CRC is computed over it in place.  [scratch] belongs to the
+    caller (a server, a WAL writer, a client) and keeps its capacity
+    between calls; a payload longer than 64 KiB resets it afterwards
+    ({!Buffer.reset}), so one large frame does not pin its memory. *)
+
 val frame : string -> string
-(** [frame payload] is the length + CRC header followed by the
-    payload, ready to append to a file. *)
+(** [frame payload] is {!frame_with} over a fresh buffer holding
+    [payload]. *)
 
 type frame_result =
   | Frame of { payload : string; next : int }  (** [next]: offset after *)

@@ -23,6 +23,7 @@ type t = {
   span_tag : int;  (* process-unique per connection *)
   mutable span_seq : int;
   mutable last_span : int option;
+  scratch : Buffer.t;  (* this connection's request encoder *)
 }
 
 (* Span ids are [tag * 2^32 + seq]: unique within the process without
@@ -143,6 +144,7 @@ let connect ?(dial_timeout = 5.0) ?(deadline = 30.0) addr =
               span_tag = next_span_tag ();
               span_seq = 0;
               last_span = None;
+              scratch = Buffer.create 1024;
             }
         | Error e ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -177,15 +179,19 @@ let request ?deadline t req =
       close t;
       Error err
     in
-    let b = Buffer.create 64 in
-    P.Resp.encode_request b req;
-    if t.spans then begin
-      t.span_seq <- t.span_seq + 1;
-      let span = (t.span_tag * 0x100000000) + t.span_seq in
-      t.last_span <- Some span;
-      P.Wire.put_int b span
-    end;
-    match Protocol.send_frame t.fd (Buffer.contents b) with
+    let framed =
+      P.Wire.frame_with t.scratch
+        (fun b req ->
+          P.Resp.encode_request b req;
+          if t.spans then begin
+            t.span_seq <- t.span_seq + 1;
+            let span = (t.span_tag * 0x100000000) + t.span_seq in
+            t.last_span <- Some span;
+            P.Wire.put_int b span
+          end)
+        req
+    in
+    match Protocol.write_all t.fd framed with
     | exception Unix.Unix_error (err, _, _) -> broken (error_of_unix err)
     | () -> (
       match Protocol.recv_frame t.fd with

@@ -45,12 +45,15 @@ let add_string t s =
   Bytes.blit_string s 0 t.buf (t.start + t.len) len;
   t.len <- t.len + len
 
+let drop t n =
+  t.start <- t.start + n;
+  t.len <- t.len - n;
+  if t.len = 0 then t.start <- 0
+
 let take t n =
   if n < 0 || n > t.len then invalid_arg "Framebuf.take";
   let s = Bytes.sub_string t.buf t.start n in
-  t.start <- t.start + n;
-  t.len <- t.len - n;
-  if t.len = 0 then t.start <- 0;
+  drop t n;
   s
 
 let contents t = Bytes.sub_string t.buf t.start t.len
@@ -64,26 +67,34 @@ let index t c =
   go 0
 
 let u32_at t i =
-  let byte k = Char.code (Bytes.get t.buf (t.start + i + k)) in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
+  Int32.to_int (Bytes.get_int32_le t.buf (t.start + i)) land 0xffffffff
 
 type frame = Frame of string | Bad of string | Need of int
 
 (* The streaming sibling of [Wire.read_frame]: same 4-byte length +
    4-byte CRC prelude, but over a buffer that may end mid-frame.
    [Need n] means at least [n] more bytes must arrive before a verdict;
-   a peer that closes while we still [Need] died mid-frame. *)
+   a peer that closes while we still [Need] died mid-frame.  The CRC is
+   checked over the buffered bytes before the payload is copied out; a
+   mismatched frame is consumed all the same. *)
 let next_frame t =
   if t.len < 8 then Need (8 - t.len)
   else begin
     let len = u32_at t 0 in
-    let crc = u32_at t 4 in
     if len = 0 || len > Wire.max_payload then
       Bad (Printf.sprintf "implausible record length %d" len)
     else if t.len < 8 + len then Need (8 + len - t.len)
     else begin
-      ignore (take t 8);
-      let payload = take t len in
-      if Crc32.string payload <> crc then Bad "CRC mismatch" else Frame payload
+      let crc =
+        Crc32.update 0 (Bytes.unsafe_to_string t.buf) ~pos:(t.start + 8) ~len
+      in
+      if crc <> u32_at t 4 then begin
+        drop t (8 + len);
+        Bad "CRC mismatch"
+      end
+      else begin
+        drop t 8;
+        Frame (take t len)
+      end
     end
   end

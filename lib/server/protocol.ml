@@ -37,10 +37,9 @@ let rec read_retry fd buf off len =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_retry fd buf off len
   | r -> r
 
-type exactly = Exact of string | Eof_clean | Eof_torn of int
-
-let read_exactly fd n =
-  let buf = Bytes.create n in
+(* Fills [buf.(0 .. n-1)] from the socket; the count that arrived
+   before EOF. *)
+let fill fd buf n =
   let got = ref 0 in
   let eof = ref false in
   while (not !eof) && !got < n do
@@ -48,29 +47,42 @@ let read_exactly fd n =
     | 0 -> eof := true
     | r -> got := !got + r
   done;
-  if !got = n then Exact (Bytes.unsafe_to_string buf)
-  else if !got = 0 then Eof_clean
-  else Eof_torn !got
+  !got
+
+type exactly = Exact of string | Eof_clean | Eof_torn of int
+
+let read_exactly fd n =
+  let buf = Bytes.create n in
+  match fill fd buf n with
+  | got when got = n -> Exact (Bytes.unsafe_to_string buf)
+  | 0 -> Eof_clean
+  | got -> Eof_torn got
 
 let send_frame fd payload = write_all fd (Wire.frame payload)
 
 type recv = Frame of string | Eof | Bad of string
 
+let u32_at b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xffffffff
+
 (* The socket variant of [Wire.read_frame]: same 4-byte length + 4-byte
    CRC prelude, but a torn tail here means the peer died mid-frame —
-   there is no file to truncate, so it is reported as damage. *)
+   there is no file to truncate, so it is reported as damage.  The
+   prelude is read into 8 bytes and parsed in place; the CRC is checked
+   over the payload bytes as read. *)
 let recv_frame fd =
-  match read_exactly fd 8 with
-  | Eof_clean -> Eof
-  | Eof_torn _ -> Bad "peer closed mid-frame-header"
-  | Exact prelude -> (
-    let r = Wire.reader prelude in
-    let len = Wire.get_u32 r in
-    let crc = Wire.get_u32 r in
+  let prelude = Bytes.create 8 in
+  match fill fd prelude 8 with
+  | 0 -> Eof
+  | got when got < 8 -> Bad "peer closed mid-frame-header"
+  | _ ->
+    let len = u32_at prelude 0 in
     if len = 0 || len > Wire.max_payload then
       Bad (Printf.sprintf "implausible record length %d" len)
     else
-      match read_exactly fd len with
-      | Eof_clean | Eof_torn _ -> Bad "peer closed mid-payload"
-      | Exact payload ->
-        if Crc32.string payload <> crc then Bad "CRC mismatch" else Frame payload)
+      let buf = Bytes.create len in
+      if fill fd buf len < len then Bad "peer closed mid-payload"
+      else
+        let payload = Bytes.unsafe_to_string buf in
+        if Crc32.update 0 payload ~pos:0 ~len <> u32_at prelude 4 then
+          Bad "CRC mismatch"
+        else Frame payload

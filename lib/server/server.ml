@@ -145,6 +145,9 @@ type t = {
   mutable dirty : client list;
       (** connections with fresh output or close flags, flushed at the
           top of the next loop pass *)
+  scratch : Buffer.t;
+      (** the loop's encoder: every frame this server sends is encoded
+          here and framed once ({!P.Wire.frame_with}) *)
   max_conns : int option;
   conn_sndbuf : int option;
   (* replication *)
@@ -333,10 +336,11 @@ let kill_conn t c =
 
 (* ----- leader-side replication ----------------------------------------- *)
 
-let frame_to_follower msg =
-  let b = Buffer.create 256 in
-  P.Repl.encode_to_follower b msg;
-  P.Wire.frame (Buffer.contents b)
+let frame_to_follower t msg =
+  P.Wire.frame_with t.scratch P.Repl.encode_to_follower msg
+
+let frame_to_leader t msg =
+  P.Wire.frame_with t.scratch P.Repl.encode_to_leader msg
 
 (* Queue one frame on every live replica.  A replica already holding
    [resume_window] unwritten frames is evicted through the kill path
@@ -365,7 +369,7 @@ let offer_frame t frame =
 let offer_digest t =
   let digest = P.Backend.digest t.backend in
   let seq = t.rep_seq in
-  let frame = frame_to_follower (P.Repl.Rep_digest { seq; digest }) in
+  let frame = frame_to_follower t (P.Repl.Rep_digest { seq; digest }) in
   List.iter
     (fun c ->
       if accepts_output c && Queue.length c.out_q < t.resume_window then begin
@@ -381,7 +385,7 @@ let replicate t op =
   Queue.add (t.rep_seq, op) t.ring;
   if Queue.length t.ring > t.resume_window then ignore (Queue.pop t.ring);
   if t.replicas <> [] then begin
-    offer_frame t (frame_to_follower (P.Repl.Rep_op { seq = t.rep_seq; op }));
+    offer_frame t (frame_to_follower t (P.Repl.Rep_op { seq = t.rep_seq; op }));
     if t.rep_seq - t.last_digest_seq >= t.digest_every then begin
       t.last_digest_seq <- t.rep_seq;
       offer_digest t
@@ -395,7 +399,7 @@ let handle_attach t client ~epoch ~last_seq =
   if t.role <> Leader then begin
     ignore
       (enqueue_out t client
-         (frame_to_follower (P.Repl.Goodbye { reason = "not the leader" })));
+         (frame_to_follower t (P.Repl.Goodbye { reason = "not the leader" })));
     mark_want_close t client
   end
   else begin
@@ -408,17 +412,18 @@ let handle_attach t client ~epoch ~last_seq =
           Queue.fold
             (fun acc (seq, op) ->
               if seq > last_seq then
-                frame_to_follower (P.Repl.Rep_op { seq; op }) :: acc
+                frame_to_follower t (P.Repl.Rep_op { seq; op }) :: acc
               else acc)
             [] t.ring
         in
-        frame_to_follower (P.Repl.Init_resume { epoch = t.epoch; seq = last_seq })
+        frame_to_follower t
+          (P.Repl.Init_resume { epoch = t.epoch; seq = last_seq })
         :: List.rev backlog
       end
       else begin
         inc t (fun i -> i.r_snapshots_sent);
         [
-          frame_to_follower
+          frame_to_follower t
             (P.Repl.Init_snapshot
                {
                  epoch = t.epoch;
@@ -430,7 +435,7 @@ let handle_attach t client ~epoch ~last_seq =
     in
     let digest = P.Backend.digest t.backend in
     let dig_frame =
-      frame_to_follower (P.Repl.Rep_digest { seq = t.rep_seq; digest })
+      frame_to_follower t (P.Repl.Rep_digest { seq = t.rep_seq; digest })
     in
     if accepts_output client then begin
       (* from here on the connection is a replica, not a client *)
@@ -531,9 +536,9 @@ let handle_repl t link msg =
              resync t
            end
            else begin
-             let b = Buffer.create 32 in
-             P.Repl.encode_to_leader b (P.Repl.Ack { seq; digest = own });
-             ignore (enqueue_out t link (P.Wire.frame (Buffer.contents b)));
+             ignore
+               (enqueue_out t link
+                  (frame_to_leader t (P.Repl.Ack { seq; digest = own })));
              true
            end
          | P.Repl.Goodbye _ -> false
@@ -562,9 +567,7 @@ let sockaddr_of_address = function
    A batch reply counts once per sub-response so the counter reconciles
    with [server_requests_total] whichever way the ops arrived. *)
 let send_response t client resp =
-  let b = Buffer.create 64 in
-  P.Resp.encode b resp;
-  if enqueue_out t client (P.Wire.frame (Buffer.contents b)) then
+  if enqueue_out t client (P.Wire.frame_with t.scratch P.Resp.encode resp) then
     match t.ins with
     | Some i ->
       let n =
@@ -1162,9 +1165,9 @@ let subscribe t ls c =
     let epoch = t.repl_epoch in
     let last_seq = if t.force_snapshot then -1 else t.rep_seq in
     c.kind <- Clink;
-    let b = Buffer.create 32 in
-    P.Repl.encode_to_leader b (P.Repl.Subscribe { epoch; last_seq });
-    ignore (enqueue_out t c (P.Wire.frame (Buffer.contents b)));
+    ignore
+      (enqueue_out t c
+         (frame_to_leader t (P.Repl.Subscribe { epoch; last_seq })));
     if ls.linked_once then inc t (fun i -> i.r_reconnects);
     ls.linked_once <- true;
     ls.backoff <- 0.05
@@ -1441,7 +1444,7 @@ let loop_run t =
           | _ -> ())
         ls.conns;
       let goodbye =
-        frame_to_follower (P.Repl.Goodbye { reason = "shutdown" })
+        frame_to_follower t (P.Repl.Goodbye { reason = "shutdown" })
       in
       List.iter
         (fun c ->
@@ -1589,6 +1592,7 @@ let start_backend ?telemetry ?store ?(digest_every = 64)
       wake_r;
       wake_w;
       dirty = [];
+      scratch = Buffer.create 4096;
       max_conns;
       conn_sndbuf;
       role = (match follower with Some _ -> Follower | None -> Leader);

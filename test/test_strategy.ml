@@ -267,6 +267,58 @@ let test_no_rebinding () =
             (Assign.make_plugin ~name ~doc:"rebound" (fun _ ~hash:_ -> []))))
     [ "first-fit"; "most-used"; "least-used"; "random"; "coloring" ]
 
+(* [Strategy.cover_in_order] skips middles with no free first-stage
+   slot for the request, so a plug-in may hand it every middle.  On
+   n = r = 3, m = 6, k = 1, port 1 -> port 1 takes middle 1's link from
+   input module 1; port 2 -> port 4 then finds middle 1 unavailable
+   while its link to output module 2 is still free. *)
+let test_cover_in_order_skips_unavailable () =
+  Network.Strategy.register
+    {
+      name = "test-every-middle";
+      doc = "first fit over every middle index";
+      select =
+        (fun c ->
+          Network.Strategy.cover_in_order c
+            (List.init (Network.Strategy.middles c) (fun j -> j + 1)));
+    };
+  let topo = Topology.make_exn ~n:3 ~m:6 ~r:3 ~k:1 in
+  let net =
+    Network.create
+      ~config:{ Network.Config.default with strategy = "test-every-middle" }
+      ~construction:Network.Msw_dominant ~output_model:Model.MSW topo
+  in
+  let connect src dests =
+    match
+      Network.connect net
+        (Connection.make_exn ~source:(ep src 1)
+           ~destinations:(List.map (fun p -> ep p 1) dests))
+    with
+    | r -> r
+    | exception Invalid_argument msg -> Alcotest.fail msg
+  in
+  let middles r = List.map (fun h -> h.Network.middle) r.Network.hops in
+  (match connect 1 [ 1 ] with
+  | Ok r -> Alcotest.(check (list int)) "first route" [ 1 ] (middles r)
+  | Error e -> Alcotest.failf "first connect: %a" Network.pp_error e);
+  (match connect 2 [ 4 ] with
+  | Ok r -> Alcotest.(check (list int)) "skips middle 1" [ 2 ] (middles r)
+  | Error e -> Alcotest.failf "second connect: %a" Network.pp_error e);
+  (* load the rest of input module 1 and beyond: every answer is a
+     valid plan or a refusal *)
+  let rng = Random.State.make [| 6 |] in
+  for _ = 1 to 300 do
+    let port () = 1 + Random.State.int rng 9 in
+    let dests =
+      List.sort_uniq compare
+        (List.init (1 + Random.State.int rng 3) (fun _ -> port ()))
+    in
+    match connect (port ()) dests with
+    | Ok r ->
+      if Random.State.bool rng then ignore (Network.disconnect net r.Network.id)
+    | Error _ -> ()
+  done
+
 (* Every plan goes through the engine's plan check before a link is
    touched: a plug-in whose plan breaks an invariant is refused loudly,
    naming the invariant, and leaves the network as it was.  Each case
@@ -620,6 +672,8 @@ let () =
             test_invalid_plan_refused;
           Alcotest.test_case "plan check = list-based check" `Quick
             test_plan_check_oracle;
+          Alcotest.test_case "cover_in_order skips unavailable middles" `Quick
+            test_cover_in_order_skips_unavailable;
           Alcotest.test_case "a name is never rebound" `Quick
             test_no_rebinding;
           Alcotest.test_case "named strategy codec roundtrip" `Quick
