@@ -204,7 +204,7 @@ let fault_tolerance () =
           topo
       in
       for j = 1 to faults do
-        ignore (Network.fail_middle net j)
+        ignore (Network.inject_fault net (Wdm_faults.Fault.Middle j))
       done;
       let sut =
         {
@@ -411,11 +411,7 @@ let frontier () =
   in
   List.iter
     (fun (construction, cname, output_model, n, k) ->
-      let eval =
-        match construction with
-        | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r:n
-        | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r:n ~k
-      in
+      let eval = Conditions.evaluate construction ~n ~r:n ~k in
       let f =
         An.Blocking.frontier ~construction ~output_model ~n ~r:n ~k ()
       in

@@ -72,46 +72,19 @@ let check_snapshot_every n =
     exit 2
   end
 
-(* Wraps a SUT so every interaction is journalled: requests (connect,
-   disconnect, fault events) before they execute, repairs after, with
-   the observed outcome.  Replay re-derives everything else. *)
-let logged_sut store (sut : (int, 'err) Wdm_traffic.Churn.sut) =
-  {
-    Wdm_traffic.Churn.connect =
-      (fun c ->
-        Persist.Store.log store (Persist.Op.Connect c);
-        sut.Wdm_traffic.Churn.connect c);
-    disconnect =
-      (fun id ->
-        Persist.Store.log store (Persist.Op.Disconnect id);
-        sut.Wdm_traffic.Churn.disconnect id);
-  }
+let fsync_every_arg =
+  Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"N"
+         ~doc:"fsync the WAL every N records (default: flush to the OS \
+               after every record, no fsync).")
 
-let logged_fsut store (fsut : (int, 'err, _) Wdm_traffic.Churn.faulty_sut) =
-  {
-    Wdm_traffic.Churn.base = logged_sut store fsut.Wdm_traffic.Churn.base;
-    inject =
-      (fun f ->
-        Persist.Store.log store (Persist.Op.Inject_fault f);
-        fsut.Wdm_traffic.Churn.inject f);
-    clear =
-      (fun f ->
-        Persist.Store.log store (Persist.Op.Clear_fault f);
-        fsut.Wdm_traffic.Churn.clear f);
-    reconnect =
-      (fun c ->
-        let outcome = fsut.Wdm_traffic.Churn.reconnect c in
-        Persist.Store.log store
-          (Persist.Op.Repair
-             { connection = c; rehomed = Result.is_ok outcome });
-        outcome);
-  }
-
-let persist_hook store backend ~snapshot_every =
-  {
-    Wdm_traffic.Churn.policy = Wdm_traffic.Churn.Every_n_ops snapshot_every;
-    checkpoint = (fun ~ops:_ -> Persist.Store.checkpoint_backend store backend);
-  }
+let wal_policy = function
+  | None -> None
+  | Some fe ->
+    if fe < 1 then begin
+      prerr_endline "wdmnet: fsync-every must be >= 1";
+      exit 2
+    end;
+    Some (Persist.Wal.Fsync_every fe)
 
 (* Final checkpoint + digest line; the digest is what `recover
    --expect-digest` (and the CI smoke test) verify against. *)
@@ -144,6 +117,159 @@ let check_dims n k =
     prerr_endline "wdmnet: N and K must be >= 1";
     exit 2
   end
+
+let seed_arg =
+  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let steps_arg ?(doc = "Churn events.") default =
+  Arg.(value & opt int default & info [ "steps" ] ~docv:"STEPS" ~doc)
+
+(* --- the fabric harness ------------------------------------------------ *)
+
+(* simulate, faults, stats, record and serve's three-stage branch size a
+   fabric from the same flags and churn it down the same path. *)
+
+type fabric = {
+  n : int;  (** ports per input/output module *)
+  r : int;
+  k : int;
+  m : int;  (** [-m], else the governing theorem's minimum *)
+  construction : Network.construction;
+  model : Model.t;
+  eval : Conditions.evaluation;
+}
+
+(* The term yields a thunk: the flags are checked when a command sizes
+   its fabric, so serve --mesh, which has none, never checks them. *)
+let fabric_term ?(m_doc = "Middle modules; defaults to the theorem minimum.")
+    () =
+  let n_local_arg =
+    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
+           ~doc:"Ports per input/output module.")
+  in
+  let r_arg =
+    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
+  in
+  let m_arg =
+    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M" ~doc:m_doc)
+  in
+  let construction_arg =
+    Arg.(
+      value
+      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
+          Network.Msw_dominant
+      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
+  in
+  let fabric n r k m construction model () =
+    check_dims n k;
+    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+    let eval = Conditions.evaluate construction ~n ~r ~k in
+    let m = Option.value ~default:eval.Conditions.m_min m in
+    { n; r; k; m; construction; model; eval }
+  in
+  Term.(const fabric $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
+        $ model_arg)
+
+let network_strategy = function
+  | None -> Network.Config.default.Network.Config.strategy
+  | Some s -> (
+    match Network.strategy_of_string s with
+    | Ok s -> s
+    | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2)
+
+let fabric_network ?telemetry
+    ?(strategy = Network.Config.default.Network.Config.strategy) fab ~m =
+  Network.create
+    ~config:{ Network.Config.default with telemetry; strategy }
+    ~construction:fab.construction ~output_model:fab.model
+    (Topology.make_exn ~n:fab.n ~m ~r:fab.r ~k:fab.k)
+
+(* An MTBF/MTTR schedule over the fabric's faults of one class, as churn
+   driver events. *)
+let fault_events fab ~m ~klass ~rng ~mtbf ~mttr ~steps =
+  let open Wdm_faults in
+  let keep fault =
+    match (klass, fault) with
+    | `All, _ -> true
+    | `Middle, Fault.Middle _ -> true
+    | `Laser, (Fault.Stage1_laser _ | Fault.Stage2_laser _) -> true
+    | `Converter, Fault.Converter _ -> true
+    | `Module, (Fault.Input_module _ | Fault.Output_module _) -> true
+    | _ -> false
+  in
+  Schedule.generate ~rng
+    ~universe:(List.filter keep (Fault.universe ~m ~r:fab.r ~k:fab.k))
+    ~mtbf ~mttr ~steps
+  |> List.map (fun { Schedule.step; action } ->
+         match action with
+         | Schedule.Inject fault -> (step, `Inject fault)
+         | Schedule.Clear fault -> (step, `Clear fault))
+
+(* stats --faults and record --with-faults *)
+let middle_fault_events fab ~seed ~steps =
+  fault_events fab ~m:fab.m ~klass:`Middle
+    ~rng:(Random.State.make [| seed; 0xfa |])
+    ~mtbf:1000. ~mttr:400. ~steps
+
+(* Churns [net] with the fabric's workload (Zipf fanout over its N
+   ports, teardown bias 0.35) and [schedule]'s fault events.  Every op
+   reaches the fabric through [Resp.execute_backend], the path the
+   server, its followers and crash recovery take.  With a journal
+   (store, snapshot cadence in ops) each op is logged as
+   [Resp.committed] of its request and answer, the server's rule.  An
+   injection is the one op the driver needs whole, since it re-homes
+   the victims itself: [inject] calls the engine and then journals what
+   [committed] records for the answer, so an out-of-range fault raises
+   before anything is logged. *)
+let churn_fabric ?telemetry ?journal ?(schedule = []) fab net ~seed ~steps =
+  let module R = Persist.Resp in
+  let backend = Persist.Backend.Net net in
+  let log req resp =
+    match journal with
+    | Some (store, _) -> Option.iter (Persist.Store.log store) (R.committed req resp)
+    | None -> ()
+  in
+  let exec req =
+    let resp = R.execute_backend backend req in
+    log req resp;
+    resp
+  in
+  let admit op = exec (R.Admit op) in
+  let fsut =
+    {
+      Wdm_traffic.Churn.base = R.churn_sut exec;
+      inject =
+        (fun fault ->
+          let victims = Network.inject_fault net fault in
+          log
+            (R.Admit (Persist.Op.Inject_fault fault))
+            (R.Fault_applied { torn_down = List.length victims });
+          victims);
+      clear =
+        (fun fault ->
+          match admit (Persist.Op.Clear_fault fault) with
+          | R.Fault_cleared -> ()
+          | resp -> failwith (Format.asprintf "clear: %a" R.pp resp));
+      reconnect =
+        (fun connection ->
+          R.admitted (admit (Persist.Op.Repair { connection; rehomed = false }))
+          |> Result.map (fun route -> route.Network.id));
+    }
+  in
+  let persist =
+    Option.map
+      (fun (store, snapshot_every) ->
+        {
+          Wdm_traffic.Churn.policy = Wdm_traffic.Churn.Every_n_ops snapshot_every;
+          checkpoint = (fun ~ops:_ -> Persist.Store.checkpoint_backend store backend);
+        })
+      journal
+  in
+  Wdm_traffic.Churn.run_with_faults ?telemetry ?persist
+    (Random.State.make [| seed |])
+    ~spec:(Topology.spec (Network.topology net)) ~model:fab.model
+    ~fanout:(Wdm_traffic.Fanout.Zipf { max = fab.n * fab.r; s = 1.1 })
+    ~steps ~teardown_bias:0.35 ~schedule fsut
 
 (* --- capacity ---------------------------------------------------------- *)
 
@@ -256,30 +382,6 @@ let fig10_cmd =
 (* --- simulate ----------------------------------------------------------- *)
 
 let simulate_cmd =
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let stats_json_arg =
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
            ~doc:"Write the final metrics snapshot as JSON.")
@@ -290,63 +392,27 @@ let simulate_cmd =
                  or any registered plug-in (adaptive, annealed, \
                  crosstalk[:BASE[:DB]]).  Default: min-intersection.")
   in
-  let run n r k m construction model steps seed strategy trace_file stats_json
-      wal snapshot_every =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run fabric steps seed strategy trace_file stats_json wal snapshot_every =
+    let fab = fabric () in
     check_snapshot_every snapshot_every;
-    let strategy =
-      match strategy with
-      | None -> Network.Config.default.Network.Config.strategy
-      | Some s -> (
-        match Network.strategy_of_string s with
-        | Ok s -> s
-        | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2)
-    in
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let m = Option.value ~default:eval.Conditions.m_min m in
-    let topo = Topology.make_exn ~n ~m ~r ~k in
-    Format.printf "topology: %a (theorem m_min = %d)\n" Topology.pp topo
-      eval.Conditions.m_min;
+    let strategy = network_strategy strategy in
     let telemetry, trace = make_sink ~want_metrics:(stats_json <> None) trace_file in
-    let net =
-      Network.create
-        ~config:{ Network.Config.default with telemetry; strategy }
-        ~construction ~output_model:model topo
-    in
+    let net = fabric_network ?telemetry ~strategy fab ~m:fab.m in
+    Format.printf "topology: %a (theorem m_min = %d)\n" Topology.pp
+      (Network.topology net) fab.eval.Conditions.m_min;
     Format.printf "strategy: %s\n" strategy;
-    let sut =
-      {
-        Wdm_traffic.Churn.connect =
-          (fun c ->
-            match Network.connect net c with
-            | Ok route -> Ok route.Network.id
-            | Error e -> Error e);
-        disconnect = (fun id -> ignore (Network.disconnect net id));
-      }
-    in
     let backend = Persist.Backend.Net net in
     let store =
       Option.map
         (fun wal -> Persist.Store.start_backend ?telemetry ~wal backend)
         wal
     in
-    let sut = match store with None -> sut | Some st -> logged_sut st sut in
-    let persist =
-      Option.map (fun st -> persist_hook st backend ~snapshot_every) store
-    in
     let stats =
-      Wdm_traffic.Churn.run ?telemetry ?persist
-        (Random.State.make [| seed |])
-        ~spec:(Topology.spec topo) ~model
-        ~fanout:(Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 })
-        ~steps ~teardown_bias:0.35 sut
+      churn_fabric ?telemetry
+        ?journal:(Option.map (fun st -> (st, snapshot_every)) store)
+        fab net ~seed ~steps
     in
-    Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats;
+    Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats.Wdm_traffic.Churn.churn;
     Format.printf "final utilization: %.1f%%\n" (100. *. Network.utilization net);
     Option.iter (fun st -> finish_store_backend st backend) store;
     (match (telemetry, stats_json) with
@@ -357,38 +423,12 @@ let simulate_cmd =
     dump_trace trace trace_file
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Churn a three-stage network and report blocking.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ strategy_arg $ trace_arg
-          $ stats_json_arg $ wal_arg $ snapshot_every_arg)
+    Term.(const run $ fabric_term () $ steps_arg 2000 $ seed_arg $ strategy_arg
+          $ trace_arg $ stats_json_arg $ wal_arg $ snapshot_every_arg)
 
 (* --- faults -------------------------------------------------------------- *)
 
 let faults_cmd =
-  let open Wdm_faults in
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Base middle-module count; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 5000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events per row.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let mtbf_arg =
     Arg.(value & opt float 1000. & info [ "mtbf" ] ~docv:"STEPS"
            ~doc:"Mean steps between failures, per component.")
@@ -409,26 +449,19 @@ let faults_cmd =
       & info [ "class" ] ~docv:"CLASS"
           ~doc:"Fault classes drawn by the campaign: middle, laser, converter, module or all.")
   in
-  let run n r k m construction model steps seed mtbf mttr slack_max klass csv
-      trace_file wal snapshot_every =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run fabric steps seed mtbf mttr slack_max klass csv trace_file wal
+      snapshot_every =
+    let fab = fabric () in
     check_snapshot_every snapshot_every;
     if slack_max < 0 then begin prerr_endline "wdmnet: slack-max must be >= 0"; exit 2 end;
     if mtbf <= 0. || mttr <= 0. then begin
       prerr_endline "wdmnet: mtbf and mttr must be positive"; exit 2
     end;
     if steps < 0 then begin prerr_endline "wdmnet: steps must be >= 0"; exit 2 end;
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let base_m = Option.value ~default:eval.Conditions.m_min m in
     Format.printf
       "Fault-injection campaign: n=%d r=%d k=%d, base m=%d (theorem m_min=%d), \
        %d steps, mtbf=%.0f mttr=%.0f, seed %d\n"
-      n r k base_m eval.Conditions.m_min steps mtbf mttr seed;
+      fab.n fab.r fab.k fab.m fab.eval.Conditions.m_min steps mtbf mttr seed;
     let table =
       An.Table.make ~title:"Degradation under component faults"
         ~header:
@@ -440,61 +473,13 @@ let faults_cmd =
        sink so its snapshot covers exactly that row's run. *)
     let trace = Option.map (fun _ -> Tel.Trace.create ()) trace_file in
     for f = 0 to slack_max do
-      let m = base_m + f in
-      let topo = Topology.make_exn ~n ~m ~r ~k in
+      let m = fab.m + f in
       let sink = Tel.Sink.create ?trace () in
-      let net =
-        Network.create
-          ~config:{ Network.Config.default with telemetry = Some sink }
-          ~construction ~output_model:model topo
-      in
-      let universe =
-        let keep fault =
-          match (klass, fault) with
-          | `All, _ -> true
-          | `Middle, Fault.Middle _ -> true
-          | `Laser, (Fault.Stage1_laser _ | Fault.Stage2_laser _) -> true
-          | `Converter, Fault.Converter _ -> true
-          | `Module, (Fault.Input_module _ | Fault.Output_module _) -> true
-          | _ -> false
-        in
-        List.filter keep (Fault.universe ~m ~r ~k)
-      in
+      let net = fabric_network ~telemetry:sink fab ~m in
       let schedule =
-        Schedule.generate
+        fault_events fab ~m ~klass
           ~rng:(Random.State.make [| seed; 0xfa; f |])
-          ~universe ~mtbf ~mttr ~steps
-        |> List.map (fun { Schedule.step; action } ->
-               match action with
-               | Schedule.Inject fault -> (step, `Inject fault)
-               | Schedule.Clear fault -> (step, `Clear fault))
-      in
-      let fsut =
-        {
-          Wdm_traffic.Churn.base =
-            {
-              Wdm_traffic.Churn.connect =
-                (fun c ->
-                  match Network.connect net c with
-                  | Ok route -> Ok route.Network.id
-                  | Error e -> Error e);
-              (* a teardown of an id the driver believes active must
-                 succeed; a stale id means leaked capacity and a
-                 corrupted degradation table, so fail the campaign *)
-              disconnect =
-                (fun id ->
-                  match Network.disconnect net id with
-                  | Ok _ -> ()
-                  | Error e -> failwith (Network.Error.disconnect_to_string e));
-            };
-          inject = Network.inject_fault net;
-          clear = Network.clear_fault net;
-          reconnect =
-            (fun c ->
-              match Network.connect_rearrangeable net c with
-              | Ok (route, _) -> Ok route.Network.id
-              | Error e -> Error e);
-        }
+          ~mtbf ~mttr ~steps
       in
       (* each slack row is an independent run, so it records into its
          own WAL (and snapshot chain) under a .fN suffix *)
@@ -507,16 +492,10 @@ let faults_cmd =
               backend)
           wal
       in
-      let fsut = match store with None -> fsut | Some st -> logged_fsut st fsut in
-      let persist =
-        Option.map (fun st -> persist_hook st backend ~snapshot_every) store
-      in
       let (_ : Wdm_traffic.Churn.fault_stats) =
-        Wdm_traffic.Churn.run_with_faults ~telemetry:sink ?persist
-          (Random.State.make [| seed |])
-          ~spec:(Topology.spec topo) ~model
-          ~fanout:(Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 })
-          ~steps ~teardown_bias:0.35 ~schedule fsut
+        churn_fabric ~telemetry:sink
+          ?journal:(Option.map (fun st -> (st, snapshot_every)) store)
+          ~schedule fab net ~seed ~steps
       in
       Option.iter (fun st -> finish_store_backend st backend) store;
       (* The row is read back from the metrics snapshot: the driver's
@@ -549,37 +528,17 @@ let faults_cmd =
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Fault-injection campaign: degraded-mode blocking vs middle-stage slack.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ mtbf_arg $ mttr_arg $ slack_arg
-          $ class_arg $ csv_arg $ trace_arg $ wal_arg $ snapshot_every_arg)
+    Term.(const run
+          $ fabric_term
+              ~m_doc:"Base middle-module count; defaults to the theorem minimum."
+              ()
+          $ steps_arg ~doc:"Churn events per row." 5000
+          $ seed_arg $ mtbf_arg $ mttr_arg $ slack_arg $ class_arg $ csv_arg
+          $ trace_arg $ wal_arg $ snapshot_every_arg)
 
 (* --- stats --------------------------------------------------------------- *)
 
 let stats_cmd =
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the snapshot as JSON.")
   in
@@ -594,82 +553,21 @@ let stats_cmd =
                  plain churn, so the fault/repair counter families are \
                  exercised too.")
   in
-  let run n r k m construction model steps seed json prometheus with_faults
-      trace_file =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run fabric steps seed json prometheus with_faults trace_file =
+    let fab = fabric () in
     if json && prometheus then begin
       prerr_endline "wdmnet: --json and --prometheus are mutually exclusive";
       exit 2
     end;
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let m = Option.value ~default:eval.Conditions.m_min m in
-    let topo = Topology.make_exn ~n ~m ~r ~k in
     let trace = Option.map (fun _ -> Tel.Trace.create ()) trace_file in
     let sink = Tel.Sink.create ?trace () in
-    let net =
-      Network.create
-        ~config:{ Network.Config.default with telemetry = Some sink }
-        ~construction ~output_model:model topo
+    let net = fabric_network ~telemetry:sink fab ~m:fab.m in
+    let schedule =
+      if with_faults then middle_fault_events fab ~seed ~steps else []
     in
-    let sut =
-      {
-        Wdm_traffic.Churn.connect =
-          (fun c ->
-            match Network.connect net c with
-            | Ok route -> Ok route.Network.id
-            | Error e -> Error e);
-        disconnect = (fun id -> ignore (Network.disconnect net id));
-      }
+    let (_ : Wdm_traffic.Churn.fault_stats) =
+      churn_fabric ~telemetry:sink ~schedule fab net ~seed ~steps
     in
-    let fanout = Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 } in
-    (if with_faults then begin
-       let open Wdm_faults in
-       let schedule =
-         Schedule.generate
-           ~rng:(Random.State.make [| seed; 0xfa |])
-           ~universe:
-             (List.filter
-                (function Fault.Middle _ -> true | _ -> false)
-                (Fault.universe ~m ~r ~k))
-           ~mtbf:1000. ~mttr:400. ~steps
-         |> List.map (fun { Schedule.step; action } ->
-                match action with
-                | Schedule.Inject fault -> (step, `Inject fault)
-                | Schedule.Clear fault -> (step, `Clear fault))
-       in
-       let fsut =
-         {
-           Wdm_traffic.Churn.base = sut;
-           inject = Network.inject_fault net;
-           clear = Network.clear_fault net;
-           reconnect =
-             (fun c ->
-               match Network.connect_rearrangeable net c with
-               | Ok (route, _) -> Ok route.Network.id
-               | Error e -> Error e);
-         }
-       in
-       let (_ : Wdm_traffic.Churn.fault_stats) =
-         Wdm_traffic.Churn.run_with_faults ~telemetry:sink
-           (Random.State.make [| seed |])
-           ~spec:(Topology.spec topo) ~model ~fanout ~steps ~teardown_bias:0.35
-           ~schedule fsut
-       in
-       ()
-     end
-     else
-       let (_ : Wdm_traffic.Churn.stats) =
-         Wdm_traffic.Churn.run ~telemetry:sink
-           (Random.State.make [| seed |])
-           ~spec:(Topology.spec topo) ~model ~fanout ~steps ~teardown_bias:0.35
-           sut
-       in
-       ());
     let snap = Tel.Sink.snapshot sink in
     if json then print_string (Tel.Json.to_string (Tel.Metrics.to_json snap))
     else if prometheus then print_string (Tel.Metrics.to_prometheus snap)
@@ -680,47 +578,16 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run a seeded workload and print the telemetry snapshot (text \
              table, --json, or --prometheus).")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ json_arg $ prometheus_arg
-          $ faults_flag $ trace_arg)
+    Term.(const run $ fabric_term () $ steps_arg 2000 $ seed_arg $ json_arg
+          $ prometheus_arg $ faults_flag $ trace_arg)
 
 (* --- record / recover ---------------------------------------------------- *)
 
 let record_cmd =
-  let open Wdm_faults in
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let wal_req_arg =
     Arg.(required & opt (some string) None & info [ "wal" ] ~docv:"FILE"
            ~doc:"Write-ahead log to record into (snapshots land beside it \
                  as $(docv).snap.N).")
-  in
-  let fsync_every_arg =
-    Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"N"
-           ~doc:"fsync the WAL every N records (default: flush to the OS \
-                 after every record, no fsync).")
   in
   let faults_flag =
     Arg.(value & flag & info [ "with-faults" ]
@@ -728,94 +595,25 @@ let record_cmd =
                  (middle-module faults, mtbf 1000, mttr 400), so the WAL \
                  carries inject/clear/repair records too.")
   in
-  let run n r k m construction model steps seed wal snapshot_every fsync_every
-      with_faults =
-    check_dims n k;
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run fabric steps seed wal snapshot_every fsync_every with_faults =
+    let fab = fabric () in
     check_snapshot_every snapshot_every;
-    let policy =
-      match fsync_every with
-      | None -> None
-      | Some fe ->
-        if fe < 1 then begin
-          prerr_endline "wdmnet: fsync-every must be >= 1";
-          exit 2
-        end;
-        Some (Persist.Wal.Fsync_every fe)
-    in
-    let eval =
-      match construction with
-      | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-      | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-    in
-    let m = Option.value ~default:eval.Conditions.m_min m in
-    let topo = Topology.make_exn ~n ~m ~r ~k in
-    Format.printf "topology: %a, recording to %s\n" Topology.pp topo wal;
-    let net = Network.create ~construction ~output_model:model topo in
+    let policy = wal_policy fsync_every in
+    let net = fabric_network fab ~m:fab.m in
+    Format.printf "topology: %a, recording to %s\n" Topology.pp
+      (Network.topology net) wal;
     let backend = Persist.Backend.Net net in
     let store = Persist.Store.start_backend ?policy ~wal backend in
-    let sut =
-      logged_sut store
-        {
-          Wdm_traffic.Churn.connect =
-            (fun c ->
-              match Network.connect net c with
-              | Ok route -> Ok route.Network.id
-              | Error e -> Error e);
-          disconnect = (fun id -> ignore (Network.disconnect net id));
-        }
+    let schedule =
+      if with_faults then middle_fault_events fab ~seed ~steps else []
     in
-    let persist = Some (persist_hook store backend ~snapshot_every) in
-    let fanout = Wdm_traffic.Fanout.Zipf { max = n * r; s = 1.1 } in
-    let rng = Random.State.make [| seed |] in
-    (if with_faults then begin
-       let schedule =
-         Schedule.generate
-           ~rng:(Random.State.make [| seed; 0xfa |])
-           ~universe:
-             (List.filter
-                (function Fault.Middle _ -> true | _ -> false)
-                (Fault.universe ~m ~r ~k))
-           ~mtbf:1000. ~mttr:400. ~steps
-         |> List.map (fun { Schedule.step; action } ->
-                match action with
-                | Schedule.Inject fault -> (step, `Inject fault)
-                | Schedule.Clear fault -> (step, `Clear fault))
-       in
-       let fsut =
-         logged_fsut store
-           {
-             Wdm_traffic.Churn.base =
-               {
-                 Wdm_traffic.Churn.connect =
-                   (fun c ->
-                     match Network.connect net c with
-                     | Ok route -> Ok route.Network.id
-                     | Error e -> Error e);
-                 disconnect = (fun id -> ignore (Network.disconnect net id));
-               };
-             inject = Network.inject_fault net;
-             clear = Network.clear_fault net;
-             reconnect =
-               (fun c ->
-                 match Network.connect_rearrangeable net c with
-                 | Ok (route, _) -> Ok route.Network.id
-                 | Error e -> Error e);
-           }
-       in
-       let stats =
-         Wdm_traffic.Churn.run_with_faults ?persist rng
-           ~spec:(Topology.spec topo) ~model ~fanout ~steps ~teardown_bias:0.35
-           ~schedule fsut
-       in
-       Format.printf "%a\n" Wdm_traffic.Churn.pp_fault_stats stats
-     end
-     else
-       let stats =
-         Wdm_traffic.Churn.run ?persist rng ~spec:(Topology.spec topo) ~model
-           ~fanout ~steps ~teardown_bias:0.35 sut
-       in
-       Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats);
+    let stats =
+      churn_fabric ~journal:(store, snapshot_every) ~schedule fab net ~seed
+        ~steps
+    in
+    if with_faults then
+      Format.printf "%a\n" Wdm_traffic.Churn.pp_fault_stats stats
+    else Format.printf "%a\n" Wdm_traffic.Churn.pp_stats stats.Wdm_traffic.Churn.churn;
     Printf.printf "wal: %d records, %d bytes\n"
       (Persist.Store.wal_records store)
       (Persist.Store.wal_offset store);
@@ -826,9 +624,8 @@ let record_cmd =
        ~doc:"Churn a network while journalling every op to a WAL with \
              periodic snapshots; the printed state digest is what \
              $(b,wdmnet recover --expect-digest) verifies.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ steps_arg $ seed_arg $ wal_req_arg $ snapshot_every_arg
-          $ fsync_every_arg $ faults_flag)
+    Term.(const run $ fabric_term () $ steps_arg 2000 $ seed_arg $ wal_req_arg
+          $ snapshot_every_arg $ fsync_every_arg $ faults_flag)
 
 let recover_cmd =
   let wal_req_arg =
@@ -920,33 +717,10 @@ let address_conv =
 let default_address = Server.Tcp ("127.0.0.1", 7878)
 
 let serve_cmd =
-  let n_local_arg =
-    Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
-           ~doc:"Ports per input/output module.")
-  in
-  let r_arg =
-    Arg.(value & opt int 4 & info [ "r" ] ~docv:"R" ~doc:"Input/output modules.")
-  in
-  let m_arg =
-    Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M"
-           ~doc:"Middle modules; defaults to the theorem minimum.")
-  in
-  let construction_arg =
-    Arg.(
-      value
-      & opt (enum [ ("msw-dominant", Network.Msw_dominant); ("maw-dominant", Network.Maw_dominant) ])
-          Network.Msw_dominant
-      & info [ "construction" ] ~docv:"C" ~doc:"msw-dominant or maw-dominant.")
-  in
   let listen_arg =
     Arg.(value & opt address_conv default_address & info [ "listen" ] ~docv:"ADDR"
            ~doc:"Address to serve on: unix:PATH, tcp:HOST:PORT or HOST:PORT \
                  (port 0 binds an ephemeral port).")
-  in
-  let fsync_every_arg =
-    Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"N"
-           ~doc:"fsync the WAL every N records (default: flush to the OS \
-                 after every record, no fsync).")
   in
   let follower_arg =
     Arg.(value & opt (some address_conv) None & info [ "follower" ] ~docv:"LEADER"
@@ -1002,25 +776,14 @@ let serve_cmd =
                  accepts any registered plug-in: adaptive, annealed, \
                  crosstalk[:BASE[:DB]].")
   in
-  let run n r k m construction model listen wal fsync_every follower http
-      ready_lag slow_ms slow_log max_conns mesh strategy trace_file =
-    (match mesh with None -> check_dims n k | Some _ -> ());
-    if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
+  let run fabric k listen wal fsync_every follower http ready_lag slow_ms
+      slow_log max_conns mesh strategy trace_file =
     (match max_conns with
     | Some mc when mc < 1 ->
       prerr_endline "wdmnet: max-conns must be >= 1";
       exit 2
     | _ -> ());
-    let policy =
-      match fsync_every with
-      | None -> None
-      | Some fe ->
-        if fe < 1 then begin
-          prerr_endline "wdmnet: fsync-every must be >= 1";
-          exit 2
-        end;
-        Some (Persist.Wal.Fsync_every fe)
-    in
+    let policy = wal_policy fsync_every in
     let trace = Option.map (fun _ -> Tel.Trace.create ()) trace_file in
     let sink = Tel.Sink.create ?trace () in
     let backend, describe =
@@ -1047,35 +810,13 @@ let serve_cmd =
                 "mesh %s: %d nodes, %d links, %d wavelengths, %s@." topo_name
                 (Wdm_mesh.Graph.n g) (Wdm_mesh.Graph.m g) k strat ))
       | None ->
-        let eval =
-          match construction with
-          | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-          | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-        in
-        let m = Option.value ~default:eval.Conditions.m_min m in
-        let topo = Topology.make_exn ~n ~m ~r ~k in
-        let strat =
-          match strategy with
-          | None -> Network.Config.default.Network.Config.strategy
-          | Some s -> (
-            match Network.strategy_of_string s with
-            | Ok s -> s
-            | Error e -> prerr_endline ("wdmnet: " ^ e); exit 2)
-        in
-        let net =
-          Network.create
-            ~config:
-              {
-                Network.Config.default with
-                telemetry = Some sink;
-                strategy = strat;
-              }
-            ~construction ~output_model:model topo
-        in
+        let fab = fabric () in
+        let strategy = network_strategy strategy in
+        let net = fabric_network ~telemetry:sink ~strategy fab ~m:fab.m in
         ( Persist.Backend.Net net,
           fun () ->
-            Format.printf "topology: %a, model %a@." Topology.pp topo Model.pp
-              model )
+            Format.printf "topology: %a, model %a@." Topology.pp
+              (Network.topology net) Model.pp fab.model )
     in
     (* A follower manages its own store (truncated on snapshot install,
        resumed from the mark on restart); only a leader takes one here. *)
@@ -1148,9 +889,8 @@ let serve_cmd =
              $(b,--trace) writes the request-stage spans as a Chrome trace \
              at shutdown.  SIGINT or SIGTERM shuts down gracefully and \
              prints the state digest.")
-    Term.(const run $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
-          $ model_arg $ listen_arg $ wal_arg $ fsync_every_arg
-          $ follower_arg $ http_arg
+    Term.(const run $ fabric_term () $ k_arg $ listen_arg $ wal_arg
+          $ fsync_every_arg $ follower_arg $ http_arg
           $ ready_lag_arg $ slow_ms_arg $ slow_log_arg $ max_conns_arg
           $ mesh_arg $ strategy_arg $ trace_arg)
 
@@ -1171,9 +911,6 @@ let client_cmd =
   let ops_arg =
     Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"OPS"
            ~doc:"Churn events to issue with --churn.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let n_local_arg =
     Arg.(value & opt int 4 & info [ "n-local" ] ~docv:"NL"
@@ -1828,9 +1565,6 @@ let deep_cmd =
   let stages_arg =
     Arg.(value & opt int 5 & info [ "stages" ] ~docv:"S" ~doc:"Odd stage count.")
   in
-  let steps_arg =
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Churn events (0: design only).")
-  in
   let run stages n k steps =
     check_dims n k;
     match Recursive.design ~stages ~big_n:n ~k ~output_model:Model.MSW with
@@ -1867,7 +1601,8 @@ let deep_cmd =
   in
   Cmd.v
     (Cmd.info "deep" ~doc:"Design and churn a recursive (5/7-stage) network.")
-    Term.(const run $ stages_arg $ n_arg $ k_arg $ steps_arg)
+    Term.(const run $ stages_arg $ n_arg $ k_arg
+          $ steps_arg ~doc:"Churn events (0: design only)." 2000)
 
 let () =
   (* every subcommand that touches a socket must see EPIPE, not die *)

@@ -139,11 +139,7 @@ let search ?(max_states = 50_000) ?max_fanout ?(prepare = fun (_ : Network.t) ->
     else Nonblocking_proved { states_explored = !explored }
 
 let frontier_exact ?max_states ~construction ~output_model ~n ~r ~k () =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   List.init (eval.Conditions.m_min - n + 1) (fun i ->
       let m = n + i in
       let topo = Topology.make_exn ~n ~m ~r ~k in

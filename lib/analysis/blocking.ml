@@ -61,11 +61,7 @@ let blocking_vs_m ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(steps = 400)
     ms
 
 let blocking_table ~construction ~output_model ~n ~r ~k =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   let m_min = eval.Conditions.m_min in
   let ms =
     List.sort_uniq Int.compare
@@ -212,11 +208,7 @@ let erlang_curve ?(seed = 33) ?(horizon = 300.) ~construction ~output_model ~n
 
 let frontier ?(seeds = List.init 8 (fun i -> 100 + i)) ?(steps = 600)
     ~construction ~output_model ~n ~r ~k () =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   let ms =
     List.init (Stdlib.max 0 (eval.Conditions.m_min - n)) (fun i -> n + i)
   in

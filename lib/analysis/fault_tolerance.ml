@@ -6,18 +6,13 @@ type slack = {
   m_required : int;
 }
 
-let evaluate ~construction ~n ~r ~k =
-  match (construction : Network.construction) with
-  | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-  | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-
 let provision ~construction ~n ~r ~k ~f =
   if f < 0 then invalid_arg "Fault_tolerance.provision: f must be >= 0";
-  let eval = evaluate ~construction ~n ~r ~k in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   { eval; f; m_required = eval.Conditions.m_min + f }
 
 let tolerates ~construction ~n ~r ~k ~m ~f =
-  f >= 0 && m - f >= (evaluate ~construction ~n ~r ~k).Conditions.m_min
+  f >= 0 && m - f >= (Conditions.evaluate construction ~n ~r ~k).Conditions.m_min
 
 type check = {
   failed : int list;

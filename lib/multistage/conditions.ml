@@ -1,3 +1,4 @@
+type construction = Msw_dominant | Maw_dominant
 type evaluation = { x : int; bound : float; m_min : int }
 
 let check_common ~n ~r name =
@@ -34,6 +35,11 @@ let minimize ~n ~r term =
 
 let msw_dominant ~n ~r = minimize ~n ~r (fun x -> theorem1_term ~n ~r ~x)
 let maw_dominant ~n ~r ~k = minimize ~n ~r (fun x -> theorem2_term ~n ~r ~k ~x)
+
+let evaluate construction ~n ~r ~k =
+  match construction with
+  | Msw_dominant -> msw_dominant ~n ~r
+  | Maw_dominant -> maw_dominant ~n ~r ~k
 
 let asymptotic_x ~r =
   if r < 2 then 1.

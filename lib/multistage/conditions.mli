@@ -16,6 +16,10 @@
     matching necessity is established in the paper's reference [16]
     under the usual routing strategies. *)
 
+type construction = Msw_dominant | Maw_dominant
+(** The two three-stage constructions: MSW input and middle modules
+    (Theorem 1) or MAW ones (Theorem 2).  {!Network} re-exports it. *)
+
 type evaluation = {
   x : int;  (** the fanout-splitting bound achieving the minimum *)
   bound : float;  (** value of the minimized right-hand side *)
@@ -34,6 +38,10 @@ val msw_dominant : n:int -> r:int -> evaluation
 
 val maw_dominant : n:int -> r:int -> k:int -> evaluation
 (** Minimizes Theorem 2 over the same range. *)
+
+val evaluate : construction -> n:int -> r:int -> k:int -> evaluation
+(** The theorem that governs [construction]: {!msw_dominant} (which
+    ignores [k]) or {!maw_dominant}. *)
 
 val x_range : n:int -> r:int -> int * int
 (** [(1, min(n-1, r))], the legal splitting bounds ([ (1, 1)] when

@@ -61,11 +61,7 @@ let recommended ~construction ~output_model ~big_n ~k =
       Error (Printf.sprintf "Cost.recommended: N = %d is not a perfect square" big_n)
     else begin
       let n = root and r = root in
-      let eval =
-        match (construction : Network.construction) with
-        | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-        | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-      in
+      let eval = Conditions.evaluate construction ~n ~r ~k in
       let topo = Topology.make_exn ~n ~m:eval.m_min ~r ~k in
       Ok (topo, eval, breakdown ~construction ~output_model topo)
     end

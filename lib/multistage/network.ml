@@ -1,6 +1,6 @@
 open Wdm_core
 
-type construction = Msw_dominant | Maw_dominant
+type construction = Conditions.construction = Msw_dominant | Maw_dominant
 
 type hop = { middle : int; stage1_wl : int; serves : (int * int) list }
 
@@ -298,12 +298,11 @@ end
 let create ?(config = Config.default) ~construction ~output_model
     (topo : Topology.t) =
   let { Config.strategy; x_limit; rearrange_limit; telemetry } = config in
-  let default_x () =
-    match construction with
-    | Msw_dominant -> (Conditions.msw_dominant ~n:topo.n ~r:topo.r).x
-    | Maw_dominant -> (Conditions.maw_dominant ~n:topo.n ~r:topo.r ~k:topo.k).x
+  let x_limit =
+    match x_limit with
+    | Some x -> x
+    | None -> (Conditions.evaluate construction ~n:topo.n ~r:topo.r ~k:topo.k).x
   in
-  let x_limit = match x_limit with Some x -> x | None -> default_x () in
   if x_limit < 1 then invalid_arg "Network.create: x_limit must be >= 1";
   if rearrange_limit < 1 then
     invalid_arg "Network.create: rearrange_limit must be >= 1";
@@ -1432,16 +1431,6 @@ let clear_fault t fault =
 
 let faults t = Fault.Set.elements t.faults
 let degraded t = not (Fault.Set.is_empty t.faults)
-
-let fail_middle t j =
-  if j < 1 || j > t.topo.m then invalid_arg "Network.fail_middle: bad middle";
-  inject_fault t (Fault.Middle j)
-
-let repair_middle t j =
-  if j < 1 || j > t.topo.m then invalid_arg "Network.repair_middle: bad middle";
-  clear_fault t (Fault.Middle j)
-
-let failed_middles t = Iset.elements t.failed_middles
 
 let clear t =
   List.iter (fun (_, route) -> release t route) (Imap.bindings t.routes);

@@ -28,7 +28,7 @@
 
 open Wdm_core
 
-type construction = Msw_dominant | Maw_dominant
+type construction = Conditions.construction = Msw_dominant | Maw_dominant
 
 type hop = {
   middle : int;  (** middle module index, 1-based *)
@@ -355,7 +355,9 @@ val inject_fault : t -> Wdm_faults.Fault.t -> Connection.t list
     caller may immediately re-request).  Idempotent: injecting a fault
     already present returns [[]].  A [Converter] fault only claims the
     routes that actually retuned on that link — MSW middle modules
-    never convert, so MSW-dominant routes are immune.
+    never convert, so MSW-dominant routes are immune.  A fabric
+    provisioned with [m_min + f] middles stays nonblocking under any [f]
+    [Middle] faults ({!Wdm_analysis.Fault_tolerance} verifies the rule).
     @raise Invalid_argument if the fault's indices exceed the topology. *)
 
 val clear_fault : t -> Wdm_faults.Fault.t -> unit
@@ -368,16 +370,6 @@ val faults : t -> Wdm_faults.Fault.t list
 
 val degraded : t -> bool
 (** [faults t <> []]. *)
-
-val fail_middle : t -> int -> Connection.t list
-(** [inject_fault t (Middle j)] with a legacy bounds message.  Since
-    Theorems 1-2 bound the middles a worst case needs, a network
-    provisioned with [m_min + f] modules stays nonblocking under [f]
-    such faults — the fault-tolerance rule
-    {!Wdm_analysis.Fault_tolerance} verifies. *)
-
-val repair_middle : t -> int -> unit
-val failed_middles : t -> int list
 
 (** The single rendering point for refusals.  The CLI, trace events,
     and the control-plane wire responses all format errors through

@@ -361,6 +361,28 @@ let committed req resp =
     Some op
   | _ -> None
 
+let unexpected resp =
+  failwith (Format.asprintf "churn driver: unexpected response: %a" pp resp)
+
+let admitted = function
+  | Admitted { route; _ } -> Ok route
+  | Refused e -> Error e
+  | resp -> unexpected resp
+
+let released = function Released _ -> () | resp -> unexpected resp
+
+let churn_sut ?(on_admit = fun _ -> ()) exec =
+  {
+    Wdm_traffic.Churn.connect =
+      (fun c ->
+        Result.map
+          (fun route ->
+            on_admit route;
+            route.Network.id)
+          (admitted (exec (Admit (Op.Connect c)))));
+    disconnect = (fun id -> released (exec (Admit (Op.Disconnect id))));
+  }
+
 let replay backend op =
   let resp = execute_backend backend (Admit op) in
   match committed (Admit op) resp with

@@ -125,6 +125,29 @@ val committed : request -> t -> Op.t option
     same refusal.  Control requests and whole batches commit nothing
     (the server commits a batch sub-op by sub-op). *)
 
+(** {1 Driving the churn generator} *)
+
+val admitted : t -> (Network.route, Network.error) result
+(** A connect-like answer as the churn driver reads it: [Admitted] is
+    [Ok route], [Refused e] is [Error e].
+    @raise Failure on any other answer. *)
+
+val released : t -> unit
+(** A disconnect answer as the churn driver reads it: [Released] is
+    [()].  @raise Failure on any other answer. *)
+
+val churn_sut :
+  ?on_admit:(Network.route -> unit) ->
+  (request -> t) ->
+  (int, Network.error) Wdm_traffic.Churn.sut
+(** The churn driver's switch under test over any executor: [connect c]
+    sends [Admit (Connect c)] and reads the answer with {!admitted}
+    (an admitted route's id, after [on_admit route]); [disconnect id]
+    sends [Admit (Disconnect id)] and reads it with {!released}.  The
+    executor may be {!execute_backend} on a local engine, optionally
+    journalling {!committed}, or a socket; so an in-process run, a
+    served one and a recorded one read answers the same way. *)
+
 val replay : Backend.t -> Op.t -> (unit, string) result
 (** Re-executes one recorded op through {!execute_backend}.  [Ok]
     exactly when {!committed} returns the op that was recorded: the op

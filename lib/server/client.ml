@@ -39,15 +39,6 @@ let next_span_tag () =
   Mutex.unlock span_tag_mu;
   tag
 
-let sockaddr_of = function
-  | Server.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    (Unix.PF_INET, Unix.ADDR_INET (inet, port))
-  | Server.Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-
 (* EAGAIN/EWOULDBLOCK out of a socket with SO_RCVTIMEO set is the
    deadline expiring, not a transport fault. *)
 let error_of_unix = function
@@ -101,7 +92,7 @@ let dial ~dial_timeout sockaddr domain =
     Error (error_of_unix err)
 
 let connect ?(dial_timeout = 5.0) ?(deadline = 30.0) addr =
-  match sockaddr_of addr with
+  match Server.sockaddr_of_address addr with
   | exception Not_found ->
     Error (Transport (Format.asprintf "cannot resolve %a" Server.pp_address addr))
   | domain, sockaddr -> (
@@ -258,30 +249,11 @@ let request_batch ?deadline t reqs =
         (Protocol (Format.asprintf "unexpected batch response: %a" P.Resp.pp resp))
     | Error _ as e -> e)
 
-let churn_sut ?(on_admit = fun _ -> ()) t =
-  {
-    Wdm_traffic.Churn.connect =
-      (fun conn ->
-        match request t (P.Resp.Admit (P.Op.Connect conn)) with
-        | Ok (P.Resp.Admitted { route; _ }) ->
-          on_admit route;
-          Ok route.Network.id
-        | Ok (P.Resp.Refused e) -> Error e
-        | Ok resp ->
-          failwith
-            (Format.asprintf "Client.churn_sut: unexpected response: %a"
-               P.Resp.pp resp)
-        | Error e -> failwith ("Client.churn_sut: " ^ error_to_string e));
-    disconnect =
-      (fun id ->
-        match request t (P.Resp.Admit (P.Op.Disconnect id)) with
-        | Ok (P.Resp.Released _) -> ()
-        | Ok resp ->
-          failwith
-            (Format.asprintf "Client.churn_sut: unexpected response: %a"
-               P.Resp.pp resp)
-        | Error e -> failwith ("Client.churn_sut: " ^ error_to_string e));
-  }
+let churn_sut ?on_admit t =
+  P.Resp.churn_sut ?on_admit (fun req ->
+      match request t req with
+      | Ok resp -> resp
+      | Error e -> failwith ("Client.churn_sut: " ^ error_to_string e))
 
 (* The pipelined sut keeps the op order a sequential client would
    produce: disconnects are buffered, and any buffered run is flushed
@@ -290,16 +262,11 @@ let churn_sut ?(on_admit = fun _ -> ()) t =
    identical to the one-request-at-a-time path.  Only connects need
    their answers synchronously (the generator routes future disconnects
    by the returned id); disconnects' answers are checked at flush. *)
-let churn_sut_pipelined ?(on_admit = fun _ -> ()) ?(depth = 64) t =
+let churn_sut_pipelined ?on_admit ?(depth = 64) t =
   if depth < 1 then invalid_arg "Client.churn_sut_pipelined: depth must be >= 1";
   let depth = min depth (P.Resp.max_batch - 1) in
   let pending = ref [] (* buffered disconnects, newest first *) in
   let npending = ref 0 in
-  let unexpected resp =
-    failwith
-      (Format.asprintf "Client.churn_sut_pipelined: unexpected response: %a"
-         P.Resp.pp resp)
-  in
   let flush_with extra =
     let reqs = List.rev_append !pending extra in
     pending := [];
@@ -310,31 +277,23 @@ let churn_sut_pipelined ?(on_admit = fun _ -> ()) ?(depth = 64) t =
       | Ok rs -> rs
       | Error e -> failwith ("Client.churn_sut_pipelined: " ^ error_to_string e)
   in
-  let expect_released rs =
-    List.iter (function P.Resp.Released _ -> () | r -> unexpected r) rs
+  let flush () = List.iter P.Resp.released (flush_with []) in
+  (* a connect carries the buffered disconnects ahead of it *)
+  let exec req =
+    match List.rev (flush_with [ req ]) with
+    | [] -> assert false
+    | last :: released_rev ->
+      List.iter P.Resp.released released_rev;
+      last
   in
   let sut =
     {
-      Wdm_traffic.Churn.connect =
-        (fun conn ->
-          match
-            List.rev (flush_with [ P.Resp.Admit (P.Op.Connect conn) ])
-          with
-          | [] -> assert false
-          | last :: released_rev ->
-            expect_released released_rev;
-            (match last with
-            | P.Resp.Admitted { route; _ } ->
-              on_admit route;
-              Ok route.Network.id
-            | P.Resp.Refused e -> Error e
-            | r -> unexpected r));
-      disconnect =
+      (P.Resp.churn_sut ?on_admit exec) with
+      Wdm_traffic.Churn.disconnect =
         (fun id ->
           pending := P.Resp.Admit (P.Op.Disconnect id) :: !pending;
           incr npending;
-          if !npending >= depth then expect_released (flush_with []));
+          if !npending >= depth then flush ());
     }
   in
-  let flush () = expect_released (flush_with []) in
   (sut, flush)

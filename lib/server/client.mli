@@ -82,17 +82,16 @@ val churn_sut :
   ?on_admit:(Network.route -> unit) ->
   t ->
   (int, Network.error) Wdm_traffic.Churn.sut
-(** The traffic generator's switch-under-test interface served over
-    the socket, so a seeded {!Wdm_traffic.Churn.run} drives a remote
-    network exactly as it would an in-process one: [connect] maps to
-    an [Admit (Connect _)] request (admitted → [Ok id], refused →
-    [Error e] with the same typed {!Network.error} the in-process call
-    returns), [disconnect] to [Admit (Disconnect _)].  [on_admit]
-    observes every admitted route (e.g. to fold
-    {!Wdm_persist.Op.route_checksum} for equivalence checks).
-    Transport failures and protocol violations raise [Failure] — a
-    loadgen run against a dead server must abort, not tally refusals.
-    For a sut that survives failover, see {!Resilient.churn_sut}. *)
+(** {!Wdm_persist.Resp.churn_sut} over {!request}: a seeded
+    {!Wdm_traffic.Churn.run} drives a remote network exactly as it
+    would an in-process one, and reads each answer the way the
+    in-process run does (admitted → [Ok id], refused → [Error e] with
+    the same typed {!Network.error}).  [on_admit] observes every
+    admitted route (e.g. to fold {!Wdm_persist.Op.route_checksum} for
+    equivalence checks).  Transport failures and unexpected answers
+    raise [Failure] — a loadgen run against a dead server must abort,
+    not tally refusals.  For a sut that survives failover, see
+    {!Resilient.churn_sut}. *)
 
 val churn_sut_pipelined :
   ?on_admit:(Network.route -> unit) ->

@@ -110,29 +110,9 @@ let digest t =
       (Client.Protocol (Format.asprintf "unexpected response: %a" P.Resp.pp resp))
   | Error _ as e -> e
 
-let churn_sut ?(on_admit = fun _ -> ()) t =
-  {
-    Wdm_traffic.Churn.connect =
-      (fun conn ->
-        match request t (P.Resp.Admit (P.Op.Connect conn)) with
-        | Ok (P.Resp.Admitted { route; _ }) ->
-          on_admit route;
-          Ok route.Network.id
-        | Ok (P.Resp.Refused e) -> Error e
-        | Ok resp ->
-          failwith
-            (Format.asprintf "Resilient.churn_sut: unexpected response: %a"
-               P.Resp.pp resp)
-        | Error e ->
-          failwith ("Resilient.churn_sut: " ^ Client.error_to_string e));
-    disconnect =
-      (fun id ->
-        match request t (P.Resp.Admit (P.Op.Disconnect id)) with
-        | Ok (P.Resp.Released _) -> ()
-        | Ok resp ->
-          failwith
-            (Format.asprintf "Resilient.churn_sut: unexpected response: %a"
-               P.Resp.pp resp)
-        | Error e ->
-          failwith ("Resilient.churn_sut: " ^ Client.error_to_string e));
-  }
+let churn_sut ?on_admit t =
+  P.Resp.churn_sut ?on_admit (fun req ->
+      match request t req with
+      | Ok resp -> resp
+      | Error e ->
+        failwith ("Resilient.churn_sut: " ^ Client.error_to_string e))

@@ -634,6 +634,24 @@ let slow_line sr =
                   sr.sr_stages) );
          ]))
 
+(* One request as contiguous Stage slices, correlated by span id and
+   client in [args]: the trace mirror and [/spans] both render it so. *)
+let trace_stages trace sr =
+  let span_detail =
+    (match sr.sr_span with
+    | Some s -> [ ("span", string_of_int s) ]
+    | None -> [])
+    @ [ ("client", string_of_int sr.sr_cid) ]
+  in
+  let ts = ref sr.sr_start in
+  List.iter
+    (fun (name, d) ->
+      Tel.Trace.record trace ~ts:!ts ~dur:d
+        ~detail:(("stage", name) :: span_detail)
+        Tel.Trace.Stage;
+      ts := !ts +. d)
+    sr.sr_stages
+
 (* Ring-buffer the record, mirror it to the trace sink as one Stage
    slice per stage, and append the slow-op JSONL line when the total
    crosses the threshold.  Only called when instruments exist — with
@@ -658,23 +676,7 @@ let record_span t i sr =
   if Queue.length t.spans_ring > t.span_buffer then
     ignore (Queue.pop t.spans_ring);
   Mutex.unlock t.mu;
-  (match i.sink.Tel.Sink.trace with
-  | None -> ()
-  | Some trace ->
-    let span_detail =
-      (match sr.sr_span with
-      | Some s -> [ ("span", string_of_int s) ]
-      | None -> [])
-      @ [ ("client", string_of_int sr.sr_cid) ]
-    in
-    let ts = ref sr.sr_start in
-    List.iter
-      (fun (name, d) ->
-        Tel.Trace.record trace ~ts:!ts ~dur:d
-          ~detail:(("stage", name) :: span_detail)
-          Tel.Trace.Stage;
-        ts := !ts +. d)
-      sr.sr_stages);
+  Option.iter (fun trace -> trace_stages trace sr) i.sink.Tel.Sink.trace;
   match t.slow_ms with
   | Some threshold when sr.sr_total *. 1000. >= threshold -> (
     Tel.Metrics.inc i.slow_requests;
@@ -848,23 +850,7 @@ let spans_chrome t =
   let records = List.of_seq (Queue.to_seq t.spans_ring) in
   Mutex.unlock t.mu;
   let trace = Tel.Trace.create () in
-  List.iter
-    (fun sr ->
-      let span_detail =
-        (match sr.sr_span with
-        | Some s -> [ ("span", string_of_int s) ]
-        | None -> [])
-        @ [ ("client", string_of_int sr.sr_cid) ]
-      in
-      let ts = ref sr.sr_start in
-      List.iter
-        (fun (name, d) ->
-          Tel.Trace.record trace ~ts:!ts ~dur:d
-            ~detail:(("stage", name) :: span_detail)
-            Tel.Trace.Stage;
-          ts := !ts +. d)
-        sr.sr_stages)
-    records;
+  List.iter (trace_stages trace) records;
   Tel.Trace.to_chrome trace
 
 let http_route t path =
@@ -1489,28 +1475,19 @@ let loop_run t =
 (* ----- lifecycle ------------------------------------------------------- *)
 
 let bind_listen addr =
-  match addr with
-  | Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 512;
-    let bound =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (a, p) -> Tcp (Unix.string_of_inet_addr a, p)
-      | Unix.ADDR_UNIX _ -> addr
-    in
-    (fd, bound)
-  | Unix_socket path ->
-    if Sys.file_exists path then Unix.unlink path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 512;
-    (fd, addr)
+  let domain, sockaddr = sockaddr_of_address addr in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (match addr with
+  | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+  | Unix_socket path -> if Sys.file_exists path then Unix.unlink path);
+  Unix.bind fd sockaddr;
+  Unix.listen fd 512;
+  let bound =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (a, p) -> Tcp (Unix.string_of_inet_addr a, p)
+    | Unix.ADDR_UNIX _ -> addr
+  in
+  (fd, bound)
 
 let start_backend ?telemetry ?store ?(digest_every = 64)
     ?(resume_window = 1024) ?follower ?http ?(ready_lag = 64) ?slow_ms

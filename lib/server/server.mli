@@ -103,6 +103,12 @@ type address =
 
 val pp_address : Format.formatter -> address -> unit
 
+val sockaddr_of_address : address -> Unix.socket_domain * Unix.sockaddr
+(** The one host resolver: a dotted address as is, any other host
+    through [gethostbyname].  The listener, a follower's dial and the
+    client's all resolve through it.
+    @raise Not_found when the host does not resolve. *)
+
 type role = Leader | Follower
 
 type follower_config = {

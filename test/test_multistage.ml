@@ -251,6 +251,23 @@ let test_condition_monotonicity () =
       prev := e.Conditions.m_min)
     [ 2; 3; 4; 6; 8; 12; 16; 24; 32 ]
 
+let test_evaluate_dispatch () =
+  (* the one construction -> theorem dispatch picks Theorem 1 for
+     MSW-dominant and Theorem 2 for MAW-dominant *)
+  for n = 1 to 8 do
+    for r = 1 to 8 do
+      for k = 1 to 4 do
+        let name = Printf.sprintf "n=%d r=%d k=%d" n r k in
+        Alcotest.(check bool) (name ^ " msw") true
+          (Conditions.evaluate Conditions.Msw_dominant ~n ~r ~k
+          = Conditions.msw_dominant ~n ~r);
+        Alcotest.(check bool) (name ^ " maw") true
+          (Conditions.evaluate Conditions.Maw_dominant ~n ~r ~k
+          = Conditions.maw_dominant ~n ~r ~k)
+      done
+    done
+  done
+
 (* --- cost model (Table 2) ---------------------------------------------- *)
 
 let test_cost_closed_form_agrees () =
@@ -580,6 +597,7 @@ let () =
           Alcotest.test_case "k=1 collapse" `Quick test_theorem2_k1_equals_theorem1;
           Alcotest.test_case "asymptotic reduction" `Quick test_asymptotic_reduction;
           Alcotest.test_case "monotonicity" `Quick test_condition_monotonicity;
+          Alcotest.test_case "evaluate = per-theorem" `Quick test_evaluate_dispatch;
         ] );
       ( "cost-table2",
         [

@@ -1088,6 +1088,97 @@ let props =
         ~ports:14 ~k:4 ~m:3 ~r:3;
     ]
 
+(* --- the churn driver over an executor --------------------------------- *)
+
+(* [Resp.churn_sut] over [execute_backend] must drive a fabric exactly
+   as direct engine calls do: same driver tallies, same admitted routes,
+   same final state.  The fabric is undersized (m = 2, below both
+   theorems' minimum), so refusals reach the mapping too. *)
+let test_churn_sut_matches_direct construction () =
+  let make () =
+    Network.create ~construction ~output_model:Model.MAW
+      (Topology.make_exn ~n:2 ~m:2 ~r:4 ~k:2)
+  in
+  let churn sut =
+    Wdm_traffic.Churn.run (Random.State.make [| 23 |])
+      ~spec:(Network_spec.make_exn ~n:8 ~k:2) ~model:Model.MAW
+      ~fanout:(Wdm_traffic.Fanout.Zipf { max = 8; s = 1.1 })
+      ~steps:1500 ~teardown_bias:0.35 sut
+  in
+  let a = make () and b = make () in
+  let sum_a = ref 0 and sum_b = ref 0 in
+  let stats_a =
+    churn
+      (P.Resp.churn_sut
+         ~on_admit:(fun route -> sum_a := P.Op.route_checksum !sum_a route)
+         (P.Resp.execute_backend (P.Backend.Net a)))
+  in
+  let stats_b =
+    churn
+      {
+        Wdm_traffic.Churn.connect =
+          (fun c ->
+            Result.map
+              (fun route ->
+                sum_b := P.Op.route_checksum !sum_b route;
+                route.Network.id)
+              (Network.connect b c));
+        disconnect = (fun id -> ignore (Network.disconnect b id));
+      }
+  in
+  Alcotest.(check bool) "same stats" true (stats_a = stats_b);
+  Alcotest.(check bool) "refusals exercised" true
+    (stats_a.Wdm_traffic.Churn.blocked > 0);
+  Alcotest.(check int) "route checksum" !sum_b !sum_a;
+  Alcotest.(check int) "digest" (Network.digest b) (Network.digest a)
+
+(* the same for a mesh under Erlang traffic *)
+let test_churn_sut_matches_direct_mesh () =
+  let erlang sut =
+    Wdm_traffic.Erlang.run (Random.State.make [| 29 |]) ~nodes:14
+      ~fanout:(Wdm_traffic.Fanout.Zipf { max = 4; s = 1.3 })
+      ~offered:12. ~arrivals:1500 sut
+  in
+  let a = make_mesh () and b = make_mesh () in
+  let sum_a = ref 0 and sum_b = ref 0 in
+  let point_a =
+    erlang
+      (P.Resp.churn_sut
+         ~on_admit:(fun route -> sum_a := P.Op.route_checksum !sum_a route)
+         (P.Resp.execute_backend (P.Backend.Mesh a)))
+  in
+  let point_b =
+    erlang
+      {
+        Wdm_traffic.Churn.connect =
+          (fun c ->
+            Result.map
+              (fun route ->
+                sum_b :=
+                  P.Op.route_checksum !sum_b (P.Backend.net_route_of_mesh route);
+                route.Mesh.id)
+              (Mesh.connect b c));
+        disconnect = (fun id -> ignore (Mesh.disconnect b id));
+      }
+  in
+  Alcotest.(check bool) "same point" true (point_a = point_b);
+  Alcotest.(check bool) "refusals exercised" true
+    (point_a.Wdm_traffic.Erlang.blocked > 0);
+  Alcotest.(check int) "route checksum" !sum_b !sum_a;
+  Alcotest.(check int) "digest"
+    (P.Backend.digest (P.Backend.Mesh b))
+    (P.Backend.digest (P.Backend.Mesh a))
+
+let test_churn_sut_rejects_other_answers () =
+  let sut = P.Resp.churn_sut (fun _ -> P.Resp.Server_error "down") in
+  let raises what f =
+    match f () with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail (what ^ ": expected Failure")
+  in
+  raises "connect" (fun () -> ignore (sut.Wdm_traffic.Churn.connect (conn (ep 1 1) [ ep 2 1 ])));
+  raises "disconnect" (fun () -> sut.Wdm_traffic.Churn.disconnect 1)
+
 (* Alcotest pads every suite name to the longest one and cuts test
    names at 80 columns, so a suite name longer than "properties" would
    truncate "refuses an overlapping copy (reference)". *)
@@ -1161,6 +1252,17 @@ let () =
           Alcotest.test_case "WAL bytes" `Quick test_golden_wal;
           Alcotest.test_case "snapshot bytes" `Quick test_golden_snapshots;
           Alcotest.test_case "response frames" `Quick test_golden_responses;
+        ] );
+      ( "churn",
+        [
+          Alcotest.test_case "= direct calls (MSW-dominant)" `Quick
+            (test_churn_sut_matches_direct Network.Msw_dominant);
+          Alcotest.test_case "= direct calls (MAW-dominant)" `Quick
+            (test_churn_sut_matches_direct Network.Maw_dominant);
+          Alcotest.test_case "= direct calls (mesh, Erlang)" `Quick
+            test_churn_sut_matches_direct_mesh;
+          Alcotest.test_case "other answers raise" `Quick
+            test_churn_sut_rejects_other_answers;
         ] );
       ("properties", props);
     ]

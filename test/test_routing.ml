@@ -236,11 +236,7 @@ let test_route_covers_exact_fanout () =
 (* --- nonblocking at the theorem bounds --------------------------------- *)
 
 let nonblocking_case ~construction ~output_model ~n ~r ~k ~seed ~steps () =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   let t = net ~construction ~output_model ~n ~m:eval.Conditions.m_min ~r ~k () in
   let rng = Random.State.make [| seed |] in
   let spec = Topology.spec (Network.topology t) in
@@ -359,11 +355,7 @@ let test_exhaustive_not_worse_than_greedy () =
 (* --- physical realization ----------------------------------------------- *)
 
 let physical_case ~construction ~output_model ~n ~r ~k ~seed () =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   let topo = Topology.make_exn ~n ~m:eval.Conditions.m_min ~r ~k in
   let t = Network.create ~construction ~output_model topo in
   let phys = Physical.create ~construction ~output_model topo in
@@ -466,11 +458,7 @@ let test_physical_component_census () =
    the small network, connection by connection, on a fresh
    theorem-provisioned three-stage network. *)
 let capacity_equality_case ~construction ~output_model ~n ~r ~k () =
-  let eval =
-    match construction with
-    | Network.Msw_dominant -> Conditions.msw_dominant ~n ~r
-    | Network.Maw_dominant -> Conditions.maw_dominant ~n ~r ~k
-  in
+  let eval = Conditions.evaluate construction ~n ~r ~k in
   let topo = Topology.make_exn ~n ~m:eval.Conditions.m_min ~r ~k in
   let spec = Topology.spec topo in
   let count = ref 0 in
@@ -509,23 +497,28 @@ let capacity_equality_suite =
 
 (* --- fault injection -------------------------------------------------------- *)
 
+let failed_middles t =
+  List.filter_map
+    (function Wdm_faults.Fault.Middle j -> Some j | _ -> None)
+    (Network.faults t)
+
 let test_fail_middle_returns_victims () =
   let t = net ~construction:Network.Msw_dominant ~output_model:Model.MSW
       ~n:2 ~m:4 ~r:2 ~k:1 () in
   let c = conn (ep 1 1) [ ep 3 1 ] in
   let route = check_ok (Network.connect t c) in
   let j = (List.hd route.Network.hops).Network.middle in
-  let victims = Network.fail_middle t j in
+  let victims = Network.inject_fault t (Wdm_faults.Fault.Middle j) in
   Alcotest.(check int) "one victim" 1 (List.length victims);
   Alcotest.(check bool) "the victim" true (Connection.equal c (List.hd victims));
   Alcotest.(check int) "route gone" 0 (List.length (Network.active_routes t));
-  Alcotest.(check (list int)) "failure recorded" [ j ] (Network.failed_middles t);
+  Alcotest.(check (list int)) "failure recorded" [ j ] (failed_middles t);
   (* endpoints freed: the victim can be re-requested and avoids j *)
   let route2 = check_ok (Network.connect t c) in
   Alcotest.(check bool) "rerouted around the fault" true
     ((List.hd route2.Network.hops).Network.middle <> j);
-  Network.repair_middle t j;
-  Alcotest.(check (list int)) "repaired" [] (Network.failed_middles t)
+  Network.clear_fault t (Wdm_faults.Fault.Middle j);
+  Alcotest.(check (list int)) "repaired" [] (failed_middles t)
 
 let test_fault_tolerant_provisioning () =
   (* m = m_min + f stays nonblocking under f faults. *)
@@ -534,8 +527,9 @@ let test_fault_tolerant_provisioning () =
   let t = net ~construction:Network.Msw_dominant ~output_model:Model.MSW
       ~n:3 ~m:(eval.Conditions.m_min + f) ~r:3 ~k:2 () in
   Alcotest.(check (list Alcotest.string)) "no victims on idle fail" []
-    (List.map (Format.asprintf "%a" Connection.pp) (Network.fail_middle t 1));
-  ignore (Network.fail_middle t 2);
+    (List.map (Format.asprintf "%a" Connection.pp)
+       (Network.inject_fault t (Wdm_faults.Fault.Middle 1)));
+  ignore (Network.inject_fault t (Wdm_faults.Fault.Middle 2));
   let stats =
     Wdm_traffic.Churn.run (Random.State.make [| 71 |])
       ~spec:(Topology.spec (Network.topology t)) ~model:Model.MSW
@@ -549,18 +543,11 @@ let test_all_middles_failed_blocks_everything () =
   let t = net ~construction:Network.Msw_dominant ~output_model:Model.MSW
       ~n:2 ~m:4 ~r:2 ~k:1 () in
   for j = 1 to 4 do
-    ignore (Network.fail_middle t j)
+    ignore (Network.inject_fault t (Wdm_faults.Fault.Middle j))
   done;
   match Network.connect t (conn (ep 1 1) [ ep 1 1 ]) with
   | Error (Network.Blocked { available_middles = []; _ }) -> ()
   | _ -> Alcotest.fail "expected total blocking"
-
-let test_fail_middle_validation () =
-  let t = net ~construction:Network.Msw_dominant ~output_model:Model.MSW
-      ~n:2 ~m:4 ~r:2 ~k:1 () in
-  Alcotest.check_raises "bad middle"
-    (Invalid_argument "Network.fail_middle: bad middle") (fun () ->
-      ignore (Network.fail_middle t 5))
 
 (* --- rearrangement -------------------------------------------------------- *)
 
@@ -917,7 +904,6 @@ let () =
             test_fault_tolerant_provisioning;
           Alcotest.test_case "all failed blocks" `Quick
             test_all_middles_failed_blocks_everything;
-          Alcotest.test_case "validation" `Quick test_fail_middle_validation;
         ] );
       ( "rearrangement",
         [

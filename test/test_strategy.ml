@@ -380,7 +380,7 @@ let test_invalid_plan_refused () =
       ( "test-range", "middle out of range", 3, no_prep,
         fun _ -> [ (5, [ 1; 2 ]) ] );
       ( "test-unavailable", "unavailable middle", 3,
-        (fun net -> ignore (Network.fail_middle net 1)),
+        (fun net -> ignore (Network.inject_fault net (Wdm_faults.Fault.Middle 1))),
         fun _ -> [ (1, [ 1; 2 ]) ] );
       ( "test-outside", "serves a module outside the request", 3, no_prep,
         fun c -> [ (1, Network.Strategy.fanout c @ [ 3 ]) ] );
