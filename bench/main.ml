@@ -1036,7 +1036,10 @@ let mesh_connect_trials = 3
    traffic [mesh_connect_trials] times on a fresh network and reports
    the median of each class's mean, with its min and max; the trials
    must agree on the outcome checksum (every outcome, warmup included,
-   folded with [hash_outcome]). *)
+   folded with [hash_outcome]) and, to the word, on each class's minor
+   words: [Gc.minor_words] read around each timed call, inside the
+   clock's reads, counts what [connect] allocates and nothing else (the
+   read allocates nothing). *)
 let mesh_connect_bench ~quick () =
   section "Mesh connect cost per strategy (nsf14, 32 wavelengths, 120 Erlangs)";
   let seed = 1 and offered = 120. and fanout_max = 8 and k = 32 in
@@ -1049,14 +1052,17 @@ let mesh_connect_bench ~quick () =
       | Ok net -> net
       | Error e -> failwith ("mesh_connect: " ^ e)
     in
-    let samples = Array.make 3 [] and calls = ref 0 and checksum = ref 0 in
+    let samples = Array.make 3 [] and words = Array.make 3 0 in
+    let calls = ref 0 and checksum = ref 0 in
     let sut =
       {
         Wdm_traffic.Churn.connect =
           (fun c ->
             incr calls;
             let t0 = Monotonic_clock.now () in
+            let w0 = Gc.minor_words () in
             let outcome = Mesh_network.connect net c in
+            let w1 = Gc.minor_words () in
             let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
             checksum := hash_outcome !checksum outcome;
             (if !calls > warmup then
@@ -1066,7 +1072,8 @@ let mesh_connect_bench ~quick () =
                  | Ok _ when List.length c.Connection.destinations = 1 -> 0
                  | Ok _ -> 1
                in
-               samples.(cls) <- (ns /. 1e3) :: samples.(cls));
+               samples.(cls) <- (ns /. 1e3) :: samples.(cls);
+               words.(cls) <- words.(cls) + int_of_float (w1 -. w0));
             Result.map (fun r -> r.Mesh_network.id) outcome);
         disconnect = (fun id -> ignore (Mesh_network.disconnect net id));
       }
@@ -1077,7 +1084,7 @@ let mesh_connect_bench ~quick () =
          ~nodes:(Wdm_mesh.Graph.n (Mesh_network.graph net))
          ~fanout:(Wdm_traffic.Fanout.Zipf { max = fanout_max; s = 1.3 })
          ~offered ~arrivals:(warmup + arrivals) sut);
-    (samples, !checksum)
+    (samples, words, !checksum)
   in
   (* count, mean, p50, p99 of one class in one trial *)
   let stats us =
@@ -1099,38 +1106,46 @@ let mesh_connect_bench ~quick () =
       { Mesh_network.Config.default with k; strategy; splitters }
     in
     let trials = List.init mesh_connect_trials (fun _ -> trial config) in
-    let checksum = snd (List.hd trials) in
-    if List.exists (fun (_, c) -> c <> checksum) trials then
+    let _, words, checksum = List.hd trials in
+    let disagree what =
       failwith
-        (Printf.sprintf "mesh_connect: %s trials disagree on the outcomes"
-           name);
+        (Printf.sprintf "mesh_connect: %s trials disagree on the %s" name what)
+    in
+    List.iter
+      (fun (_, w, c) ->
+        if c <> checksum then disagree "outcomes";
+        if w <> words then disagree "minor words")
+      trials;
     let total_ms =
       List.map
-        (fun (samples, _) ->
+        (fun (samples, _, _) ->
           Array.fold_left (List.fold_left ( +. )) 0. samples /. 1e3)
         trials
     in
     let per_class =
       List.mapi
         (fun i cls ->
-          let st = List.map (fun (samples, _) -> stats samples.(i)) trials in
+          let st = List.map (fun (samples, _, _) -> stats samples.(i)) trials in
           let pick f = List.map f st in
           let means = pick (fun (_, mean, _, _) -> mean) in
+          let count, _, _, _ = List.hd st in
           ( cls,
-            List.length (fst (List.hd trials)).(i),
+            count,
             median means,
             List.fold_left min infinity means,
             List.fold_left max 0. means,
             median (pick (fun (_, _, p50, _) -> p50)),
-            median (pick (fun (_, _, _, p99) -> p99)) ))
+            median (pick (fun (_, _, _, p99) -> p99)),
+            words.(i) ))
         classes
     in
     List.iter
-      (fun (cls, n, mean, lo, hi, p50, p99) ->
+      (fun (cls, n, mean, lo, hi, p50, p99, w) ->
         Printf.printf
           "%-12s %-8s %-9s %6d  mean %6.1f [%.1f-%.1f]  p50 %6.1f  p99 %7.1f \
-           us\n"
-          name splitters_name cls n mean lo hi p50 p99)
+           us  %6.1f words\n"
+          name splitters_name cls n mean lo hi p50 p99
+          (if n = 0 then 0. else float_of_int w /. float_of_int n))
       per_class;
     Printf.printf "%-12s %-8s total %.1f ms (median of %d), outcome checksum %d\n"
       name splitters_name (median total_ms) mesh_connect_trials checksum;
@@ -1146,7 +1161,7 @@ let mesh_connect_bench ~quick () =
          ("total_ms_max", J.Float (List.fold_left max 0. total_ms));
        ]
       @ List.map
-          (fun (cls, n, mean, lo, hi, p50, p99) ->
+          (fun (cls, n, mean, lo, hi, p50, p99, w) ->
             ( cls,
               J.Obj
                 [
@@ -1156,6 +1171,7 @@ let mesh_connect_bench ~quick () =
                   ("mean_us_max", J.Float hi);
                   ("p50_us", J.Float p50);
                   ("p99_us", J.Float p99);
+                  ("minor_words", J.Int w);
                 ] ))
           per_class)
   in

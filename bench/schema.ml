@@ -165,12 +165,13 @@ let all rule keys = List.map (fun key -> (key, rule)) keys
 let distinct ?(within = []) key min = { within; key; min }
 
 (* one outcome class of a mesh_connect row: its timings may be 0 only
-   when it saw no connects *)
+   when it saw no connects; its minor words are an exact count *)
 let connect_class =
   let timings =
     [ "mean_us"; "mean_us_min"; "mean_us_max"; "p50_us"; "p99_us" ]
   in
-  obj (("count", int) :: all num timings)
+  obj
+    (("count", int) :: ("minor_words", Int [ Ge 0 ]) :: all num timings)
     ~conds:
       [
         Pos_unless_zero ("count", timings);

@@ -125,6 +125,12 @@ let mutations =
     ("wal bytes negative", "persistence.wal.bytes", set (J.Int (-1)));
     ("snapshot bytes 2.5", "persistence.snapshot.bytes", set (J.Float 2.5));
     ("snapshot routes -3", "persistence.snapshot.routes", set (J.Int (-3)));
+    ( "mesh_connect minor_words missing",
+      "mesh_connect.rows.0.multicast.minor_words", remove );
+    ( "mesh_connect minor_words 1.5",
+      "mesh_connect.rows.0.unicast.minor_words", set (J.Float 1.5) );
+    ( "mesh_connect minor_words negative",
+      "mesh_connect.rows.0.refused.minor_words", set (J.Int (-1)) );
     (* fields the parent validator never checked *)
     ("missing recovery.replayed", "persistence.recovery.replayed", remove);
     ("missing params.steps", "routing_throughput.params.steps", remove);

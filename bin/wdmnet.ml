@@ -121,8 +121,18 @@ let check_dims n k =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* Every command that takes --steps refuses a negative count here. *)
 let steps_arg ?(doc = "Churn events.") default =
-  Arg.(value & opt int default & info [ "steps" ] ~docv:"STEPS" ~doc)
+  let check steps =
+    if steps < 0 then begin
+      prerr_endline "wdmnet: steps must be >= 0";
+      exit 2
+    end;
+    steps
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt int default & info [ "steps" ] ~docv:"STEPS" ~doc))
 
 (* --- the fabric harness ------------------------------------------------ *)
 
@@ -165,6 +175,7 @@ let fabric_term ?(m_doc = "Middle modules; defaults to the theorem minimum.")
     if r < 1 then begin prerr_endline "wdmnet: R must be >= 1"; exit 2 end;
     let eval = Conditions.evaluate construction ~n ~r ~k in
     let m = Option.value ~default:eval.Conditions.m_min m in
+    if m < n then begin prerr_endline "wdmnet: M must be >= NL"; exit 2 end;
     { n; r; k; m; construction; model; eval }
   in
   Term.(const fabric $ n_local_arg $ r_arg $ k_arg $ m_arg $ construction_arg
@@ -457,7 +468,6 @@ let faults_cmd =
     if mtbf <= 0. || mttr <= 0. then begin
       prerr_endline "wdmnet: mtbf and mttr must be positive"; exit 2
     end;
-    if steps < 0 then begin prerr_endline "wdmnet: steps must be >= 0"; exit 2 end;
     Format.printf
       "Fault-injection campaign: n=%d r=%d k=%d, base m=%d (theorem m_min=%d), \
        %d steps, mtbf=%.0f mttr=%.0f, seed %d\n"

@@ -3,12 +3,21 @@ type t = {
   mask : int array; (* edge id -> bitmask, bit (wl-1) set = in use *)
   counts : int array; (* wl (1-based) -> edges carrying it *)
   mutable slots : int;
+  ascending : int list; (* 1..k, the first-fit scan, built once *)
+  anneal : int array; (* the annealed scan's working order, refilled per call *)
 }
 
 let create ~k ~m =
   if k < 1 || k > 62 then invalid_arg "Assign.create: k must be in 1..62";
   if m < 0 then invalid_arg "Assign.create: negative edge count";
-  { k; mask = Array.make m 0; counts = Array.make (k + 1) 0; slots = 0 }
+  {
+    k;
+    mask = Array.make m 0;
+    counts = Array.make (k + 1) 0;
+    slots = 0;
+    ascending = List.init k (fun i -> i + 1);
+    anneal = Array.make k 0;
+  }
 
 let k t = t.k
 
@@ -72,7 +81,7 @@ module Plugin_registry = Wdm_core.Strategy.Registry (struct
   let name p = p.p_name
 end)
 
-let first_fit_order t ~hash:_ = List.init t.k (fun i -> i + 1)
+let first_fit_order t ~hash:_ = t.ascending
 
 (* By use count, ties to the lower index: a total order on distinct
    wavelengths, compared without building a tuple per comparison. *)
@@ -82,7 +91,7 @@ let most_used_order t ~hash:_ =
       match Int.compare t.counts.(b) t.counts.(a) with
       | 0 -> Int.compare a b
       | c -> c)
-    (List.init t.k (fun i -> i + 1))
+    t.ascending
 
 let least_used_order t ~hash:_ =
   List.stable_sort
@@ -90,7 +99,7 @@ let least_used_order t ~hash:_ =
       match Int.compare t.counts.(a) t.counts.(b) with
       | 0 -> Int.compare a b
       | c -> c)
-    (List.init t.k (fun i -> i + 1))
+    t.ascending
 
 let random_order t ~hash =
   let start = (hash land max_int) mod t.k in
@@ -103,7 +112,10 @@ let random_order t ~hash =
    nearly tie. *)
 let annealed_order t ~hash =
   let rng = Wdm_core.Strategy.Det_rng.make ~seed:hash in
-  let order = Array.init t.k (fun i -> i + 1) in
+  let order = t.anneal in
+  for i = 0 to t.k - 1 do
+    order.(i) <- i + 1
+  done;
   let cost o =
     let c = ref 0. in
     Array.iteri

@@ -12,19 +12,42 @@ type structure = {
   cost : float;
 }
 
-let build ~mode ~mc ~use_edge g ~src ~dests =
+(* [in_t] marks the nodes the structure reaches (the covered ones).
+   [ins] counts signal arrivals at a node (the source's transmitter
+   counts as one); [outs] counts departures.  An MI node can grow a new
+   branch only while ins > outs — each arrival forwards at most once
+   (drop-and-continue).  MC nodes split freely.  [used_here] marks the
+   edges the structure holds, and [target] the destinations not yet
+   covered. *)
+type scratch = {
+  in_t : bool array;
+  ins : int array;
+  outs : int array;
+  used_here : bool array;
+  target : bool array;
+}
+
+let scratch g =
   let n = Graph.n g in
-  (* in_t marks the nodes the structure reaches (the covered ones).
-     ins counts signal arrivals at a node (the source's transmitter
-     counts as one); outs counts departures.  An MI node can grow a new
-     branch only while ins > outs — each arrival forwards at most once
-     (drop-and-continue).  MC nodes split freely. *)
-  let in_t = Array.make (n + 1) false in
-  let ins = Array.make (n + 1) 0 in
-  let outs = Array.make (n + 1) 0 in
-  let used_here = Array.make (Graph.m g) false in
-  (* the destinations not yet covered, and how many there are *)
-  let target = Array.make (n + 1) false in
+  {
+    in_t = Array.make (n + 1) false;
+    ins = Array.make (n + 1) 0;
+    outs = Array.make (n + 1) 0;
+    used_here = Array.make (Graph.m g) false;
+    target = Array.make (n + 1) false;
+  }
+
+let build ?scratch:s ?search ~mode ~mc ~use_edge g ~src ~dests =
+  let { in_t; ins; outs; used_here; target } =
+    match s with Some s -> s | None -> scratch g
+  in
+  let search = match search with Some s -> s | None -> Shortest.scratch g in
+  let clear a v = Array.fill a 0 (Array.length a) v in
+  clear in_t false;
+  clear ins 0;
+  clear outs 0;
+  clear used_here false;
+  clear target false;
   let pending = ref 0 in
   in_t.(src) <- true;
   ins.(src) <- 1;
@@ -43,7 +66,8 @@ let build ~mode ~mc ~use_edge g ~src ~dests =
     | Tree -> fun v -> in_t.(v) (* node-disjoint grafts: attach only at ends *)
     | Hierarchy -> fun _ -> false (* edge-disjoint only: cross-pair reuse *)
   in
-  let use_edge' e = use_edge e && not used_here.(e) in
+  let use_edge' e = (not used_here.(e)) && use_edge e in
+  let uncovered v = target.(v) in
   let graft ((a, b, e) as arc) =
     arcs := arc :: !arcs;
     cost := !cost +. (Graph.edge g e).Graph.w;
@@ -60,8 +84,8 @@ let build ~mode ~mc ~use_edge g ~src ~dests =
     if !pending = 0 then Ok { arcs = List.rev !arcs; cost = !cost }
     else
       match
-        Shortest.grow ~source ~skip_node ~use_edge:use_edge'
-          ~target:(fun v -> target.(v)) g
+        Shortest.grow search ~source ~skip_node ~use_edge:use_edge'
+          ~target:uncovered g
       with
       | None ->
         Error (List.sort compare (List.filter (fun d -> not in_t.(d)) dests))

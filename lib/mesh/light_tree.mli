@@ -20,7 +20,9 @@
     inherited from {!Shortest}.  The construction's state (reached nodes,
     per-node arrival and departure counts, used edges, uncovered
     destinations) lives in arrays indexed by node and edge id, so a
-    graft costs one {!Shortest.grow} and no list scans. *)
+    graft costs one {!Shortest.grow} and no list scans.  A graft stops
+    at the first destination it settles: that is the nearest one, which
+    a search run to the end would have picked (see {!Shortest.grow}). *)
 
 type mode = Tree | Hierarchy
 
@@ -34,7 +36,17 @@ type structure = {
   cost : float;  (** sum of arc edge weights *)
 }
 
+type scratch
+(** The construction's state arrays, sized to one graph: reached nodes,
+    arrival and departure counts, used edges and uncovered
+    destinations. *)
+
+val scratch : Graph.t -> scratch
+(** A scratch for builds on this graph only. *)
+
 val build :
+  ?scratch:scratch ->
+  ?search:Shortest.scratch ->
   mode:mode ->
   mc:bool array ->
   use_edge:(int -> bool) ->
@@ -47,6 +59,12 @@ val build :
     has a single transmitter (out-degree 1 until revisited in
     [Hierarchy] mode).  [Error uncovered] lists the destinations (in
     ascending order) no further graft could reach.
+
+    [scratch] holds the construction's state and [search] the grafts'
+    {!Shortest.grow} arrays; both must belong to [g], and each is
+    allocated fresh when not passed.  A build resets [scratch] at its
+    start, so a caller can reuse the pair across builds, failed ones
+    included, and the result never depends on the builds before it.
 
     Every graft runs over usable edges from a node already reached, so
     a destination no path from [src] over [use_edge] edges reaches is

@@ -69,6 +69,15 @@ type t = {
          Yen paths, cheapest first, filled on the pair's first unicast.
          Unicast routing applies no edge filter and the graph never
          changes, so they depend on the pair alone. *)
+  tree : Light_tree.scratch;
+  search : Shortest.scratch;
+  reach : int array;
+  stack : int array;
+  stacked : bool array;
+      (* working arrays, sized to [graph] once at build: every light-tree
+         build, Dijkstra and reach-mask pass a connect runs writes into
+         these, resetting what it reads first.  None is part of the
+         state. *)
   active : (int, route) Hashtbl.t;
   mutable route_sum : int;  (* sum of [route_hash] over [active], mod 2^63 *)
   mutable next_id : int;
@@ -146,6 +155,11 @@ let build ?telemetry ~(cfg : Config.t) ~topo_name ~mc graph =
           assign = Assign.create ~k:cfg.k ~m:(Graph.m graph);
           plugin;
           yen = Hashtbl.create 64;
+          tree = Light_tree.scratch graph;
+          search = Shortest.scratch graph;
+          reach = Array.make (n + 1) 0;
+          stack = Array.make n 0;
+          stacked = Array.make (n + 1) false;
           active = Hashtbl.create 64;
           route_sum = 0;
           next_id = 1;
@@ -263,7 +277,7 @@ let unicast_paths t ~src ~dst =
       go [] nodes
     in
     let paths =
-      Shortest.k_shortest t.graph ~src ~dst ~k:t.cfg.k_paths
+      Shortest.k_shortest ~scratch:t.search t.graph ~src ~dst ~k:t.cfg.k_paths
       |> List.map edge_ids |> Array.of_list
     in
     Hashtbl.add t.yen key paths;
@@ -319,13 +333,13 @@ let try_unicast t ~hash ~src ~dst =
    one worklist pass over the adjacency arrays.  An edge passes the
    bits its occupancy word leaves clear; a node goes back on the
    worklist whenever it gains a bit, so the pass ends at the fixpoint,
-   each node popped at most k times. *)
-let reach_masks g a ~src =
+   each node popped at most k times.  The pass writes into the arrays
+   it is given: [reach] it clears first, and [stacked] every pass
+   leaves all false, since each node it pushes it also pops.  A node is
+   on the stack at most once, so [stack] needs n slots. *)
+let fill_reach_masks ~reach ~stack ~stacked g a ~src =
   let { Graph.off; nbr; eid; _ } = Graph.adjacency g in
-  let n = Graph.n g in
-  let reach = Array.make (n + 1) 0 in
-  (* each node is on the stack at most once *)
-  let stack = Array.make n 0 and stacked = Array.make (n + 1) false in
+  Array.fill reach 0 (Array.length reach) 0;
   reach.(src) <- (1 lsl Assign.k a) - 1;
   stack.(0) <- src;
   stacked.(src) <- true;
@@ -349,7 +363,13 @@ let reach_masks g a ~src =
         end
       end
     done
-  done;
+  done
+
+let reach_masks g a ~src =
+  let n = Graph.n g in
+  let reach = Array.make (n + 1) 0 in
+  fill_reach_masks ~reach ~stack:(Array.make n 0)
+    ~stacked:(Array.make (n + 1) false) g a ~src;
   reach
 
 (* Wavelengths in scan order; the first whose structure builds and is
@@ -368,11 +388,14 @@ let reach_masks g a ~src =
 let try_multicast t ~hash ~src ~dests =
   let order = Assign.plugin_order t.plugin t.assign ~hash in
   let fanout = List.length dests in
-  let reach = reach_masks t.graph t.assign ~src in
+  let reach = t.reach in
+  fill_reach_masks ~reach ~stack:t.stack ~stacked:t.stacked t.graph t.assign
+    ~src;
   let builds = List.fold_left (fun m d -> m land reach.(d)) (-1) dests in
   let build wl =
     let bit = 1 lsl (wl - 1) in
-    Light_tree.build ~mode:t.cfg.mode ~mc:t.mc
+    Light_tree.build ~scratch:t.tree ~search:t.search ~mode:t.cfg.mode
+      ~mc:t.mc
       ~use_edge:(fun e -> Assign.occupancy t.assign ~edge:e land bit = 0)
       t.graph ~src ~dests
   in

@@ -31,8 +31,13 @@
     destinations of the wavelength that leaves the fewest) is read off
     the masks with no build; under sparse splitting a refusal also
     builds the other wavelengths, skipping one whose mask shows it
-    cannot shorten the list.  None of this is part of the state:
-    {!snapshot}, {!digest} and {!restore} are unaffected. *)
+    cannot shorten the list.  A build grafts one destination at a time,
+    each graft a Dijkstra that stops at the first destination it
+    settles.  The builds, the Dijkstras and the mask pass all run on
+    working arrays the network allocates once, at {!create} or
+    {!restore}, so a connect allocates little beyond the route it
+    returns.  None of this is part of the state: {!snapshot}, {!digest}
+    and {!restore} are unaffected. *)
 
 module Sink = Wdm_telemetry.Sink
 module Connection = Wdm_core.Connection
@@ -97,7 +102,8 @@ val reach_masks : Graph.t -> Assign.t -> src:int -> int array
     is set when a path from [src] to [v] runs over edges all free on
     [wl] under [a]; no bit at or above [Assign.k a] is ever set, and
     [src]'s entry has all [k] set.  One worklist pass over
-    {!Graph.adjacency} covers every wavelength at once. *)
+    {!Graph.adjacency} covers every wavelength at once: the pass
+    {!connect} runs on the network's own arrays, here on fresh ones. *)
 
 val graph : t -> Graph.t
 val topology_name : t -> string

@@ -1,83 +1,106 @@
 let never _ = false
 let always _ = true
 
+type scratch = {
+  dist : float array;
+  pred : int array;  (* edge id into the node, -1 at a source *)
+  prev : int array;  (* predecessor node *)
+  visited : bool array;
+}
+
+let scratch g =
+  let n = Graph.n g in
+  {
+    dist = Array.make (n + 1) infinity;
+    pred = Array.make (n + 1) (-1);
+    prev = Array.make (n + 1) 0;
+    visited = Array.make (n + 1) false;
+  }
+
 (* O(n^2) selection Dijkstra over the graph's flat adjacency arrays: the
    zoo graphs are tens of nodes, and the plain loop has an easy
    determinism story (ascending node scan means equal distances resolve
    to the smallest id with no heap-order subtleties).  Every node with
-   [source v] starts at distance 0.  Weights are positive, so a source
-   never gets a predecessor, and following [prev] from any reached node
-   ends at the first node whose [pred] is -1: a source. *)
-let run g ~source ~skip_node ~use_edge =
+   [source v] starts at distance 0.  It returns the first node to
+   settle that [target] accepts, or 0 when none is reachable.
+
+   Nodes settle in (distance, id) order: the scan takes the smallest id
+   among the nearest unsettled nodes, and weights are positive, so no
+   node reaches a distance below one already settled.  The first target
+   to settle is therefore the (distance, id) minimum over the reachable
+   targets, the one a full run would pick.  Its [pred]/[prev] chain is
+   final once it settles: relaxation is strict, and a settled node's
+   distance is at most the relaxing node's, so it is never lowered
+   again.  A source never gets a predecessor, so following [prev] from
+   any reached node ends at the first node whose [pred] is -1.  Only the
+   sources' [pred] and none of [prev] need a reset: the chain runs
+   through nodes this search relaxed, and a source. *)
+let settle s g ~source ~skip_node ~use_edge ~target =
   let n = Graph.n g in
   let { Graph.off; nbr; eid; wt } = Graph.adjacency g in
-  let dist = Array.make (n + 1) infinity in
-  let pred = Array.make (n + 1) (-1) in (* edge id into the node *)
-  let prev = Array.make (n + 1) 0 in    (* predecessor node *)
-  let visited = Array.make (n + 1) false in
+  let { dist; pred; prev; visited } = s in
   for v = 1 to n do
-    if source v then dist.(v) <- 0.
+    if source v then begin
+      dist.(v) <- 0.;
+      pred.(v) <- -1
+    end
+    else dist.(v) <- infinity;
+    visited.(v) <- false
   done;
-  let rec loop () =
-    let best = ref 0 in
+  let found = ref (-1) in
+  while !found < 0 do
+    let best = ref 0 and best_d = ref infinity in
     for v = 1 to n do
-      if (not visited.(v)) && dist.(v) < infinity
-         && (!best = 0 || dist.(v) < dist.(!best))
-      then best := v
+      let d = dist.(v) in
+      if d < !best_d && not visited.(v) then begin
+        best := v;
+        best_d := d
+      end
     done;
-    if !best <> 0 then begin
-      let u = !best in
+    let u = !best in
+    if u = 0 || target u then found := u
+    else begin
       visited.(u) <- true;
+      let du = !best_d in
       for i = off.(u) to off.(u + 1) - 1 do
         let v = nbr.(i) in
-        if (not visited.(v)) && (not (skip_node v)) && use_edge eid.(i)
-        then begin
-          let d = dist.(u) +. wt.(i) in
-          if d < dist.(v) then begin
-            dist.(v) <- d;
-            pred.(v) <- eid.(i);
-            prev.(v) <- u
-          end
+        let d = du +. wt.(i) in
+        if d < dist.(v) && (not (skip_node v)) && use_edge eid.(i) then begin
+          dist.(v) <- d;
+          pred.(v) <- eid.(i);
+          prev.(v) <- u
         end
-      done;
-      loop ()
+      done
     end
-  in
-  loop ();
-  (dist, pred, prev)
+  done;
+  !found
 
-let walk_back ~prev ~pred dst =
-  let rec go v acc =
-    if pred.(v) = -1 then v :: acc else go prev.(v) (v :: acc)
-  in
-  go dst []
+(* The path into a reached node, from its source: as nodes, and as arcs
+   [(from, to, edge id)]. *)
+let rec walk_back s v acc =
+  if s.pred.(v) = -1 then v :: acc else walk_back s s.prev.(v) (v :: acc)
 
-let shortest_path ?(skip_node = never) ?(use_edge = always) g ~src ~dst =
+let rec arcs_back s v acc =
+  if s.pred.(v) = -1 then acc
+  else arcs_back s s.prev.(v) ((s.prev.(v), v, s.pred.(v)) :: acc)
+
+let shortest_path ?scratch:s ?(skip_node = never) ?(use_edge = always) g ~src
+    ~dst =
   if src = dst then Some (0., [ src ])
   else begin
-    let dist, pred, prev =
-      run g ~source:(fun v -> v = src) ~skip_node ~use_edge
-    in
-    if dist.(dst) = infinity then None
-    else Some (dist.(dst), walk_back ~prev ~pred dst)
+    let s = match s with Some s -> s | None -> scratch g in
+    if
+      settle s g ~source:(fun v -> v = src) ~skip_node ~use_edge
+        ~target:(fun v -> v = dst)
+      = 0
+    then None
+    else Some (s.dist.(dst), walk_back s dst [])
   end
 
-let grow ~source ~skip_node ~use_edge ~target g =
-  let dist, pred, prev = run g ~source ~skip_node ~use_edge in
-  let n = Graph.n g in
-  let best = ref 0 in
-  for v = 1 to n do
-    if target v && dist.(v) < infinity
-       && (!best = 0 || dist.(v) < dist.(!best))
-    then best := v
-  done;
-  if !best = 0 then None
-  else
-    let rec arcs v acc =
-      if pred.(v) = -1 then acc
-      else arcs prev.(v) ((prev.(v), v, pred.(v)) :: acc)
-    in
-    Some (arcs !best [])
+let grow s ~source ~skip_node ~use_edge ~target g =
+  match settle s g ~source ~skip_node ~use_edge ~target with
+  | 0 -> None
+  | v -> Some (arcs_back s v [])
 
 (* ----- Yen ------------------------------------------------------------- *)
 
@@ -94,9 +117,10 @@ let path_cost g nodes =
 let candidate_compare (c1, p1) (c2, p2) =
   match compare (c1 : float) c2 with 0 -> compare (p1 : int list) p2 | c -> c
 
-let k_shortest ?(use_edge = always) g ~src ~dst ~k =
+let k_shortest ?scratch:s ?(use_edge = always) g ~src ~dst ~k =
   if k < 1 then invalid_arg "Shortest.k_shortest: k must be >= 1";
-  match shortest_path ~use_edge g ~src ~dst with
+  let scratch = match s with Some s -> s | None -> scratch g in
+  match shortest_path ~scratch ~use_edge g ~src ~dst with
   | None -> []
   | Some first ->
     let a = ref [ first ] (* accepted, newest first *) in
@@ -128,7 +152,10 @@ let k_shortest ?(use_edge = always) g ~src ~dst ~k =
           let root_nodes = take_prefix i last in
           let skip_node v = List.mem v root_nodes in
           let use_edge' e = use_edge e && not (Hashtbl.mem banned_edges e) in
-          match shortest_path ~skip_node ~use_edge:use_edge' g ~src:spur ~dst with
+          match
+            shortest_path ~scratch ~skip_node ~use_edge:use_edge' g ~src:spur
+              ~dst
+          with
           | None -> ()
           | Some (_, spur_path) ->
             let total = root_nodes @ spur_path in

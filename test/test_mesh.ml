@@ -446,6 +446,109 @@ let prop_shortest_matches_oracle =
       && Shortest.k_shortest g ~src ~dst ~k
          = Mesh_oracle.Shortest.k_shortest g ~src ~dst ~k)
 
+(* One [Light_tree.scratch] and one [Shortest.scratch] serve a random
+   sequence of builds, grafts and searches on one graph, as a network's
+   do across its connects: both modes, random splitters, free-edge
+   masks, sources and destination lists, repeats of the step before and
+   builds that fail.  Every answer equals a fresh scratch's and the
+   list-based oracle's: a search stops at the first target it settles,
+   and a build resets what the builds before it left.  Half the graphs
+   reweight a zoo graph's links to 1..4: the zoo's weights are all 1,
+   and on those a search stopped at a target's first relaxation would
+   still find the right path. *)
+let prop_scratch_reuse =
+  QCheck.Test.make ~count:300 ~name:"reused scratch = fresh = oracle"
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let rng, zoo, _, _, node = oracle_instance seed in
+      let g =
+        if Random.State.bool rng then zoo
+        else
+          Graph.make ~n:(Graph.n zoo)
+            (List.map
+               (fun { Graph.u; v; _ } ->
+                 (u, v, float_of_int (1 + Random.State.int rng 4)))
+               (Array.to_list (Graph.edges zoo)))
+      in
+      let n = Graph.n g in
+      let tree = Light_tree.scratch g and search = Shortest.scratch g in
+      let subset p = Array.init (n + 1) (fun v -> v >= 1 && p ()) in
+      let draw () =
+        let density = Random.State.float rng 1.0 in
+        let free =
+          Array.init (Graph.m g) (fun _ -> Random.State.float rng 1.0 < density)
+        in
+        let mc = subset (fun () -> Random.State.bool rng) in
+        let mode =
+          if Random.State.bool rng then Light_tree.Tree else Light_tree.Hierarchy
+        in
+        let src = node () in
+        let dests = List.init (1 + Random.State.int rng 7) (fun _ -> node ()) in
+        let sources = subset (fun () -> Random.State.int rng 4 = 0) in
+        sources.(src) <- true;
+        let targets = subset (fun () -> Random.State.int rng 5 = 0) in
+        let skip = subset (fun () -> Random.State.int rng 6 = 0) in
+        (free, mc, mode, src, dests, sources, targets, skip, node ())
+      in
+      (* a grow's arcs as the oracle's (cost, nodes) *)
+      let as_path = function
+        | [] -> None
+        | (a, _, _) :: _ as arcs ->
+          Some
+            ( List.fold_left
+                (fun c (_, _, e) -> c +. (Graph.edge g e).Graph.w)
+                0. arcs,
+              a :: List.map (fun (_, b, _) -> b) arcs )
+      in
+      let same_graft ~source ~target got want =
+        match (got, want) with
+        | None, None -> true
+        | Some [], Some (d, [ v ]) -> d = 0. && source v && target v
+        | Some arcs, Some _ -> as_path arcs = want
+        | _ -> false
+      in
+      let step = ref (draw ()) in
+      for i = 1 to 8 do
+        (* a quarter of the steps repeat the one before *)
+        if Random.State.int rng 4 > 0 then step := draw ();
+        let free, mc, mode, src, dests, sources, targets, skip, dst = !step in
+        let use_edge e = free.(e) in
+        let fail what =
+          QCheck.Test.fail_reportf "seed %d step %d %s: %s differs" seed i
+            (Light_tree.mode_to_string mode) what
+        in
+        let want = Mesh_oracle.Light_tree.build ~mode ~mc ~use_edge g ~src ~dests in
+        if Light_tree.build ~scratch:tree ~search ~mode ~mc ~use_edge g ~src ~dests
+           <> want
+        then fail "reused build";
+        if
+          Light_tree.build ~scratch:(Light_tree.scratch g)
+            ~search:(Shortest.scratch g) ~mode ~mc ~use_edge g ~src ~dests
+          <> want
+        then fail "fresh build";
+        let source v = sources.(v) and target v = targets.(v) in
+        let skip_node v = skip.(v) in
+        let want =
+          Mesh_oracle.Shortest.grow
+            ~sources:(List.filter source (List.init n succ))
+            ~skip_node ~use_edge ~target g
+        in
+        let grow s = Shortest.grow s ~source ~skip_node ~use_edge ~target g in
+        if not (same_graft ~source ~target (grow search) want) then
+          fail "reused grow";
+        if not (same_graft ~source ~target (grow (Shortest.scratch g)) want)
+        then fail "fresh grow";
+        let want =
+          Mesh_oracle.Shortest.shortest_path ~skip_node ~use_edge g ~src ~dst
+        in
+        if Shortest.shortest_path ~scratch:search ~skip_node ~use_edge g ~src ~dst
+           <> want
+        then fail "reused shortest path";
+        if Shortest.shortest_path ~skip_node ~use_edge g ~src ~dst <> want then
+          fail "fresh shortest path"
+      done;
+      true)
+
 (* --- snapshot codec round trip -------------------------------------------- *)
 
 (* Mixed unicast/multicast churn, checking the digest contract after
@@ -815,6 +918,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_all_split_build_fails_iff_unreachable;
           Alcotest.test_case "sparse build misses a reachable destination"
             `Quick test_sparse_build_misses_reachable;
+          QCheck_alcotest.to_alcotest prop_scratch_reuse;
         ] );
       ( "assignment",
         [
